@@ -42,6 +42,7 @@ from .analysis import (
     EquilibriumResult,
     InvarianceReport,
     NoBracket,
+    NoConvergence,
     TruncationRungError,
     continuity_study,
     convergence_study,

@@ -26,7 +26,7 @@ from .model import (
     weighted_norm,
 )
 from .moments import _envelope_data, _relative_margins
-from .truncation import TruncatedSystem
+from .truncation import TruncatedSystem, eval_jacobian
 
 __all__ = [
     "ConvergenceReport",
@@ -35,6 +35,7 @@ __all__ = [
     "ContinuityRow",
     "TruncationRungError",
     "NoBracket",
+    "NoConvergence",
     "DegenerateDenominator",
     "convergence_study",
     "uniqueness_probe",
@@ -56,6 +57,10 @@ class TruncationRungError(IntegrationError):
 
 class NoBracket(RuntimeError):
     """The equilibrium residual does not change sign on the search interval."""
+
+
+class NoConvergence(IntegrationError):
+    """The equilibrium Newton/bisection iteration did not reach its tolerance."""
 
 
 class DegenerateDenominator(ZeroDivisionError):
@@ -275,12 +280,15 @@ def _x_residual(sys: TruncatedSystem, x: float):
 
 def _x_residual_slope(sys: TruncatedSystem, x: float, M: np.ndarray) -> float:
     """d(phi)/dx via the implicit function theorem on the bidiagonal M block."""
-    dxdx, dxdm, dmdx, diag, sub = sys.jacobian_parts(np.concatenate(([x], M)))
+    J = eval_jacobian(sys, State(t=0.0, x=x, M=M)).to_sparse()
+    row = J[[0], :].toarray()[0]       # d(dx/dt)/dx, then d(dx/dt)/dM
+    col = J[:, [0]].toarray()[:, 0]    # d(dx/dt)/dx, then d(dM/dt)/dx
+    diag, sub = J.diagonal(), J.diagonal(-1)
     u = np.empty_like(M)
-    u[0] = -dmdx[0] / diag[0]
+    u[0] = -col[1] / diag[1]
     for i in range(1, len(M)):
-        u[i] = (-dmdx[i] - sub[i - 1] * u[i - 1]) / diag[i]
-    return dxdx + float(dxdm @ u)
+        u[i] = (-col[i + 1] - sub[i] * u[i - 1]) / diag[i + 1]
+    return row[0] + float(row[1:] @ u)
 
 
 def _equilibrium_at(sys: TruncatedSystem, x: float, M: np.ndarray) -> EquilibriumResult:
@@ -364,7 +372,7 @@ def find_equilibrium(
     f, M = _x_residual(sys, x)
     if abs(f) <= tol:
         return _equilibrium_at(sys, x, M)
-    raise RuntimeError(f"no convergence to |phi| <= {tol}; best residual {f} at x={x}")
+    raise NoConvergence(f"no convergence to |phi| <= {tol}; best residual {f} at x={x}")
 
 
 def differential_form_check(traj: Trajectory, grid: Sequence[float], h: float = 1e-4) -> float:

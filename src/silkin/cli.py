@@ -95,6 +95,12 @@ def _number(value: Any, path: str) -> float:
     return float(value)
 
 
+def _positive_int(value: Any, path: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigError(path, f"expected a positive integer, got {value!r}")
+    return value
+
+
 def _family(node: Any, path: str) -> CoefficientFamily:
     kind = _get(node, "kind", path)
     try:
@@ -295,10 +301,10 @@ def load_config(path: str) -> RunConfig:
         n_ladder=ladder,
         t_end=t_end,
         integrator=integ,
-        m_out=int(_get(out_node, "m_out", "output", required=False, default=32)),
+        m_out=_positive_int(_get(out_node, "m_out", "output", required=False, default=32), "output.m_out"),
         wide_csv=bool(_get(out_node, "wide_csv", "output", required=False, default=False)),
         residual_tol=_number(_get(verify_node, "residual_tol", "verify", required=False, default=1e-6), "verify.residual_tol"),
-        sample_times=int(_get(verify_node, "sample_times", "verify", required=False, default=10)),
+        sample_times=_positive_int(_get(verify_node, "sample_times", "verify", required=False, default=10), "verify.sample_times"),
         differential_tol=_number(_get(verify_node, "differential_tol", "verify", required=False, default=1e-5), "verify.differential_tol"),
         semigroup_pairs=pairs,
         semigroup_tol=_number(_get(semi_node, "tol", "semigroup", required=False, default=1e-7), "semigroup.tol"),

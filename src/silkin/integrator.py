@@ -1,17 +1,9 @@
 """Adaptive integration of the truncated system with co-integrated balance accumulators.
 
-The integration state is augmented with running integrals that the balance
-identities need:
-
-    A1(t) = int_0^t sum_i (p_i + q_i) M_i        (total loss)
-    A2(t) = int_0^t sum_i i p_i M_i              (quartz removed by the escalator)
-    A3(t) = int_0^t sum_i i q_i M_i              (quartz released by cell death)
-    A4(t) = int_0^t x sum_{i<=n-1} k_i M_i       (quartz ingested)
-
-plus one flux integral F_m(t) = int_0^t x k_{m-1} M_{m-1} per requested
-cohort boundary ``m``.  They ride inside the ODE state, so the same stepper
-and the same error control apply to them; residual checks then probe the
-model, not a quadrature scheme.
+The integration state is that of :func:`silkin.truncation.augmented_field`:
+the phase, then the balance integrals A1..A4 and the requested flux
+integrals F_m.  The same stepper and error control apply to all of them, so
+residual checks probe the model, not a quadrature scheme.
 
 Negativity policy: the exact flow preserves the nonnegative cone, so small
 numerical undershoots are clamped to zero when samples are recorded and when
@@ -32,7 +24,7 @@ import numpy as np
 from scipy.integrate import BDF, RK45, OdeSolution
 
 from .model import State
-from .truncation import TruncatedSystem
+from .truncation import NUM_BASE_ACC, TruncatedSystem, augmented_field
 
 __all__ = [
     "IntegratorConfig",
@@ -44,19 +36,7 @@ __all__ = [
     "NegativityViolation",
     "OutOfRange",
     "MissingAccumulator",
-    "ACC_TOTAL_LOSS",
-    "ACC_QUARTZ_REMOVED",
-    "ACC_QUARTZ_RELEASED",
-    "ACC_QUARTZ_INGESTED",
 ]
-
-# Accumulator slots appended after the phase components.
-ACC_TOTAL_LOSS = 0        # A1
-ACC_QUARTZ_REMOVED = 1    # A2
-ACC_QUARTZ_RELEASED = 2   # A3
-ACC_QUARTZ_INGESTED = 3   # A4
-_NUM_BASE_ACC = 4
-
 
 class IntegrationError(RuntimeError):
     """Base class for numerical failures during integration."""
@@ -84,8 +64,9 @@ class IntegratorConfig:
 
     ``method`` is ``"rk45"`` (explicit Dormand-Prince 5(4), the default) or
     ``"bdf"`` (implicit backward differentiation for stiff cases, fed by the
-    banded-plus-border Jacobian).  Switching is always explicit, never silent.
-    Defaults leave the 1e-6 residual thresholds three orders of headroom.
+    sparse Jacobian of the augmented field).  Switching is always explicit,
+    never silent.  Defaults leave the 1e-6 residual thresholds three orders
+    of headroom.
     """
 
     rel_tol: float = 1e-9
@@ -109,77 +90,11 @@ class IntegratorConfig:
         return self.negativity_floor if self.negativity_floor is not None else -100.0 * self.abs_tol
 
 
-def _augmented_rhs(sys: TruncatedSystem, flux_orders: Tuple[int, ...]):
-    dim = sys.dimension
-    r = sys.params.r
-    alpha = sys.params.alpha
-    k = sys.k_masked
-    loss = sys.loss
-    ip = sys.i_times_p
-    iq = sys.i_times_q
-    flux_idx = np.array([m - 1 for m in flux_orders], dtype=int)
-
-    def fun(t: float, z: np.ndarray) -> np.ndarray:
-        x = z[0]
-        M = z[1:dim]
-        flow = (x * k) * M
-        out = np.zeros_like(z)
-        out[1] = r - flow[0] - loss[0] * M[0]
-        out[2:dim] = flow[:-1] - flow[1:] - loss[1:] * M[1:]
-        total_flow = flow.sum()
-        out[0] = alpha - total_flow + iq @ M
-        out[dim + ACC_TOTAL_LOSS] = loss @ M
-        out[dim + ACC_QUARTZ_REMOVED] = ip @ M
-        out[dim + ACC_QUARTZ_RELEASED] = iq @ M
-        out[dim + ACC_QUARTZ_INGESTED] = total_flow
-        if len(flux_idx):
-            out[dim + _NUM_BASE_ACC:] = flow[flux_idx]
-        return out
-
-    return fun
-
-
-def _augmented_jac(sys: TruncatedSystem, flux_orders: Tuple[int, ...]):
-    dim = sys.dimension
-    n_acc = _NUM_BASE_ACC + len(flux_orders)
-    k = sys.k_masked
-    loss = sys.loss
-    ip = sys.i_times_p
-    iq = sys.i_times_q
-
-    def jac(t: float, z: np.ndarray):
-        J = np.zeros((dim + n_acc, dim + n_acc))
-        dxdx, dxdm, dmdx, diag, sub = sys.jacobian_parts(z[:dim])
-        J[0, 0] = dxdx
-        J[0, 1:dim] = dxdm
-        J[1:dim, 0] = dmdx
-        idx = np.arange(1, dim)
-        J[idx, idx] = diag
-        J[idx[1:], idx[1:] - 1] = sub
-        x = z[0]
-        M = z[1:dim]
-        J[dim + ACC_TOTAL_LOSS, 1:dim] = loss
-        J[dim + ACC_QUARTZ_REMOVED, 1:dim] = ip
-        J[dim + ACC_QUARTZ_RELEASED, 1:dim] = iq
-        J[dim + ACC_QUARTZ_INGESTED, 0] = k @ M
-        J[dim + ACC_QUARTZ_INGESTED, 1:dim] = x * k
-        for pos, m in enumerate(flux_orders):
-            J[dim + _NUM_BASE_ACC + pos, 0] = k[m - 1] * M[m - 1]
-            J[dim + _NUM_BASE_ACC + pos, m] = x * k[m - 1]
-        if dim + n_acc >= 64:
-            import scipy.sparse
-
-            return scipy.sparse.csc_matrix(J)
-        return J
-
-    return jac
-
-
 @dataclass(eq=False)
 class Trajectory:
     """Accepted-step samples of one integration plus dense output.
 
-    ``samples`` holds the clamped phase rows (strictly increasing in time,
+    ``phase`` holds the clamped phase rows (strictly increasing in time,
     all in the cone); ``accumulators`` the co-integrated balance integrals at
     the same times.  ``pre_clamp_min`` records the most negative raw phase
     component seen before clamping, for cone-preservation diagnostics.
@@ -213,10 +128,6 @@ class Trajectory:
     def state(self, i: int) -> State:
         row = self.phase[i]
         return State(t=float(self.t[i]), x=float(row[0]), M=row[1:])
-
-    @property
-    def samples(self) -> list:
-        return [self.state(i) for i in range(self.num_samples)]
 
     @property
     def initial_state(self) -> State:
@@ -255,7 +166,7 @@ class Trajectory:
     def flux_slot(self, m: int) -> int:
         """Index of F_m within the accumulator block."""
         try:
-            return _NUM_BASE_ACC + self.flux_orders.index(m)
+            return NUM_BASE_ACC + self.flux_orders.index(m)
         except ValueError:
             raise MissingAccumulator(
                 f"flux integral F_{m} was not requested at integration time "
@@ -293,11 +204,11 @@ def integrate(
             raise ValueError(f"flux order must lie in 1..{sys.n}, got {m}")
 
     dim = sys.dimension
-    fun = _augmented_rhs(sys, flux)
-    z0 = np.concatenate([y0.vector(), np.zeros(_NUM_BASE_ACC + len(flux))])
+    fun, jac = augmented_field(sys, flux)
+    z0 = np.concatenate([y0.vector(), np.zeros(NUM_BASE_ACC + len(flux))])
     kwargs = dict(rtol=cfg.rel_tol, atol=cfg.abs_tol, max_step=cfg.max_step)
     if cfg.method == "bdf":
-        kwargs["jac"] = _augmented_jac(sys, flux)
+        kwargs["jac"] = jac
     solver = _STEPPERS[cfg.method](fun, y0.t, z0, t_end, **kwargs)
 
     floor = cfg.floor

@@ -25,14 +25,9 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .integrator import (
-    ACC_QUARTZ_REMOVED,
-    ACC_TOTAL_LOSS,
-    OutOfRange,
-    Trajectory,
-    dense_eval,
-)
+from .integrator import OutOfRange, Trajectory, dense_eval
 from .model import MomentWeights, RateTable, State, norm_mu, validate_weights
+from .truncation import ACC_QUARTZ_REMOVED, ACC_TOTAL_LOSS
 
 __all__ = [
     "MomentSnapshot",

@@ -12,6 +12,21 @@ i.e. the stored ``k_n`` is masked to zero, the ingestion sum in dx/dt stops at
 would stay identically zero, which is what makes the finite system a
 self-consistent approximation of the infinite one.
 
+The field is defined once, by :func:`augmented_field`, on the phase state
+extended with running integrals that the balance identities need:
+
+    A1(t) = int_0^t sum_i (p_i + q_i) M_i        (total loss)
+    A2(t) = int_0^t sum_i i p_i M_i              (quartz removed by the escalator)
+    A3(t) = int_0^t sum_i i q_i M_i              (quartz released by cell death)
+    A4(t) = int_0^t x sum_{i<=n-1} k_i M_i       (quartz ingested)
+
+plus one flux integral F_m(t) = int_0^t x k_{m-1} M_{m-1} per requested
+cohort boundary ``m``.  Its Jacobian has a fixed sparsity pattern: the border
+row and column of ``x``, the lower bidiagonal cohort block and the
+accumulator rows, O(n) stored entries.  :meth:`TruncatedSystem.rhs`,
+:func:`eval_rhs` and :func:`eval_jacobian` return the phase part of that one
+field.
+
 ``eval_rhs`` and ``eval_jacobian`` are pure functions of their arguments and
 safe to call concurrently.
 """
@@ -19,13 +34,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse
 
 from .model import ModelParams, RateTable, State
 
-__all__ = ["TruncatedSystem", "BandedBorderJacobian", "eval_rhs", "eval_jacobian"]
+__all__ = ["TruncatedSystem", "BandedBorderJacobian", "augmented_field", "eval_rhs", "eval_jacobian"]
+
+# Accumulator slots appended after the phase components.
+ACC_TOTAL_LOSS = 0        # A1
+ACC_QUARTZ_REMOVED = 1    # A2
+ACC_QUARTZ_RELEASED = 2   # A3
+ACC_QUARTZ_INGESTED = 3   # A4
+NUM_BASE_ACC = 4
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,8 +67,8 @@ class TruncatedSystem:
         """Phase dimension n + 2 with layout ``(x, M_0 .. M_n)``."""
         return self.rates.n + 2
 
-    # Derived coefficient arrays shared by the RHS, the Jacobian and the
-    # balance accumulators.  Cached once; read-only.
+    # Derived coefficient arrays shared by the field and its Jacobian.
+    # Cached once; read-only.
     @cached_property
     def k_masked(self) -> np.ndarray:
         k = self.rates.k.copy()
@@ -71,69 +94,115 @@ class TruncatedSystem:
         iq.setflags(write=False)
         return iq
 
+    @cached_property
+    def _phase_field(self):
+        return augmented_field(self)
+
     def rhs(self, v: np.ndarray) -> np.ndarray:
         """Vector field on the flat layout ``[x, M_0, ..., M_n]``."""
         if v.shape != (self.dimension,):
             raise ValueError(f"expected state vector of length {self.dimension}, got {v.shape}")
-        x = v[0]
-        M = v[1:]
-        flow = (x * self.k_masked) * M          # k_i x M_i, zero at i = n
-        out = np.empty_like(v)
-        out[1] = self.params.r - flow[0] - self.loss[0] * M[0]
-        out[2:] = flow[:-1] - flow[1:] - self.loss[1:] * M[1:]
-        out[0] = self.params.alpha - flow.sum() + self.i_times_q @ M
+        return self._phase_field[0](0.0, v)
+
+
+def augmented_field(sys: TruncatedSystem, flux_orders: Sequence[int] = ()) -> Tuple[Callable, Callable]:
+    """``(rhs, jac)`` of the field on ``(x, M_0 .. M_n, A1 .. A4, F_m ..)``.
+
+    Both take ``(t, z)`` as scipy's steppers call them.  The coefficient
+    arrays are bound and the Jacobian's CSC pattern is built here, once;
+    each ``jac`` call computes only a new data vector for that pattern.
+    """
+    dim = sys.dimension
+    size = dim + NUM_BASE_ACC + len(flux_orders)
+    r = sys.params.r
+    alpha = sys.params.alpha
+    k = sys.k_masked
+    loss = sys.loss
+    ip = sys.i_times_p
+    iq = sys.i_times_q
+    flux_idx = np.array([m - 1 for m in flux_orders], dtype=int)
+
+    def rhs(t: float, z: np.ndarray) -> np.ndarray:
+        x = z[0]
+        M = z[1:dim]
+        flow = (x * k) * M
+        out = np.zeros_like(z)
+        out[1] = r - flow[0] - loss[0] * M[0]
+        out[2:dim] = flow[:-1] - flow[1:] - loss[1:] * M[1:]
+        total_flow = flow.sum()
+        out[0] = alpha - total_flow + iq @ M
+        if len(z) == dim:  # phase state only, as TruncatedSystem.rhs passes it
+            return out
+        out[dim + ACC_TOTAL_LOSS] = loss @ M
+        out[dim + ACC_QUARTZ_REMOVED] = ip @ M
+        out[dim + ACC_QUARTZ_RELEASED] = iq @ M
+        out[dim + ACC_QUARTZ_INGESTED] = total_flow
+        if len(flux_idx):
+            out[dim + NUM_BASE_ACC:] = flow[flux_idx]
         return out
 
-    def jacobian_parts(self, v: np.ndarray):
-        """Pieces of d(RHS)/d(x, M): border scalar/row/column and the bidiagonal M block."""
-        if v.shape != (self.dimension,):
-            raise ValueError(f"expected state vector of length {self.dimension}, got {v.shape}")
-        x = v[0]
-        M = v[1:]
-        k = self.k_masked
-        dxdx = -float(k @ M)
-        dxdm = -k * x + self.i_times_q
+    # (rows, cols) of each block, in the order jac() lists the values.
+    cohorts = np.arange(1, dim)
+    flux_rows = dim + NUM_BASE_ACC + np.arange(len(flux_orders))
+    blocks = [
+        ([0], [0]),                                  # d(dx/dt)/dx
+        (np.zeros(dim - 1), cohorts),                # d(dx/dt)/dM
+        (cohorts, np.zeros(dim - 1)),                # d(dM/dt)/dx
+        (cohorts, cohorts),                          # diagonal of the M block
+        (cohorts[1:], cohorts[:-1]),                 # its subdiagonal
+        *((np.full(dim - 1, dim + a), cohorts) for a in range(NUM_BASE_ACC)),  # dA/dM
+        ([dim + ACC_QUARTZ_INGESTED], [0]),          # dA4/dx
+        (flux_rows, np.zeros(len(flux_orders))),     # dF_m/dx
+        (flux_rows, flux_idx + 1),                   # dF_m/dM_{m-1}
+    ]
+    rows = np.concatenate([b[0] for b in blocks]).astype(np.int32)
+    cols = np.concatenate([b[1] for b in blocks]).astype(np.int32)
+    order = np.lexsort((rows, cols))
+    indices = rows[order]
+    indptr = np.searchsorted(cols[order], np.arange(size + 1)).astype(np.int32)
+
+    def jac(t: float, z: np.ndarray) -> scipy.sparse.csc_matrix:
+        x = z[0]
+        M = z[1:dim]
         kM = k * M
-        dmdx = np.empty(self.n + 1)
+        dmdx = np.empty(dim - 1)
         dmdx[0] = -kM[0]
         dmdx[1:] = kM[:-1] - kM[1:]
-        diag = -(k * x + self.loss)
-        sub = k[:-1] * x
-        return dxdx, dxdm, dmdx, diag, sub
+        ingested = k @ M
+        values = np.concatenate([
+            [-ingested],
+            -k * x + iq,
+            dmdx,
+            -(k * x + loss),
+            k[:-1] * x,
+            loss,
+            ip,
+            iq,
+            x * k,
+            [ingested],
+            kM[flux_idx],
+            x * k[flux_idx],
+        ])
+        return scipy.sparse.csc_matrix((values[order], indices, indptr), shape=(size, size))
+
+    return rhs, jac
 
 
 @dataclass(frozen=True, eq=False)
 class BandedBorderJacobian:
-    """Jacobian in banded-plus-border form.
+    """Phase Jacobian: the border row/column of ``x`` around a lower bidiagonal M block."""
 
-    The M block is lower bidiagonal (``diag`` and ``sub``); ``dmdx`` is the
-    dense column of x-sensitivities, ``dxdm`` the dense row of the x equation
-    and ``dxdx`` its corner entry.
-    """
-
-    dxdx: float
-    dxdm: np.ndarray
-    dmdx: np.ndarray
-    diag: np.ndarray
-    sub: np.ndarray
+    matrix: scipy.sparse.csc_matrix
 
     @property
     def dimension(self) -> int:
-        return len(self.diag) + 1
+        return self.matrix.shape[0]
 
     def to_dense(self) -> np.ndarray:
-        d = self.dimension
-        J = np.zeros((d, d))
-        J[0, 0] = self.dxdx
-        J[0, 1:] = self.dxdm
-        J[1:, 0] = self.dmdx
-        idx = np.arange(1, d)
-        J[idx, idx] = self.diag
-        J[idx[1:], idx[1:] - 1] = self.sub
-        return J
+        return self.matrix.toarray()
 
     def to_sparse(self) -> scipy.sparse.csc_matrix:
-        return scipy.sparse.csc_matrix(self.to_dense())
+        return self.matrix
 
 
 def eval_rhs(sys: TruncatedSystem, s: State) -> np.ndarray:
@@ -144,8 +213,11 @@ def eval_rhs(sys: TruncatedSystem, s: State) -> np.ndarray:
 
 
 def eval_jacobian(sys: TruncatedSystem, s: State) -> BandedBorderJacobian:
-    """Jacobian of :func:`eval_rhs` with respect to ``(x, M_0 .. M_n)``."""
+    """Jacobian of :func:`eval_rhs` with respect to ``(x, M_0 .. M_n)``.
+
+    It is the leading phase block of the augmented field's sparse Jacobian.
+    """
     if s.n != sys.n:
         raise ValueError(f"state carries cohorts 0..{s.n} but the system expects 0..{sys.n}")
-    dxdx, dxdm, dmdx, diag, sub = sys.jacobian_parts(s.vector())
-    return BandedBorderJacobian(dxdx=dxdx, dxdm=dxdm, dmdx=dmdx, diag=diag, sub=sub)
+    d = sys.dimension
+    return BandedBorderJacobian(sys._phase_field[1](0.0, s.vector())[:d, :d])

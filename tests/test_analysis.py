@@ -5,9 +5,11 @@ from silkin import (
     CoefficientFamily,
     DegenerateDenominator,
     InitialData,
+    IntegrationError,
     IntegratorConfig,
     ModelParams,
     NoBracket,
+    NoConvergence,
     State,
     TruncatedSystem,
     TruncationRungError,
@@ -272,6 +274,14 @@ def test_equilibrium_degenerate_denominator():
     sys_ = TruncatedSystem(ModelParams(r=1.0, alpha=0.5), constant_rates(8, k=1.0, p=0.0, q=0.0))
     with pytest.raises(DegenerateDenominator):
         find_equilibrium(sys_)  # at x = 0 every denominator k_i x + p_i + q_i vanishes
+
+
+def test_equilibrium_no_convergence_is_a_named_integration_error():
+    # |phi| bottoms out near 2e-16 here, so a zero tolerance cannot be met
+    sys_ = TruncatedSystem(ModelParams(r=1.0, alpha=1.0), constant_rates(64, k=1.0, p=1.0, q=0.3))
+    with pytest.raises(NoConvergence, match="best residual") as info:
+        find_equilibrium(sys_, tol=0.0)
+    assert isinstance(info.value, IntegrationError)
 
 
 def test_equilibrium_explicit_bracket():

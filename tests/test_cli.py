@@ -201,6 +201,20 @@ def test_config_error_needs_single_n_or_ladder(tmp_path):
     assert cli.main(["converge", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize(
+    "command,section,field,value",
+    [("simulate", "output", "m_out", "abc"), ("verify", "verify", "sample_times", 0)],
+)
+def test_config_error_positive_integers(tmp_path, capsys, command, section, field, value):
+    doc = decay_doc()
+    doc[section] = {field: value}
+    cfg = write_config(tmp_path / "bad.yaml", doc)
+    assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"{section}.{field}" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_check_failure_exit_code(tmp_path):
     # an absurdly tight residual tolerance turns a healthy run into a failure
     doc = coupled_doc()
@@ -244,6 +258,25 @@ def test_numerical_abort_exit_code(tmp_path, capsys):
     cfg = write_config(tmp_path / "nb.yaml", doc)
     assert cli.main(["equilibrium", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
     assert "NoBracket" in capsys.readouterr().err
+
+
+def test_equilibrium_no_convergence_exit_code(tmp_path, capsys):
+    doc = {
+        "model": {"r": 1.0, "alpha": 1.0},
+        "rates": {
+            "k": {"kind": "constant", "amplitude": 1.0},
+            "p": {"kind": "constant", "amplitude": 1.0},
+            "q": {"kind": "constant", "amplitude": 0.3},
+        },
+        "initial": {"x0": 0.0, "M": [0.0]},
+        "run": {"n": 64, "t_end": 1.0},
+        "equilibrium": {"tol": 0.0},
+    }
+    cfg = write_config(tmp_path / "nc.yaml", doc)
+    assert cli.main(["equilibrium", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert "NoConvergence" in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_out_dir_env_override(tmp_path, monkeypatch):

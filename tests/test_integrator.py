@@ -11,10 +11,12 @@ from silkin import (
     State,
     TruncatedSystem,
     dense_eval,
+    eval_jacobian,
     integrate,
     norm_mu,
 )
 from silkin.moments import _path_integral
+from silkin.truncation import augmented_field
 
 from conftest import constant_rates, decaying_state, power_law_system
 from oracles import decoupled_solution
@@ -145,7 +147,7 @@ def test_flux_accumulator_cross_checks_quadrature():
 
 
 def test_bdf_agrees_with_rk45():
-    for n in (8, 70):  # below and above the sparse-Jacobian switch
+    for n in (8, 70):
         sys_ = power_law_system(n, gamma=1.0)
         y0 = decaying_state(n, rho=0.4)
         a = integrate(sys_, y0, 2.0, IntegratorConfig(method="rk45")).final_state
@@ -164,24 +166,31 @@ def test_bdf_accumulators_agree_with_rk45():
 
 
 def test_augmented_jacobian_matches_finite_differences(rng):
-    # the Jacobian handed to the stiff stepper, including accumulator rows
-    from silkin.integrator import _augmented_jac, _augmented_rhs
-
-    sys_ = power_law_system(7, gamma=1.0)
-    fun = _augmented_rhs(sys_, (1, 3))
-    jac = _augmented_jac(sys_, (1, 3))
-    for _ in range(20):
-        z = np.concatenate([rng.uniform(0.0, 2.0, 9), rng.uniform(0.0, 1.0, 6)])
-        J = np.asarray(jac(0.0, z))
-        J_fd = np.empty_like(J)
-        for j in range(len(z)):
-            h = 1e-6 * max(1.0, abs(z[j]))
-            zp = z.copy()
-            zm = z.copy()
-            zp[j] += h
-            zm[j] -= h
-            J_fd[:, j] = (fun(0.0, zp) - fun(0.0, zm)) / (2.0 * h)
-        assert np.max(np.abs(J - J_fd)) < 1e-6 * max(1.0, float(np.max(np.abs(J))))
+    # the Jacobian handed to the stiff stepper, including accumulator rows,
+    # at a small and a large truncation order
+    for n in (7, 80):
+        sys_ = power_law_system(n, gamma=1.0)
+        flux = (1, 3)
+        fun, jac = augmented_field(sys_, flux)
+        dim = sys_.dimension
+        for _ in range(20):
+            z = np.concatenate([rng.uniform(0.0, 2.0, dim), rng.uniform(0.0, 1.0, 6)])
+            J = jac(0.0, z).toarray()
+            J_fd = np.empty_like(J)
+            for j in range(len(z)):
+                h = 1e-6 * max(1.0, abs(z[j]))
+                zp = z.copy()
+                zm = z.copy()
+                zp[j] += h
+                zm[j] -= h
+                J_fd[:, j] = (fun(0.0, zp) - fun(0.0, zm)) / (2.0 * h)
+            assert np.max(np.abs(J - J_fd)) < 1e-6 * max(1.0, float(np.max(np.abs(J))))
+            # eval_jacobian is the leading phase block of the same matrix
+            s = State(t=0.0, x=z[0], M=z[1:dim])
+            assert np.array_equal(eval_jacobian(sys_, s).to_dense(), J[:dim, :dim])
+        # stored entries grow linearly: x border row and column, bidiagonal
+        # M block, four accumulator rows and two entries per flux row
+        assert jac(0.0, z).nnz <= 8 * dim + 2 * len(flux)
 
 
 def test_negativity_floor_policy():
