@@ -16,6 +16,7 @@ from .truncation import BandedBorderJacobian, TruncatedSystem, eval_jacobian, ev
 from .integrator import (
     IntegrationError,
     IntegratorConfig,
+    IntegratorStats,
     MissingAccumulator,
     NegativityViolation,
     OutOfRange,

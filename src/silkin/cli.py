@@ -23,7 +23,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, List, Optional, Sequence, Tuple
 
@@ -98,6 +98,12 @@ def _number(value: Any, path: str) -> float:
 def _positive_int(value: Any, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or value < 1:
         raise ConfigError(path, f"expected a positive integer, got {value!r}")
+    return value
+
+
+def _boolean(value: Any, path: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(path, f"expected true or false, got {value!r}")
     return value
 
 
@@ -232,8 +238,17 @@ def load_config(path: str) -> RunConfig:
             raise ConfigError("run.n", f"expected an integer >= 2, got {n_value!r}")
         n = n_value
     else:
-        if not isinstance(ladder_value, list) or not all(isinstance(v, int) for v in ladder_value):
-            raise ConfigError("run.n_ladder", "expected a list of integers")
+        if (
+            not isinstance(ladder_value, list)
+            or len(ladder_value) < 2
+            or not all(isinstance(v, int) and not isinstance(v, bool) for v in ladder_value)
+            or ladder_value[0] < 2
+            or any(b <= a for a, b in zip(ladder_value, ladder_value[1:]))
+        ):
+            raise ConfigError(
+                "run.n_ladder",
+                f"expected a strictly increasing list of at least two integers >= 2, got {ladder_value!r}",
+            )
         ladder = tuple(ladder_value)
     t_end = _number(_get(run_node, "t_end", "run"), "run.t_end")
     if t_end <= 0.0:
@@ -302,7 +317,7 @@ def load_config(path: str) -> RunConfig:
         t_end=t_end,
         integrator=integ,
         m_out=_positive_int(_get(out_node, "m_out", "output", required=False, default=32), "output.m_out"),
-        wide_csv=bool(_get(out_node, "wide_csv", "output", required=False, default=False)),
+        wide_csv=_boolean(_get(out_node, "wide_csv", "output", required=False, default=False), "output.wide_csv"),
         residual_tol=_number(_get(verify_node, "residual_tol", "verify", required=False, default=1e-6), "verify.residual_tol"),
         sample_times=_positive_int(_get(verify_node, "sample_times", "verify", required=False, default=10), "verify.sample_times"),
         differential_tol=_number(_get(verify_node, "differential_tol", "verify", required=False, default=1e-5), "verify.differential_tol"),
@@ -315,19 +330,12 @@ def load_config(path: str) -> RunConfig:
     )
 
 
-def _fmt(value: Any) -> str:
-    if isinstance(value, (np.floating, np.integer)):
-        value = value.item()
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _write_csv(path: Path, header: Sequence[str], rows) -> None:
+    """Rows hold Python ints and floats (``ndarray.tolist()`` gives them): ``repr`` is exact."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.write(",".join(map(repr, row)) + "\n")
 
 
 def _check(name: str, operation: str, value, threshold, passed: bool, comparison: str = "<=") -> dict:
@@ -359,7 +367,7 @@ def _write_trajectory(config: RunConfig, traj: Trajectory, out: Path) -> dict:
         for i in range(traj.num_samples):
             s = traj.state(i)
             snap = compute_moments(s, rates)
-            yield [s.t, s.x, snap.m_total, snap.x_total, snap.u_total, snap.Q, snap.P] + list(s.M[:cohorts])
+            yield [s.t, s.x, snap.m_total, snap.x_total, snap.u_total, snap.Q, snap.P] + s.M[:cohorts].tolist()
 
     _write_csv(out / "trajectory.csv", header, rows())
     artifacts = {"trajectory_csv": "trajectory.csv"}
@@ -368,7 +376,7 @@ def _write_trajectory(config: RunConfig, traj: Trajectory, out: Path) -> dict:
         _write_csv(
             out / "trajectory_wide.csv",
             wide_header,
-            ([traj.t[i]] + list(traj.phase[i]) for i in range(traj.num_samples)),
+            ([t] + traj.phase[i].tolist() for i, t in enumerate(traj.t.tolist())),
         )
         artifacts["trajectory_wide_csv"] = "trajectory_wide.csv"
     return artifacts
@@ -403,7 +411,12 @@ def _cmd_simulate(config: RunConfig, out: Path):
     times = np.linspace(traj.t_start, traj.t_end, config.sample_times + 1)[1:]
     worst = max(abs(mass_balance_residual(traj, t)) for t in times)
     checks.append(_bound_check("mass_balance", "mass_balance_residual", worst, config.residual_tol))
-    meta = {"n": sys_.n, "t_end": config.t_end, "num_samples": traj.num_samples}
+    meta = {
+        "n": sys_.n,
+        "t_end": config.t_end,
+        "num_samples": traj.num_samples,
+        "integrator": asdict(traj.stats),
+    }
     return checks, artifacts, meta
 
 
@@ -452,6 +465,7 @@ def _cmd_verify(config: RunConfig, out: Path):
         "n": sys_.n,
         "t_end": config.t_end,
         "num_samples": traj.num_samples,
+        "integrator": asdict(traj.stats),
         "gronwall": {
             "c1_used": gron.c1_used,
             "c1_apriori": gron.c1_apriori,
@@ -495,7 +509,7 @@ def _cmd_equilibrium(config: RunConfig, out: Path):
     _write_csv(
         out / "equilibrium.csv",
         ["i", "M_i"],
-        ([i, float(v)] for i, v in enumerate(result.M_star)),
+        ([i, v] for i, v in enumerate(result.M_star.tolist())),
     )
     checks = [
         _bound_check("equilibrium_residual", "find_equilibrium", result.residual, config.equilibrium_tol)

@@ -5,6 +5,19 @@ the phase, then the balance integrals A1..A4 and the requested flux
 integrals F_m.  The same stepper and error control apply to all of them, so
 residual checks probe the model, not a quadrature scheme.
 
+``method="bdf"`` is scipy's BDF fed the sparse Jacobian of that field.  Its
+Newton matrix ``I - c J`` is factored by :func:`newton_lu` with diagonal
+pivots, so the LU factors stay about as sparse as the matrix.  Partial
+pivoting would pick the large accumulator entries (``c i q_i`` and the
+like) as pivots and fill U.  Diagonal pivots are safe here: nothing depends
+on the accumulators, so their diagonal block is the identity and their rows
+never update another row; each cohort's diagonal
+``1 + c (k_i x + p_i + q_i)`` is at least 1 and larger than the
+subdiagonal entry below it; and the x diagonal is ``1 + c sum_i k_i M_i``.
+
+Each :class:`Trajectory` carries the stepper's counts (accepted steps,
+``nfev``, ``njev``, ``nlu``) in :class:`IntegratorStats`.
+
 Negativity policy: the exact flow preserves the nonnegative cone, so small
 numerical undershoots are clamped to zero when samples are recorded and when
 dense output is evaluated, while an undershoot below ``negativity_floor``
@@ -22,12 +35,14 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.integrate import BDF, RK45, OdeSolution
+from scipy.sparse.linalg import SuperLU, splu
 
 from .model import State
 from .truncation import NUM_BASE_ACC, TruncatedSystem, augmented_field
 
 __all__ = [
     "IntegratorConfig",
+    "IntegratorStats",
     "Trajectory",
     "integrate",
     "dense_eval",
@@ -90,6 +105,16 @@ class IntegratorConfig:
         return self.negativity_floor if self.negativity_floor is not None else -100.0 * self.abs_tol
 
 
+@dataclass(frozen=True)
+class IntegratorStats:
+    """Work counts of one integration, as the scipy stepper reports them."""
+
+    steps: int
+    nfev: int
+    njev: int
+    nlu: int
+
+
 @dataclass(eq=False)
 class Trajectory:
     """Accepted-step samples of one integration plus dense output.
@@ -97,7 +122,8 @@ class Trajectory:
     ``phase`` holds the clamped phase rows (strictly increasing in time,
     all in the cone); ``accumulators`` the co-integrated balance integrals at
     the same times.  ``pre_clamp_min`` records the most negative raw phase
-    component seen before clamping, for cone-preservation diagnostics.
+    component seen before clamping, for cone-preservation diagnostics;
+    ``stats`` the stepper's work counts.
     """
 
     sys: TruncatedSystem
@@ -107,6 +133,7 @@ class Trajectory:
     accumulators: np.ndarray
     flux_orders: Tuple[int, ...]
     pre_clamp_min: float
+    stats: IntegratorStats
     _sol: OdeSolution = field(repr=False)
 
     @property
@@ -177,7 +204,30 @@ class Trajectory:
         return float(self.accumulators_at(t)[self.flux_slot(m)])
 
 
-_STEPPERS = {"rk45": RK45, "bdf": BDF}
+def newton_lu(A) -> SuperLU:
+    """Sparse LU of a BDF Newton matrix ``I - c J``, pivoting on its diagonal.
+
+    Every diagonal entry is at least 1 and no accumulator row is needed as
+    a pivot (see the module docstring), so the factors keep the fill of the
+    column ordering alone.
+    """
+    return splu(A, diag_pivot_thresh=0.0)
+
+
+class _DiagonalPivotBDF(BDF):
+    """scipy's BDF whose Newton matrices are factored by :func:`newton_lu`."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+
+        def lu(A):
+            self.nlu += 1
+            return newton_lu(A)
+
+        self.lu = lu
+
+
+_STEPPERS = {"rk45": RK45, "bdf": _DiagonalPivotBDF}
 
 
 def integrate(
@@ -240,6 +290,9 @@ def integrate(
         accumulators=Z[:, dim:],
         flux_orders=flux,
         pre_clamp_min=pre_clamp_min,
+        stats=IntegratorStats(
+            steps=len(segments), nfev=solver.nfev, njev=solver.njev, nlu=solver.nlu
+        ),
         _sol=OdeSolution(np.asarray(ts), segments),
     )
 

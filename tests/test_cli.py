@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 import yaml
 
@@ -213,6 +214,51 @@ def test_config_error_positive_integers(tmp_path, capsys, command, section, fiel
     err = capsys.readouterr().err
     assert f"{section}.{field}" in err
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("ladder", [[16, 8], [8, 8, 16], [1, 4], [8], []])
+def test_config_error_bad_ladder(tmp_path, capsys, ladder):
+    # a decreasing, repeated, too-small or too-short ladder is a config error, not a traceback
+    doc = decay_doc()
+    doc["run"] = {"n_ladder": ladder, "t_end": 1.0}
+    cfg = write_config(tmp_path / "bad.yaml", doc)
+    assert cli.main(["converge", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "run.n_ladder" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("value", ["no", "yes", 1, 0, None])
+def test_config_error_wide_csv_must_be_boolean(tmp_path, capsys, value):
+    doc = decay_doc()
+    doc["output"] = {"wide_csv": value}
+    cfg = write_config(tmp_path / "bad.yaml", doc)
+    out = tmp_path / "o"
+    assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    assert "output.wide_csv" in capsys.readouterr().err
+    assert not (out / "trajectory_wide.csv").exists()
+
+
+def test_write_csv_fields_are_exact_reprs(tmp_path):
+    subnormal = 2.5e-310
+    floats = np.array([0.0, -0.0, 5e-324, subnormal, 1e-5, 1e16, 1.0 / 3.0])
+    row = [3, -7, 0.1] + floats.tolist()
+    path = tmp_path / "row.csv"
+    cli._write_csv(path, ["c"] * len(row), [row])
+    fields = path.read_text(encoding="utf-8").splitlines()[1].split(",")
+    assert fields == [str(3), str(-7), repr(0.1)] + [repr(float(v)) for v in floats]
+    # every field parses back to the value written
+    assert [float(f) for f in fields[2:]] == [0.1] + list(floats)
+
+
+def test_integrator_stats_in_summary(tmp_path):
+    cfg = write_config(tmp_path / "run.yaml", coupled_doc(n=6, t_end=1.0))
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    summary = read_summary(out)
+    stats = summary["metadata"]["integrator"]
+    assert set(stats) == {"steps", "nfev", "njev", "nlu"}
+    assert stats["steps"] == summary["metadata"]["num_samples"] - 1
 
 
 def test_check_failure_exit_code(tmp_path):

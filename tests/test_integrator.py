@@ -2,6 +2,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from silkin import (
     IntegratorConfig,
@@ -15,6 +16,7 @@ from silkin import (
     integrate,
     norm_mu,
 )
+from silkin.integrator import newton_lu
 from silkin.moments import _path_integral
 from silkin.truncation import augmented_field
 
@@ -163,6 +165,38 @@ def test_bdf_accumulators_agree_with_rk45():
         sys_, y0, 3.0, IntegratorConfig(method="bdf", rel_tol=1e-10, abs_tol=1e-13), flux_orders=(1, 4)
     )
     np.testing.assert_allclose(a.accumulators[-1], b.accumulators[-1], rtol=1e-7, atol=1e-10)
+
+
+def test_bdf_newton_lu_has_no_fill(rng):
+    # I - c J for the augmented field at n = 1024: the factors stay within a
+    # fixed multiple of the matrix size, and the solve is backward stable
+    n = 1024
+    sys_ = power_law_system(n, gamma=1.0)
+    _, jac = augmented_field(sys_, (1,))
+    z = np.concatenate([decaying_state(n, rho=0.5).vector(), np.zeros(5)])
+    J = jac(0.0, z)
+    size = J.shape[0]
+    for c in (1e-4, 1e-2, 0.2):
+        A = (scipy.sparse.identity(size, format="csc") - c * J).tocsc()
+        lu = newton_lu(A)
+        assert lu.L.nnz + lu.U.nnz <= 16 * size
+        b = rng.standard_normal(size)
+        x = lu.solve(b)
+        residual = np.max(np.abs(A @ x - b))
+        scale = abs(A).sum(axis=1).max() * np.max(np.abs(x)) + np.max(np.abs(b))
+        assert residual <= 1e-12 * scale
+
+
+def test_integrator_stats_count_stepper_work():
+    sys_ = power_law_system(12, gamma=1.0)
+    y0 = decaying_state(12, rho=0.5)
+    rk = integrate(sys_, y0, 2.0, IntegratorConfig(method="rk45")).stats
+    bdf_traj = integrate(sys_, y0, 2.0, IntegratorConfig(method="bdf"))
+    bdf = bdf_traj.stats
+    assert rk.steps > 0 and rk.nfev > 0
+    assert rk.njev == 0 and rk.nlu == 0
+    assert bdf.steps == bdf_traj.num_samples - 1
+    assert min(bdf.steps, bdf.nfev, bdf.njev, bdf.nlu) > 0
 
 
 def test_augmented_jacobian_matches_finite_differences(rng):
