@@ -107,6 +107,14 @@ def _boolean(value: Any, path: str) -> bool:
     return value
 
 
+def _pair(value: Any, path: str, shape: str) -> Tuple[float, float]:
+    """A two-element list of finite numbers >= 0; ``shape`` names it in the error."""
+    pair = tuple(_number(v, path) for v in value) if isinstance(value, list) else ()
+    if len(pair) != 2 or not all(0.0 <= v < math.inf for v in pair):
+        raise ConfigError(path, f"expected {shape} with two finite numbers >= 0, got {value!r}")
+    return pair
+
+
 def _family(node: Any, path: str) -> CoefficientFamily:
     kind = _get(node, "kind", path)
     try:
@@ -285,23 +293,12 @@ def load_config(path: str) -> RunConfig:
     else:
         if not isinstance(pairs_value, list):
             raise ConfigError("semigroup.pairs", "expected a list of [t, s] pairs")
-        pairs = tuple(
-            (
-                _number(pair[0], f"semigroup.pairs[{i}][0]"),
-                _number(pair[1], f"semigroup.pairs[{i}][1]"),
-            )
-            for i, pair in enumerate(pairs_value)
-        )
+        pairs = tuple(_pair(pair, f"semigroup.pairs[{i}]", "[t, s]") for i, pair in enumerate(pairs_value))
 
     bracket_value = _get(eq_node, "x_bracket", "equilibrium", required=False)
-    bracket = None
-    if bracket_value is not None:
-        if not (isinstance(bracket_value, list) and len(bracket_value) == 2):
-            raise ConfigError("equilibrium.x_bracket", "expected [lo, hi]")
-        bracket = (
-            _number(bracket_value[0], "equilibrium.x_bracket[0]"),
-            _number(bracket_value[1], "equilibrium.x_bracket[1]"),
-        )
+    bracket = None if bracket_value is None else _pair(bracket_value, "equilibrium.x_bracket", "[lo, hi]")
+    if bracket is not None and not bracket[0] < bracket[1]:
+        raise ConfigError("equilibrium.x_bracket", f"expected lo < hi, got {bracket_value!r}")
 
     final_gap = _get(conv_node, "final_gap_tol", "converge", required=False)
 

@@ -18,6 +18,12 @@ subdiagonal entry below it; and the x diagonal is ``1 + c sum_i k_i M_i``.
 Each :class:`Trajectory` carries the stepper's counts (accepted steps,
 ``nfev``, ``njev``, ``nlu``) in :class:`IntegratorStats`.
 
+Cohort time integrals are computed once per trajectory, on first use:
+:attr:`Trajectory.step_integrals` holds ``int M_i`` and ``int x M_i`` over
+each accepted step, by six-node Gauss-Legendre quadrature of the dense output
+(Hairer, Norsett & Wanner, *Solving ODEs I*, II.6), exact for its products of
+degree <= 10 up to the cone clamp.  Windows add at most two partial steps.
+
 Negativity policy: the exact flow preserves the nonnegative cone, so small
 numerical undershoots are clamped to zero when samples are recorded and when
 dense output is evaluated, while an undershoot below ``negativity_floor``
@@ -31,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -52,6 +59,10 @@ __all__ = [
     "OutOfRange",
     "MissingAccumulator",
 ]
+
+_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(6)
+_CHUNK_FLOATS = 2 ** 18  # one quadrature chunk's dense matrix stays near 2 MB
+
 
 class IntegrationError(RuntimeError):
     """Base class for numerical failures during integration."""
@@ -123,7 +134,8 @@ class Trajectory:
     all in the cone); ``accumulators`` the co-integrated balance integrals at
     the same times.  ``pre_clamp_min`` records the most negative raw phase
     component seen before clamping, for cone-preservation diagnostics;
-    ``stats`` the stepper's work counts.
+    ``stats`` the stepper's work counts.  :attr:`step_integrals` is built on
+    first use and then kept: ``2 * steps * (n + 1)`` floats.
     """
 
     sys: TruncatedSystem
@@ -181,6 +193,40 @@ class Trajectory:
         dim = self.sys.dimension
         np.maximum(z[:dim], 0.0, out=z[:dim])
         return z
+
+    def _panel_integrals(self, a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``int M_i`` and ``int x M_i`` over each panel ``[a_j, b_j]``, each ``(panels, n + 1)``."""
+        half = 0.5 * (b - a)
+        ws = half[:, None] * _GAUSS_W
+        Z = self.dense_matrix((0.5 * (a + b)[:, None] + half[:, None] * _GAUSS_X).ravel())
+        M = Z[1:self.sys.dimension].reshape(-1, *ws.shape)
+        return np.einsum("ijk,jk->ji", M, ws), np.einsum("ijk,jk->ji", M, Z[0].reshape(ws.shape) * ws)
+
+    @cached_property
+    def step_integrals(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``int M_i`` and ``int x M_i`` over each accepted step, each ``(steps, n + 1)``."""
+        steps = self.num_samples - 1
+        chunk = max(1, _CHUNK_FLOATS // (len(_GAUSS_X) * (self.phase.shape[1] + self.accumulators.shape[1])))
+        m_int, xm_int = np.empty((steps, self.sys.n + 1)), np.empty((steps, self.sys.n + 1))
+        for j in range(0, steps, chunk):
+            k = min(j + chunk, steps)
+            m_int[j:k], xm_int[j:k] = self._panel_integrals(self.t[j:k], self.t[j + 1:k + 1])
+        for cached in (m_int, xm_int):
+            cached.setflags(write=False)
+        return m_int, xm_int
+
+    def window_integrals(self, t1: float, t2: float) -> Tuple[np.ndarray, np.ndarray]:
+        """``int M_i`` and ``int x M_i`` over ``[t1, t2]``: cached whole steps plus partial ends."""
+        if not (self.t_start <= t1 < t2 <= self.t_end):
+            raise OutOfRange(f"need t_start <= t1 < t2 <= t_end, got [{t1}, {t2}] in [{self.t_start}, {self.t_end}]")
+        i1 = int(np.searchsorted(self.t, t1))                     # first sample >= t1
+        i2 = int(np.searchsorted(self.t, t2, side="right")) - 1   # last sample <= t2
+        whole = [s[i1:i2].sum(axis=0) for s in self.step_integrals]
+        ends = [(t1, t2)] if i1 > i2 else [(t1, self.t[i1]), (self.t[i2], t2)]
+        partial = np.array([(a, b) for a, b in ends if a < b]).reshape(-1, 2)
+        if len(partial):
+            whole = [w + p.sum(axis=0) for w, p in zip(whole, self._panel_integrals(*partial.T))]
+        return whole[0], whole[1]
 
     def accumulators_at(self, t: float) -> np.ndarray:
         """Balance integrals A1..A4 (and any flux integrals) at time ``t``."""
@@ -287,7 +333,7 @@ def integrate(
         cfg=cfg,
         t=np.asarray(ts),
         phase=phase,
-        accumulators=Z[:, dim:],
+        accumulators=Z[:, dim:].copy(),
         flux_orders=flux,
         pre_clamp_min=pre_clamp_min,
         stats=IntegratorStats(

@@ -12,10 +12,12 @@ a computed trajectory yields a residual that vanishes to stepper precision.
 A persistent residual therefore flags a defect in the vector field, the
 accumulators or the integrator, never "model error".
 
-Time integrals of g-weighted cohort sums are evaluated by per-step
-Gauss-Legendre quadrature on the dense output (the dense segments are
-polynomials, so the quadrature is exact up to interpolation error), while the
-boundary flux integrals F_m come from their co-integrated accumulators.
+Time integrals of g-weighted cohort sums are dot products of the weights
+with the trajectory's cached integrals: ``int M_i`` and ``int x M_i`` are
+computed once per accepted step (:attr:`Trajectory.step_integrals`), and a
+window ``[t1, t2]`` sums its whole steps plus at most two partial ones
+(:meth:`Trajectory.window_integrals`).  The boundary flux integrals F_m come
+from their co-integrated accumulators.
 """
 from __future__ import annotations
 
@@ -25,7 +27,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .integrator import OutOfRange, Trajectory, dense_eval
+from .integrator import Trajectory, dense_eval
 from .model import MomentWeights, RateTable, State, norm_mu, validate_weights
 from .truncation import ACC_QUARTZ_REMOVED, ACC_TOTAL_LOSS
 
@@ -75,54 +77,25 @@ def compute_moments(s: State, rates: RateTable) -> MomentSnapshot:
     )
 
 
-_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(6)
+# Balance name -> (conserved moment, its supply rate, accumulators of its losses).
+_BALANCES = {
+    "mass": ("u_total", lambda p: p.r + p.alpha, (ACC_TOTAL_LOSS, ACC_QUARTZ_REMOVED)),
+    "quartz": ("x_total", lambda p: p.alpha, (ACC_QUARTZ_REMOVED,)),
+    "macrophage": ("m_total", lambda p: p.r, (ACC_TOTAL_LOSS,)),
+}
 
 
-def _panel_quadrature(a: np.ndarray, b: np.ndarray):
-    """Gauss-Legendre nodes/weights for a batch of intervals [a_j, b_j]."""
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    ts = (mid[:, None] + half[:, None] * _GAUSS_X[None, :]).ravel()
-    ws = (half[:, None] * _GAUSS_W[None, :]).ravel()
-    return ts, ws
-
-
-def _split_at_samples(traj: Trajectory, t1: float, t2: float):
-    lo = np.searchsorted(traj.t, t1, side="right")
-    hi = np.searchsorted(traj.t, t2, side="left")
-    edges = np.concatenate(([t1], traj.t[lo:hi], [t2]))
-    return edges[:-1], edges[1:]
-
-
-def _path_integral(traj: Trajectory, coef: np.ndarray, t1: float, t2: float, times_x: bool) -> float:
-    """``int_{t1}^{t2} [x(s)] * sum_i coef_i M_i(s) ds`` from dense output."""
-    if t2 == t1:
-        return 0.0
-    ts, ws = _panel_quadrature(*_split_at_samples(traj, t1, t2))
-    Z = traj.dense_matrix(ts)
-    vals = coef @ Z[1:traj.sys.dimension]
-    if times_x:
-        vals = vals * Z[0]
-    return float(ws @ vals)
-
-
-def _cumulative_loss(traj: Trajectory, coef: np.ndarray) -> np.ndarray:
-    """``int_{t0}^{t_j} sum_i coef_i M_i`` at every sample time ``t_j``."""
-    if traj.num_samples < 2:
-        return np.zeros(traj.num_samples)
-    ts, ws = _panel_quadrature(traj.t[:-1], traj.t[1:])
-    Z = traj.dense_matrix(ts)
-    vals = (coef @ Z[1:traj.sys.dimension]) * ws
-    per_panel = vals.reshape(traj.num_samples - 1, len(_GAUSS_X)).sum(axis=1)
-    return np.concatenate(([0.0], np.cumsum(per_panel)))
-
-
-def _check_window(traj: Trajectory, t1: float, t2: float) -> None:
-    if not (traj.t_start <= t1 < t2 <= traj.t_end):
-        raise OutOfRange(
-            f"need t_start <= t1 < t2 <= t_end, got [{t1}, {t2}] in "
-            f"[{traj.t_start}, {traj.t_end}]"
-        )
+def _balance_residual(traj: Trajectory, t: float, balance: str) -> float:
+    """``S(t) - S(t0) - supply (t - t0) + sum of loss accumulators`` for one balance."""
+    moment, supply_rate, slots = _BALANCES[balance]
+    rates = traj.sys.rates
+    now = getattr(compute_moments(dense_eval(traj, t), rates), moment)
+    start = getattr(compute_moments(traj.initial_state, rates), moment)
+    acc = traj.accumulators_at(t)
+    residual = now - start - supply_rate(traj.sys.params) * (t - traj.t_start)
+    for slot in slots:
+        residual += float(acc[slot])
+    return residual
 
 
 def mass_balance_residual(traj: Trajectory, t: float) -> float:
@@ -131,33 +104,17 @@ def mass_balance_residual(traj: Trajectory, t: float) -> float:
     Returns ``U(t) - U(t0) - (r + alpha)(t - t0) + A1(t) + A2(t)``, which is
     identically zero along the exact truncated flow.
     """
-    traj._check_range(t)
-    rates = traj.sys.rates
-    u_t = compute_moments(dense_eval(traj, t), rates).u_total
-    u_0 = compute_moments(traj.initial_state, rates).u_total
-    acc = traj.accumulators_at(t)
-    supply = (traj.sys.params.r + traj.sys.params.alpha) * (t - traj.t_start)
-    return u_t - u_0 - supply + float(acc[ACC_TOTAL_LOSS]) + float(acc[ACC_QUARTZ_REMOVED])
+    return _balance_residual(traj, t, "mass")
 
 
 def quartz_balance_residual(traj: Trajectory, t: float) -> float:
     """Quartz balance defect ``X(t) - X(t0) - alpha (t - t0) + A2(t)``."""
-    traj._check_range(t)
-    rates = traj.sys.rates
-    x_t = compute_moments(dense_eval(traj, t), rates).x_total
-    x_0 = compute_moments(traj.initial_state, rates).x_total
-    acc = traj.accumulators_at(t)
-    return x_t - x_0 - traj.sys.params.alpha * (t - traj.t_start) + float(acc[ACC_QUARTZ_REMOVED])
+    return _balance_residual(traj, t, "quartz")
 
 
 def macrophage_balance_residual(traj: Trajectory, t: float) -> float:
     """Macrophage balance defect ``M(t) - M(t0) - r (t - t0) + A1(t)``."""
-    traj._check_range(t)
-    rates = traj.sys.rates
-    m_t = compute_moments(dense_eval(traj, t), rates).m_total
-    m_0 = compute_moments(traj.initial_state, rates).m_total
-    acc = traj.accumulators_at(t)
-    return m_t - m_0 - traj.sys.params.r * (t - traj.t_start) + float(acc[ACC_TOTAL_LOSS])
+    return _balance_residual(traj, t, "macrophage")
 
 
 WeightsLike = Union[MomentWeights, Sequence[float], np.ndarray]
@@ -189,25 +146,22 @@ def moment_identity_residual(
     n = rates.n
     if not 1 <= m <= n:
         raise ValueError(f"m must lie in 1..{n}, got {m}")
-    _check_window(traj, t1, t2)
+    m_int, xm_int = traj.window_integrals(t1, t2)
     g = _weight_vector(w, n)
 
     def tail_sum(t: float) -> float:
         s = dense_eval(traj, t)
         return float(g[m:] @ s.M[m:])
 
-    loss_coef = np.zeros(n + 1)
-    loss_coef[m:] = g[m:] * traj.sys.loss[m:]
-    gain_coef = np.zeros(n + 1)
-    gain_coef[m:n] = (g[m + 1:] - g[m:n]) * rates.k[m:n]
-
+    tail_loss = g[m:] * traj.sys.loss[m:]
+    transfer_gain = (g[m + 1:] - g[m:n]) * rates.k[m:n]
     flux_term = g[m] * (traj.flux_at(m, t2) - traj.flux_at(m, t1))
     return (
         tail_sum(t2)
         - tail_sum(t1)
-        + _path_integral(traj, loss_coef, t1, t2, times_x=False)
+        + float(tail_loss @ m_int[m:])
         - flux_term
-        - _path_integral(traj, gain_coef, t1, t2, times_x=True)
+        - float(transfer_gain @ xm_int[m:n])
     )
 
 
@@ -273,7 +227,8 @@ def _envelope_data(traj: Trajectory, w: MomentWeights):
 
     loss_coef = np.zeros(rates.n + 1)
     loss_coef[1:] = g[1:] * traj.sys.loss[1:]
-    lhs = traj.phase[:, 2:] @ g[1:] + _cumulative_loss(traj, loss_coef)
+    m_steps, _ = traj.step_integrals
+    lhs = traj.phase[:, 2:] @ g[1:] + np.concatenate(([0.0], np.cumsum(m_steps @ loss_coef)))
 
     with np.errstate(over="ignore"):
         c1_init = float(lhs[0]) + rates.k[0] * g[1] * c2 * c2 * T

@@ -239,6 +239,30 @@ def test_config_error_wide_csv_must_be_boolean(tmp_path, capsys, value):
     assert not (out / "trajectory_wide.csv").exists()
 
 
+@pytest.mark.parametrize("pairs", [[1, "a"], [[1.0]], [[-1.0, 2.0]], [[1, 2, 3]]])
+def test_config_error_bad_semigroup_pairs(tmp_path, capsys, pairs):
+    # a non-list, short, negative or long pair is a config error, not a traceback or a truncation
+    doc = coupled_doc(n=4, t_end=1.0)
+    doc["semigroup"] = {"pairs": pairs}
+    cfg = write_config(tmp_path / "bad.yaml", doc)
+    assert cli.main(["semigroup", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "semigroup.pairs[" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("bracket", [[2.0, 1.0], [-1.0, 2.0], [1.0], "abc"])
+def test_config_error_bad_equilibrium_bracket(tmp_path, capsys, bracket):
+    # a reversed, negative, short or non-list bracket is a config error, not a traceback
+    doc = decay_doc()
+    doc["equilibrium"] = {"x_bracket": bracket}
+    cfg = write_config(tmp_path / "bad.yaml", doc)
+    assert cli.main(["equilibrium", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "equilibrium.x_bracket" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_write_csv_fields_are_exact_reprs(tmp_path):
     subnormal = 2.5e-310
     floats = np.array([0.0, -0.0, 5e-324, subnormal, 1e-5, 1e16, 1.0 / 3.0])

@@ -17,7 +17,6 @@ from silkin import (
     norm_mu,
 )
 from silkin.integrator import newton_lu
-from silkin.moments import _path_integral
 from silkin.truncation import augmented_field
 
 from conftest import constant_rates, decaying_state, power_law_system
@@ -144,8 +143,41 @@ def test_flux_accumulator_cross_checks_quadrature():
     traj = integrate(sys_, decaying_state(10), 3.0, flux_orders=(1,))
     coef = np.zeros(11)
     coef[0] = sys_.rates.k[0]
-    quad = _path_integral(traj, coef, 0.0, 3.0, times_x=True)
+    quad = float(coef @ traj.window_integrals(0.0, 3.0)[1])
     assert traj.flux_at(1, 3.0) == pytest.approx(quad, rel=1e-9, abs=1e-11)
+
+
+def _inline_window_integrals(traj, t1, t2):
+    # per-call six-node Gauss-Legendre on panels split at the samples inside [t1, t2]
+    inside = traj.t[(traj.t > t1) & (traj.t < t2)]
+    edges = np.concatenate(([t1], inside, [t2]))
+    nodes, weights = np.polynomial.legendre.leggauss(6)
+    half = 0.5 * np.diff(edges)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    ts = (mid[:, None] + half[:, None] * nodes).ravel()
+    ws = (half[:, None] * weights).ravel()
+    Z = traj.dense_matrix(ts)
+    M = Z[1:traj.sys.dimension]
+    return M @ ws, (M * Z[0]) @ ws
+
+
+@pytest.mark.parametrize("method", ["rk45", "bdf"])
+def test_window_integrals_match_inline_quadrature(method):
+    sys_ = power_law_system(20, gamma=0.5)
+    traj = integrate(sys_, decaying_state(20), 3.0, IntegratorConfig(method=method))
+    t = traj.t
+    inner = 0.5 * (t[4] + t[5])
+    windows = [
+        (traj.t_start, traj.t_end),                       # full range
+        (float(t[2]), float(t[-3])),                      # on sample times
+        (0.5 * (t[1] + t[2]), 0.5 * (t[-3] + t[-2])),     # straddling samples
+        (inner - 0.25 * (t[5] - t[4]), inner + 0.25 * (t[5] - t[4])),  # inside one step
+    ]
+    for t1, t2 in windows:
+        for got, want in zip(traj.window_integrals(t1, t2), _inline_window_integrals(traj, t1, t2)):
+            assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+    m_steps, xm_steps = traj.step_integrals
+    assert m_steps.shape == xm_steps.shape == (traj.num_samples - 1, sys_.n + 1)
 
 
 def test_bdf_agrees_with_rk45():

@@ -11,10 +11,12 @@ from silkin import (
     MomentWeights,
     OutOfRange,
     State,
+    Trajectory,
     TruncatedSystem,
     compute_moments,
     gronwall_check,
     integrate,
+    invariance_check,
     macrophage_balance_residual,
     mass_balance_residual,
     moment_identity_residual,
@@ -142,6 +144,30 @@ def test_moment_identity_window_and_order_validation():
         moment_identity_residual(traj, MomentWeights.ones(6), 1, 0.5, 0.25)
     with pytest.raises(OutOfRange):
         moment_identity_residual(traj, MomentWeights.ones(6), 1, 0.0, 2.0)
+
+
+def test_path_integrals_evaluate_the_dense_output_once(monkeypatch):
+    # the first identity integrates every step at six nodes; the rest of the battery reuses it
+    points = []
+    dense_matrix = Trajectory.dense_matrix
+
+    def counted(self, ts):
+        points.append(len(ts))
+        return dense_matrix(self, ts)
+
+    monkeypatch.setattr(Trajectory, "dense_matrix", counted)
+    n, gamma = 24, 0.5
+    sys_ = power_law_system(n, gamma=gamma)
+    traj = integrate(sys_, decaying_state(n, rho=0.55), 4.0, flux_orders=(1,))
+    steps = traj.num_samples - 1
+    moment_identity_residual(traj, MomentWeights.ones(n), 1, traj.t_start, traj.t_end)
+    assert sum(points) == 6 * steps
+    points.clear()
+    for w in (MomentWeights.ones(n), MomentWeights.linear(n), MomentWeights.power(n, 1.0 + gamma)):
+        moment_identity_residual(traj, w, 1, traj.t_start, traj.t_end)
+    gronwall_check(traj, MomentWeights.power(n, 1.0 + gamma, sys_.rates))
+    invariance_check(traj, gamma)
+    assert sum(points) <= 12
 
 
 def test_gronwall_zero_cohorts():
