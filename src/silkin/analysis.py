@@ -78,9 +78,8 @@ def _phase_gap(za: np.ndarray, zb: np.ndarray) -> np.ndarray:
         za, zb = zb, za
     top = np.zeros((zb.shape[0], za.shape[1]))
     top[: za.shape[0]] = za
-    diff = np.abs(zb - top)
-    w = np.arange(zb.shape[0] - 1) + 1.0
-    return diff[0] + w @ diff[1:]
+    diff = zb - top
+    return weighted_norm(diff[0], diff[1:])
 
 
 @dataclass(frozen=True)
@@ -202,13 +201,12 @@ def continuity_study(
     mu = 1.0 + sys.rates.gamma
     grid = np.linspace(y0.t, t_end, num_grid)
     base = integrate(sys, y0, t_end, cfg).dense_matrix(grid)[: sys.dimension]
-    w = (np.arange(sys.n + 1) + 1.0) ** mu
     rows = []
     for pert in perturbations:
         in_gap = weighted_norm(pert.x - y0.x, pert.M - y0.M, mu)
         other = integrate(sys, pert, t_end, cfg).dense_matrix(grid)[: sys.dimension]
-        diff = np.abs(other - base)
-        out_gap = float(np.max(diff[0] + w @ diff[1:]))
+        diff = other - base
+        out_gap = float(np.max(weighted_norm(diff[0], diff[1:], mu)))
         ratio = out_gap / in_gap if in_gap > 0.0 else 0.0
         rows.append(ContinuityRow(input_gap=in_gap, output_gap=out_gap, ratio=ratio))
     return rows

@@ -15,6 +15,15 @@ and recorded but reserved; no core path draws random numbers.
 
 The output directory is ``--out``, overridden by the ``SILKIN_OUT_DIR``
 environment variable when set.
+
+Configs are read by one declarative schema, ``_SCHEMA``: each YAML key has
+one :class:`Row` naming its reader, whether it is required, and whether
+``null`` stands for an absent key.  Unknown keys, non-finite numbers and
+negative tolerances raise :class:`ConfigError` with the field path.  An
+absent key takes the default of the dataclass that receives the value
+(:class:`RunConfig`, ``IntegratorConfig``, ``CoefficientFamily``,
+``InitialData``); the loader states none.  ``simulate`` and ``verify`` share
+one body that integrates, writes the trajectory and checks the balances.
 """
 from __future__ import annotations
 
@@ -25,7 +34,7 @@ import os
 import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 import yaml
@@ -79,98 +88,209 @@ class ConfigError(ValueError):
         self.path = path
 
 
-def _get(node: dict, key: str, path: str, required: bool = True, default: Any = None) -> Any:
+Reader = Callable[[Any, str], Any]
+
+
+class Row(NamedTuple):
+    """How one YAML key is read: its reader, whether it must be given, whether ``null`` means absent."""
+
+    read: Reader
+    required: bool = False
+    nullable: bool = False
+
+
+def _fields(node: Any, path: str, rows: Dict[Any, Row]) -> Dict[Any, Any]:
+    """Read a mapping row by row; unknown keys are errors, absent keys are left out."""
     if not isinstance(node, dict):
-        raise ConfigError(path or key, "expected a mapping")
-    if key not in node:
-        if required:
+        raise ConfigError(path, f"expected a mapping, got {node!r}")
+    values = {}
+    for key, value in node.items():
+        where = f"{path}.{key}" if path else str(key)
+        if key not in rows:
+            raise ConfigError(where, "unknown field")
+        if value is not None or not rows[key].nullable:
+            values[key] = rows[key].read(value, where)
+    for key, row in rows.items():
+        if row.required and key not in values:
             raise ConfigError(f"{path}.{key}" if path else key, "missing required field")
-        return default
-    return node[key]
+    return values
+
+
+def _build(build: Callable[..., Any], path: str, values: Dict[str, Any]) -> Any:
+    """Construct from read values; the constructor's own ``ValueError`` names ``path``."""
+    try:
+        return build(**values)
+    except ValueError as exc:
+        raise ConfigError(path, str(exc)) from exc
+
+
+def _section(rows: Dict[str, Row], build: Callable[..., Any]) -> Reader:
+    """A mapping read by ``rows`` whose values are passed to ``build`` as keywords."""
+    return lambda node, path: _build(build, path, _fields(node, path, rows))
+
+
+def _lands_on(name: str, read: Reader) -> Reader:
+    """A top-level entry whose value is the one :class:`RunConfig` field ``name``."""
+    return lambda value, path: {name: read(value, path)}
+
+
+def _flat(rows: Dict[str, Row]) -> Reader:
+    """A section whose keys land on the :class:`RunConfig` fields ``<section>_<key>``."""
+    return lambda node, path: {f"{path}_{key}": v for key, v in _fields(node, path, rows).items()}
 
 
 def _number(value: Any, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(path, f"expected a number, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
+        raise ConfigError(path, f"expected a finite number, got {value!r}")
     return float(value)
 
 
-def _positive_int(value: Any, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ConfigError(path, f"expected a positive integer, got {value!r}")
+def _list(item: Reader) -> Reader:
+    def read(value: Any, path: str) -> tuple:
+        if not isinstance(value, list):
+            raise ConfigError(path, f"expected a list, got {value!r}")
+        return tuple(item(v, f"{path}[{i}]") for i, v in enumerate(value))
+
+    return read
+
+
+def _checked(read: Reader, holds: Callable[[Any], bool], expected: str) -> Reader:
+    """Read with ``read``, then require ``holds`` of the result."""
+
+    def checked(value: Any, path: str) -> Any:
+        result = read(value, path)
+        if not holds(result):
+            raise ConfigError(path, f"expected {expected}, got {value!r}")
+        return result
+
+    return checked
+
+
+def _as_is(value: Any, path: str) -> Any:
     return value
 
 
-def _boolean(value: Any, path: str) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(path, f"expected true or false, got {value!r}")
-    return value
+_boolean = _checked(_as_is, lambda v: isinstance(v, bool), "true or false")
+_text = _checked(_as_is, lambda v: isinstance(v, str), "a string")
+_command = _checked(_as_is, lambda v: v in COMMANDS, f"one of {', '.join(COMMANDS)}")
+_integer = _checked(_as_is, lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer")
+_count = _checked(_integer, lambda v: v >= 1, "a positive integer")
+_order = _checked(_integer, lambda v: v >= 2, "an integer >= 2")
+_tolerance = _checked(_number, lambda v: v >= 0.0, "a finite number >= 0")
+_positive = _checked(_number, lambda v: v > 0.0, "a finite number > 0")
+_pair = _checked(_list(_tolerance), lambda v: len(v) == 2, "a list of two finite numbers >= 0")
+_bracket = _checked(_pair, lambda v: v[0] < v[1], "[lo, hi] with lo < hi")
+_ladder = _checked(
+    _list(_order),
+    lambda v: len(v) >= 2 and all(a < b for a, b in zip(v, v[1:])),
+    "a strictly increasing list of at least two integers",
+)
 
 
-def _pair(value: Any, path: str, shape: str) -> Tuple[float, float]:
-    """A two-element list of finite numbers >= 0; ``shape`` names it in the error."""
-    pair = tuple(_number(v, path) for v in value) if isinstance(value, list) else ()
-    if len(pair) != 2 or not all(0.0 <= v < math.inf for v in pair):
-        raise ConfigError(path, f"expected {shape} with two finite numbers >= 0, got {value!r}")
-    return pair
+def _version(value: Any, path: str) -> dict:
+    if value != SCHEMA_VERSION:
+        raise ConfigError(path, f"unsupported version {value!r} (expected {SCHEMA_VERSION})")
+    return {}
+
+
+_KIND = Row(_text, required=True)
+_FAMILY_ROWS = {
+    "power_law": {"kind": _KIND, "amplitude": Row(_number, required=True), "exponent": Row(_number)},
+    "constant": {"kind": _KIND, "amplitude": Row(_number, required=True)},
+    "table": {"kind": _KIND, "values": Row(_list(_number), required=True), "tail": Row(_text)},
+}
 
 
 def _family(node: Any, path: str) -> CoefficientFamily:
-    kind = _get(node, "kind", path)
-    try:
-        if kind == "power_law":
-            return CoefficientFamily.power_law(
-                _number(_get(node, "amplitude", path), f"{path}.amplitude"),
-                _number(_get(node, "exponent", path, required=False, default=0.0), f"{path}.exponent"),
-            )
-        if kind == "constant":
-            return CoefficientFamily.constant(
-                _number(_get(node, "amplitude", path), f"{path}.amplitude")
-            )
-        if kind == "table":
-            values = _get(node, "values", path)
-            if not isinstance(values, list):
-                raise ConfigError(f"{path}.values", "expected a list of numbers")
-            tail = _get(node, "tail", path, required=False, default="constant")
-            return CoefficientFamily.table(
-                [_number(v, f"{path}.values[{i}]") for i, v in enumerate(values)], tail=tail
-            )
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(path, str(exc)) from exc
-    raise ConfigError(f"{path}.kind", f"unknown family kind {kind!r}")
+    """A coefficient family; its ``kind`` selects the rows of the other keys."""
+    if not isinstance(node, dict):
+        raise ConfigError(path, f"expected a mapping, got {node!r}")
+    kind = node.get("kind")
+    if not isinstance(kind, str) or kind not in _FAMILY_ROWS:
+        raise ConfigError(f"{path}.kind", f"expected one of {', '.join(_FAMILY_ROWS)}, got {kind!r}")
+    return _build(CoefficientFamily, path, _fields(node, path, _FAMILY_ROWS[kind]))
+
+
+def _rates(k: CoefficientFamily, p: CoefficientFamily, q: CoefficientFamily) -> tuple:
+    realize_coefficients(k, p, q, 2)  # checks each family against its role
+    return k, p, q
+
+
+def _initial(decay: Optional[dict] = None, **values: Any) -> InitialData:
+    """``initial.decay`` holds the ``b`` and ``rho`` fields of :class:`InitialData`."""
+    return InitialData(**values, **(decay or {}))
+
+
+def _run(**values: Any) -> dict:
+    if ("n" in values) == ("n_ladder" in values):
+        raise ValueError("give exactly one of n or n_ladder")
+    return values
+
+
+_MODEL = {"r": Row(_number, required=True), "alpha": Row(_number, required=True)}
+_RATES = {"k": Row(_family, required=True), "p": Row(_family, required=True), "q": Row(_family, required=True)}
+_INITIAL = {
+    "x0": Row(_number),
+    "M": Row(_list(_number), nullable=True),
+    "decay": Row(_section({"b": Row(_number, required=True), "rho": Row(_number, required=True)}, dict), nullable=True),
+}
+_RUN = {
+    "n": Row(_order, nullable=True),
+    "n_ladder": Row(_ladder, nullable=True),
+    "t_end": Row(_positive, required=True),
+}
+_INTEGRATOR = {
+    "method": Row(_text),
+    "rel_tol": Row(_number),
+    "abs_tol": Row(_number),
+    "max_step": Row(_number, nullable=True),
+    "negativity_floor": Row(_number, nullable=True),
+}
+_SCHEMA = {
+    "schema_version": Row(_version),
+    "command": Row(_lands_on("command", _command), nullable=True),
+    "model": Row(_lands_on("params", _section(_MODEL, ModelParams)), required=True),
+    "rates": Row(_lands_on("families", _section(_RATES, _rates)), required=True),
+    "initial": Row(_lands_on("initial", _section(_INITIAL, _initial)), required=True),
+    "run": Row(_section(_RUN, _run), required=True),
+    "integrator": Row(_lands_on("integrator", _section(_INTEGRATOR, IntegratorConfig))),
+    "output": Row(_flat({"m_out": Row(_count), "wide_csv": Row(_boolean)})),
+    "verify": Row(
+        _flat({"residual_tol": Row(_tolerance), "sample_times": Row(_count), "differential_tol": Row(_tolerance)})
+    ),
+    "semigroup": Row(_flat({"pairs": Row(_list(_pair)), "tol": Row(_tolerance)})),
+    "equilibrium": Row(_flat({"x_bracket": Row(_bracket, nullable=True), "tol": Row(_tolerance)})),
+    "converge": Row(_flat({"final_gap_tol": Row(_tolerance, nullable=True)})),
+}
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """A fully validated experiment: everything is realized before integration starts."""
+    """A fully validated experiment: everything is realized before integration starts.
 
-    command: Optional[str]
+    Each default here is the one a config gets when it leaves the key out;
+    section keys land on the fields named ``<section>_<key>``.
+    """
+
     params: ModelParams
-    family_k: CoefficientFamily
-    family_p: CoefficientFamily
-    family_q: CoefficientFamily
+    families: Tuple[CoefficientFamily, CoefficientFamily, CoefficientFamily]
     initial: InitialData
-    n: Optional[int]
-    n_ladder: Optional[Tuple[int, ...]]
     t_end: float
-    integrator: IntegratorConfig
-    m_out: int = 32
-    wide_csv: bool = False
-    residual_tol: float = 1e-6
-    sample_times: int = 10
-    differential_tol: float = 1e-5
+    n: Optional[int] = None
+    n_ladder: Optional[Tuple[int, ...]] = None
+    command: Optional[str] = None
+    integrator: IntegratorConfig = field(default_factory=IntegratorConfig)
+    output_m_out: int = 32
+    output_wide_csv: bool = False
+    verify_residual_tol: float = 1e-6
+    verify_sample_times: int = 10
+    verify_differential_tol: float = 1e-5
     semigroup_pairs: Tuple[Tuple[float, float], ...] = ((0.5, 0.5), (1.0, 2.0), (0.0, 3.0), (3.0, 0.0))
     semigroup_tol: float = 1e-7
-    equilibrium_bracket: Optional[Tuple[float, float]] = None
+    equilibrium_x_bracket: Optional[Tuple[float, float]] = None
     equilibrium_tol: float = 1e-12
-    final_gap_tol: Optional[float] = None
+    converge_final_gap_tol: Optional[float] = None
     raw: dict = field(default_factory=dict, repr=False)
-
-    @property
-    def families(self):
-        return (self.family_k, self.family_p, self.family_q)
 
 
 def load_config(path: str) -> RunConfig:
@@ -184,147 +304,10 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(str(path), f"invalid YAML: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(str(path), "top level must be a mapping")
-
-    version = doc.get("schema_version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
-        raise ConfigError("schema_version", f"unsupported version {version!r} (expected {SCHEMA_VERSION})")
-    command = doc.get("command")
-    if command is not None and command not in COMMANDS:
-        raise ConfigError("command", f"unknown command {command!r}")
-
-    model_node = _get(doc, "model", "")
-    try:
-        params = ModelParams(
-            r=_number(_get(model_node, "r", "model"), "model.r"),
-            alpha=_number(_get(model_node, "alpha", "model"), "model.alpha"),
-        )
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError("model", str(exc)) from exc
-
-    rates_node = _get(doc, "rates", "")
-    fk = _family(_get(rates_node, "k", "rates"), "rates.k")
-    fp = _family(_get(rates_node, "p", "rates"), "rates.p")
-    fq = _family(_get(rates_node, "q", "rates"), "rates.q")
-
-    init_node = _get(doc, "initial", "")
-    x0 = _number(_get(init_node, "x0", "initial", required=False, default=0.0), "initial.x0")
-    explicit = _get(init_node, "M", "initial", required=False)
-    decay = _get(init_node, "decay", "initial", required=False)
-    try:
-        if explicit is not None and decay is not None:
-            raise ConfigError("initial", "give either M or decay, not both")
-        if explicit is not None:
-            if not isinstance(explicit, list):
-                raise ConfigError("initial.M", "expected a list of numbers")
-            initial = InitialData(
-                x0=x0, M=tuple(_number(v, f"initial.M[{i}]") for i, v in enumerate(explicit))
-            )
-        elif decay is not None:
-            initial = InitialData(
-                x0=x0,
-                b=_number(_get(decay, "b", "initial.decay"), "initial.decay.b"),
-                rho=_number(_get(decay, "rho", "initial.decay"), "initial.decay.rho"),
-            )
-        else:
-            raise ConfigError("initial", "missing cohort data (M or decay)")
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError("initial", str(exc)) from exc
-
-    run_node = _get(doc, "run", "")
-    n_value = _get(run_node, "n", "run", required=False)
-    ladder_value = _get(run_node, "n_ladder", "run", required=False)
-    if (n_value is None) == (ladder_value is None):
-        raise ConfigError("run", "give exactly one of n or n_ladder")
-    n = None
-    ladder = None
-    if n_value is not None:
-        if not isinstance(n_value, int) or n_value < 2:
-            raise ConfigError("run.n", f"expected an integer >= 2, got {n_value!r}")
-        n = n_value
-    else:
-        if (
-            not isinstance(ladder_value, list)
-            or len(ladder_value) < 2
-            or not all(isinstance(v, int) and not isinstance(v, bool) for v in ladder_value)
-            or ladder_value[0] < 2
-            or any(b <= a for a, b in zip(ladder_value, ladder_value[1:]))
-        ):
-            raise ConfigError(
-                "run.n_ladder",
-                f"expected a strictly increasing list of at least two integers >= 2, got {ladder_value!r}",
-            )
-        ladder = tuple(ladder_value)
-    t_end = _number(_get(run_node, "t_end", "run"), "run.t_end")
-    if t_end <= 0.0:
-        raise ConfigError("run.t_end", f"must be positive, got {t_end}")
-
-    integ_node = doc.get("integrator") or {}
-    max_step = _get(integ_node, "max_step", "integrator", required=False)
-    try:
-        integ = IntegratorConfig(
-            rel_tol=_number(_get(integ_node, "rel_tol", "integrator", required=False, default=1e-9), "integrator.rel_tol"),
-            abs_tol=_number(_get(integ_node, "abs_tol", "integrator", required=False, default=1e-12), "integrator.abs_tol"),
-            max_step=math.inf if max_step is None else _number(max_step, "integrator.max_step"),
-            negativity_floor=(
-                None
-                if _get(integ_node, "negativity_floor", "integrator", required=False) is None
-                else _number(integ_node["negativity_floor"], "integrator.negativity_floor")
-            ),
-            method=_get(integ_node, "method", "integrator", required=False, default="rk45"),
-        )
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError("integrator", str(exc)) from exc
-
-    out_node = doc.get("output") or {}
-    verify_node = doc.get("verify") or {}
-    semi_node = doc.get("semigroup") or {}
-    eq_node = doc.get("equilibrium") or {}
-    conv_node = doc.get("converge") or {}
-
-    pairs_value = _get(semi_node, "pairs", "semigroup", required=False)
-    if pairs_value is None:
-        pairs = RunConfig.__dataclass_fields__["semigroup_pairs"].default
-    else:
-        if not isinstance(pairs_value, list):
-            raise ConfigError("semigroup.pairs", "expected a list of [t, s] pairs")
-        pairs = tuple(_pair(pair, f"semigroup.pairs[{i}]", "[t, s]") for i, pair in enumerate(pairs_value))
-
-    bracket_value = _get(eq_node, "x_bracket", "equilibrium", required=False)
-    bracket = None if bracket_value is None else _pair(bracket_value, "equilibrium.x_bracket", "[lo, hi]")
-    if bracket is not None and not bracket[0] < bracket[1]:
-        raise ConfigError("equilibrium.x_bracket", f"expected lo < hi, got {bracket_value!r}")
-
-    final_gap = _get(conv_node, "final_gap_tol", "converge", required=False)
-
-    return RunConfig(
-        command=command,
-        params=params,
-        family_k=fk,
-        family_p=fp,
-        family_q=fq,
-        initial=initial,
-        n=n,
-        n_ladder=ladder,
-        t_end=t_end,
-        integrator=integ,
-        m_out=_positive_int(_get(out_node, "m_out", "output", required=False, default=32), "output.m_out"),
-        wide_csv=_boolean(_get(out_node, "wide_csv", "output", required=False, default=False), "output.wide_csv"),
-        residual_tol=_number(_get(verify_node, "residual_tol", "verify", required=False, default=1e-6), "verify.residual_tol"),
-        sample_times=_positive_int(_get(verify_node, "sample_times", "verify", required=False, default=10), "verify.sample_times"),
-        differential_tol=_number(_get(verify_node, "differential_tol", "verify", required=False, default=1e-5), "verify.differential_tol"),
-        semigroup_pairs=pairs,
-        semigroup_tol=_number(_get(semi_node, "tol", "semigroup", required=False, default=1e-7), "semigroup.tol"),
-        equilibrium_bracket=bracket,
-        equilibrium_tol=_number(_get(eq_node, "tol", "equilibrium", required=False, default=1e-12), "equilibrium.tol"),
-        final_gap_tol=None if final_gap is None else _number(final_gap, "converge.final_gap_tol"),
-        raw=doc,
-    )
+    values = {}
+    for fields in _fields(doc, "", _SCHEMA).values():
+        values.update(fields)
+    return RunConfig(**values, raw=doc)
 
 
 def _write_csv(path: Path, header: Sequence[str], rows) -> None:
@@ -351,13 +334,13 @@ def _bound_check(name: str, operation: str, value: float, threshold: float) -> d
 
 
 def _build_system(config: RunConfig, n: int) -> Tuple[TruncatedSystem, State]:
-    rates = realize_coefficients(config.family_k, config.family_p, config.family_q, n)
+    rates = realize_coefficients(*config.families, n)
     return TruncatedSystem(config.params, rates), config.initial.state(n)
 
 
 def _write_trajectory(config: RunConfig, traj: Trajectory, out: Path) -> dict:
     rates = traj.sys.rates
-    cohorts = min(config.m_out, rates.n + 1)
+    cohorts = min(config.output_m_out, rates.n + 1)
     header = ["t", "x", "M_total", "X_total", "U_total", "Q", "P"] + [f"M_{i}" for i in range(cohorts)]
 
     def rows():
@@ -368,7 +351,7 @@ def _write_trajectory(config: RunConfig, traj: Trajectory, out: Path) -> dict:
 
     _write_csv(out / "trajectory.csv", header, rows())
     artifacts = {"trajectory_csv": "trajectory.csv"}
-    if config.wide_csv:
+    if config.output_wide_csv:
         wide_header = ["t", "x"] + [f"M_{i}" for i in range(rates.n + 1)]
         _write_csv(
             out / "trajectory_wide.csv",
@@ -400,39 +383,35 @@ def _norm_bound_checks(traj: Trajectory, slack: float = 1e-6) -> List[dict]:
     ]
 
 
-def _cmd_simulate(config: RunConfig, out: Path):
+def _integrated_run(config: RunConfig, out: Path, balances: Sequence[Callable]):
+    """Integrate ``run.n``, write the trajectory, and check the norm bounds and the given balances."""
     sys_, y0 = _build_system(config, config.n)
     traj = integrate(sys_, y0, config.t_end, config.integrator, flux_orders=(1,))
     artifacts = _write_trajectory(config, traj, out)
     checks = _norm_bound_checks(traj)
-    times = np.linspace(traj.t_start, traj.t_end, config.sample_times + 1)[1:]
-    worst = max(abs(mass_balance_residual(traj, t)) for t in times)
-    checks.append(_bound_check("mass_balance", "mass_balance_residual", worst, config.residual_tol))
+    times = np.linspace(traj.t_start, traj.t_end, config.verify_sample_times + 1)[1:]
+    for fn in balances:
+        worst = max(abs(fn(traj, t)) for t in times)
+        checks.append(_bound_check(fn.__name__.removesuffix("_residual"), fn.__name__, worst, config.verify_residual_tol))
     meta = {
         "n": sys_.n,
         "t_end": config.t_end,
         "num_samples": traj.num_samples,
         "integrator": asdict(traj.stats),
     }
+    return traj, checks, artifacts, meta
+
+
+def _cmd_simulate(config: RunConfig, out: Path):
+    _, checks, artifacts, meta = _integrated_run(config, out, [mass_balance_residual])
     return checks, artifacts, meta
 
 
 def _cmd_verify(config: RunConfig, out: Path):
-    sys_, y0 = _build_system(config, config.n)
-    traj = integrate(sys_, y0, config.t_end, config.integrator, flux_orders=(1,))
-    artifacts = _write_trajectory(config, traj, out)
-    rates = sys_.rates
-    tol = config.residual_tol
-    checks = _norm_bound_checks(traj)
-
-    times = np.linspace(traj.t_start, traj.t_end, config.sample_times + 1)[1:]
-    for name, fn in (
-        ("mass_balance", mass_balance_residual),
-        ("quartz_balance", quartz_balance_residual),
-        ("macrophage_balance", macrophage_balance_residual),
-    ):
-        worst = max(abs(fn(traj, t)) for t in times)
-        checks.append(_bound_check(name, f"{fn.__name__}", worst, tol))
+    balances = [mass_balance_residual, quartz_balance_residual, macrophage_balance_residual]
+    traj, checks, artifacts, meta = _integrated_run(config, out, balances)
+    rates = traj.sys.rates
+    tol = config.verify_residual_tol
 
     weight_sets = [
         ("flat", MomentWeights.ones(rates.n)),
@@ -456,22 +435,16 @@ def _cmd_verify(config: RunConfig, out: Path):
     span = traj.duration
     grid = traj.t_start + span * np.linspace(0.1, 0.9, 9)
     defect = differential_form_check(traj, grid, h=h)
-    checks.append(_bound_check("differential_form", "differential_form_check", defect, config.differential_tol))
+    checks.append(_bound_check("differential_form", "differential_form_check", defect, config.verify_differential_tol))
 
-    meta = {
-        "n": sys_.n,
-        "t_end": config.t_end,
-        "num_samples": traj.num_samples,
-        "integrator": asdict(traj.stats),
-        "gronwall": {
-            "c1_used": gron.c1_used,
-            "c1_apriori": gron.c1_apriori,
-            "c1_fitted": gron.c1_fitted,
-            "c2": gron.c2,
-            "growth_constant": gron.growth_constant,
-        },
-        "invariance_max_norm": inv.max_norm,
+    meta["gronwall"] = {
+        "c1_used": gron.c1_used,
+        "c1_apriori": gron.c1_apriori,
+        "c1_fitted": gron.c1_fitted,
+        "c2": gron.c2,
+        "growth_constant": gron.growth_constant,
     }
+    meta["invariance_max_norm"] = inv.max_norm
     return checks, artifacts, meta
 
 
@@ -492,9 +465,9 @@ def _cmd_converge(config: RunConfig, out: Path):
     checks = [
         _check("gaps_decreasing", "convergence_study", bool(report.decreasing), True, report.decreasing, comparison="==")
     ]
-    if config.final_gap_tol is not None:
+    if config.converge_final_gap_tol is not None:
         checks.append(
-            _bound_check("final_gap", "convergence_study", float(report.gaps[-1]), config.final_gap_tol)
+            _bound_check("final_gap", "convergence_study", float(report.gaps[-1]), config.converge_final_gap_tol)
         )
     meta = {"n_ladder": list(report.n_ladder), "gaps": [float(g) for g in report.gaps]}
     return checks, {"gaps_csv": "gaps.csv"}, meta
@@ -502,7 +475,7 @@ def _cmd_converge(config: RunConfig, out: Path):
 
 def _cmd_equilibrium(config: RunConfig, out: Path):
     sys_, _ = _build_system(config, config.n)
-    result = find_equilibrium(sys_, config.equilibrium_bracket, tol=config.equilibrium_tol)
+    result = find_equilibrium(sys_, config.equilibrium_x_bracket, tol=config.equilibrium_tol)
     _write_csv(
         out / "equilibrium.csv",
         ["i", "M_i"],

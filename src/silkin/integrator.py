@@ -106,7 +106,7 @@ class IntegratorConfig:
             raise ValueError("rel_tol and abs_tol must be positive")
         if not self.max_step > 0.0:
             raise ValueError("max_step must be positive")
-        if self.negativity_floor is not None and self.negativity_floor > 0.0:
+        if self.negativity_floor is not None and not self.negativity_floor <= 0.0:
             raise ValueError("negativity_floor must be <= 0")
         if self.method not in ("rk45", "bdf"):
             raise ValueError(f"method must be 'rk45' or 'bdf', got {self.method!r}")

@@ -231,11 +231,16 @@ class State:
         return np.concatenate(([self.x], self.M))
 
 
-def weighted_norm(x: float, M: np.ndarray, mu: float = 1.0) -> float:
-    """``|x| + sum_i (i+1)^mu |M_i|`` on raw components (no cone restriction)."""
+def weighted_norm(x, M: np.ndarray, mu: float = 1.0):
+    """``|x| + sum_i (i+1)^mu |M_i|`` on raw components (no cone restriction).
+
+    ``M`` of shape ``(n+1, G)``, cohorts on the first axis, with ``x`` of
+    shape ``(G,)`` gives the ``G`` column norms as an array.
+    """
     M = np.asarray(M, dtype=float)
     w = (np.arange(len(M)) + 1.0) ** mu
-    return abs(x) + float(w @ np.abs(M))
+    norm = np.abs(x) + w @ np.abs(M)
+    return norm if norm.ndim else float(norm)
 
 
 def norm_mu(s: State, mu: float = 1.0) -> float:

@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import json
 import math
 
@@ -5,7 +7,7 @@ import numpy as np
 import pytest
 import yaml
 
-from silkin import cli
+from silkin import CoefficientFamily, InitialData, IntegratorConfig, cli
 
 
 def write_config(path, doc):
@@ -261,6 +263,105 @@ def test_config_error_bad_equilibrium_bracket(tmp_path, capsys, bracket):
     err = capsys.readouterr().err
     assert "equilibrium.x_bracket" in err
     assert len(err.strip().splitlines()) == 1
+
+
+def _with(doc, path, value):
+    """``doc`` with ``value`` at the dotted ``path``, sections created on the way."""
+    *sections, key = path.split(".")
+    node = doc
+    for name in sections:
+        node = node.setdefault(name, {})
+    node[key] = value
+    return doc
+
+
+@pytest.mark.parametrize(
+    "command,path,value",
+    [
+        ("simulate", "run.t_end", math.nan),
+        ("simulate", "run.t_end", math.inf),
+        pytest.param("simulate", "initial.x0", 10**400, id="simulate-initial.x0-10**400"),
+        ("simulate", "integrator.max_step", math.inf),
+        ("simulate", "integrator.negativity_floor", math.nan),
+        ("verify", "verify.residual_tol", -1e-6),
+        ("verify", "verify.differential_tol", -1e-5),
+        ("semigroup", "semigroup.tol", math.nan),
+        ("equilibrium", "equilibrium.tol", -1.0),
+        ("converge", "converge.final_gap_tol", -1.0),
+        ("simulate", "output", 0),
+        ("verify", "verify", []),
+        ("simulate", "integrator", None),
+        ("semigroup", "semigroup.pairs", None),
+        ("simulate", "verfy", {}),
+        ("verify", "verify.residual_tl", 1e-30),
+        ("simulate", "model.gamma", 0.5),
+        ("simulate", "rates.k.exponent", 0.5),
+    ],
+)
+def test_config_error_rejected_fields(tmp_path, capsys, command, path, value):
+    # non-finite numbers, negative tolerances, non-mapping or null sections and unknown keys
+    # (a constant family takes no exponent) are config errors naming the field
+    doc = decay_doc()
+    if command == "converge":
+        doc["run"] = {"n_ladder": [4, 8], "t_end": 1.0}
+    cfg = write_config(tmp_path / "bad.yaml", _with(doc, path, value))
+    assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {path}: ")
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("family,exponent", [("k", 2.0), ("p", 1.0)])
+def test_config_error_role_constraints(tmp_path, capsys, family, exponent):
+    # k may grow at most linearly and p must stay bounded: caught on load, not as a traceback
+    doc = coupled_doc(n=4, t_end=1.0)
+    doc["rates"][family] = {"kind": "power_law", "amplitude": 1.0, "exponent": exponent}
+    cfg = write_config(tmp_path / "bad.yaml", doc)
+    assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: rates: ")
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_config_defaults_live_on_dataclasses(tmp_path):
+    doc = {
+        "model": {"r": 0.4, "alpha": 0.3},
+        "rates": {
+            "k": {"kind": "power_law", "amplitude": 1.0},
+            "p": {"kind": "constant", "amplitude": 0.7},
+            "q": {"kind": "table", "values": [0.5]},
+        },
+        "initial": {"M": [1.0]},
+        "run": {"n": 4, "t_end": 1.0},
+    }
+    config = cli.load_config(write_config(tmp_path / "min.yaml", doc))
+    assert config.integrator == IntegratorConfig()
+    assert config.families == (
+        CoefficientFamily(kind="power_law", amplitude=1.0),
+        CoefficientFamily(kind="constant", amplitude=0.7),
+        CoefficientFamily(kind="table", values=(0.5,)),
+    )
+    assert config.initial == InitialData(M=(1.0,))
+    given = {"params", "families", "initial", "t_end", "n", "raw"}
+    for f in dataclasses.fields(cli.RunConfig):
+        if f.name not in given:
+            default = f.default if f.default_factory is dataclasses.MISSING else f.default_factory()
+            assert getattr(config, f.name) == default, f.name
+
+    # null stands for an absent key wherever it is accepted
+    nulls = copy.deepcopy(doc)
+    nulls.update(
+        command=None,
+        integrator={"max_step": None, "negativity_floor": None},
+        equilibrium={"x_bracket": None},
+        converge={"final_gap_tol": None},
+    )
+    nulls["initial"]["decay"] = None
+    nulls["run"]["n_ladder"] = None
+    with_nulls = cli.load_config(write_config(tmp_path / "nulls.yaml", nulls))
+    assert dataclasses.replace(with_nulls, raw={}) == dataclasses.replace(config, raw={})
+    decay = _with(_with(copy.deepcopy(doc), "initial", {"decay": {"b": 1.0, "rho": 0.5}}), "initial.M", None)
+    assert cli.load_config(write_config(tmp_path / "decay.yaml", decay)).initial == InitialData(b=1.0, rho=0.5)
 
 
 def test_write_csv_fields_are_exact_reprs(tmp_path):

@@ -1,4 +1,7 @@
-"""Hostile values in the shipped configs: ``load_config`` returns or raises ``ConfigError``."""
+"""Hostile edits of the shipped configs: ``load_config`` returns or raises ``ConfigError``.
+
+A hostile value in any field may load or fail; a misspelt key always fails.
+"""
 import copy
 from pathlib import Path
 
@@ -30,6 +33,16 @@ def _replaced(doc, path, value):
     return doc
 
 
+def _renamed(doc, path):
+    """``doc`` with the key at ``path`` misspelt by a ``_x`` suffix."""
+    doc = copy.deepcopy(doc)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[f"{path[-1]}_x"] = node.pop(path[-1])
+    return doc
+
+
 @pytest.mark.parametrize("config", CONFIGS, ids=lambda p: p.stem)
 def test_load_config_rejects_hostile_fields_as_config_errors(config, tmp_path_factory):
     doc = yaml.safe_load(config.read_text(encoding="utf-8"))
@@ -44,5 +57,21 @@ def test_load_config_rejects_hostile_fields_as_config_errors(config, tmp_path_fa
             cli.load_config(str(target))
         except cli.ConfigError:
             pass
+
+    check()
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda p: p.stem)
+def test_load_config_rejects_renamed_keys(config, tmp_path_factory):
+    doc = yaml.safe_load(config.read_text(encoding="utf-8"))
+    keys = [path for path in _paths(doc) if isinstance(path[-1], str)]
+    target = tmp_path_factory.mktemp(config.stem) / "renamed.yaml"
+
+    @settings(max_examples=100, deadline=None, database=None, derandomize=True)
+    @given(path=st.sampled_from(keys))
+    def check(path):
+        target.write_text(yaml.safe_dump(_renamed(doc, path)), encoding="utf-8")
+        with pytest.raises(cli.ConfigError):
+            cli.load_config(str(target))
 
     check()

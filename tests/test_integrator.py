@@ -1,3 +1,4 @@
+import math
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -289,6 +290,11 @@ def test_integrate_validation_errors():
         IntegratorConfig(negativity_floor=0.5)
     with pytest.raises(ValueError):
         IntegratorConfig(method="euler")
+
+
+def test_integrator_config_rejects_nan_floor():
+    with pytest.raises(ValueError):
+        IntegratorConfig(negativity_floor=math.nan)
 
 
 def test_concurrent_integrations_match_serial():

@@ -150,6 +150,16 @@ def test_norm_dominates_subvectors(x, M):
     assert total >= max((i + 1) * v for i, v in enumerate(M))
 
 
+@given(M=st.lists(st.lists(st.floats(-20, 20), min_size=6, max_size=6), min_size=1, max_size=5), mu=st.floats(1, 2))
+def test_weighted_norm_of_columns(M, mu):
+    # cohorts on the first axis: one norm per column, each the norm of that column alone
+    Z = np.asarray(M).T
+    norms = weighted_norm(Z[0], Z[1:], mu)
+    assert norms.shape == (Z.shape[1],)
+    for j in range(Z.shape[1]):
+        assert norms[j] == pytest.approx(weighted_norm(Z[0, j], Z[1:, j], mu), rel=1e-14, abs=1e-14)
+
+
 def test_state_validation():
     with pytest.raises(ValueError):
         State(t=0.0, x=-1.0, M=[0.0])
