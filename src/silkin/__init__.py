@@ -20,6 +20,7 @@ from .integrator import (
     MissingAccumulator,
     NegativityViolation,
     OutOfRange,
+    StepBudgetExceeded,
     StepSizeUnderflow,
     Trajectory,
     dense_eval,

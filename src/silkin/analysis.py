@@ -26,7 +26,7 @@ from .model import (
     weighted_norm,
 )
 from .moments import _envelope_data, _relative_margins
-from .truncation import TruncatedSystem, eval_jacobian
+from .truncation import TruncatedSystem, phase_jacobian_parts
 
 __all__ = [
     "ConvergenceReport",
@@ -278,15 +278,12 @@ def _x_residual(sys: TruncatedSystem, x: float):
 
 def _x_residual_slope(sys: TruncatedSystem, x: float, M: np.ndarray) -> float:
     """d(phi)/dx via the implicit function theorem on the bidiagonal M block."""
-    J = eval_jacobian(sys, State(t=0.0, x=x, M=M)).to_sparse()
-    row = J[[0], :].toarray()[0]       # d(dx/dt)/dx, then d(dx/dt)/dM
-    col = J[:, [0]].toarray()[:, 0]    # d(dx/dt)/dx, then d(dM/dt)/dx
-    diag, sub = J.diagonal(), J.diagonal(-1)
+    ingested, _, row, col, diag, sub = phase_jacobian_parts(sys, x, M)
     u = np.empty_like(M)
-    u[0] = -col[1] / diag[1]
+    u[0] = -col[0] / diag[0]
     for i in range(1, len(M)):
-        u[i] = (-col[i + 1] - sub[i] * u[i - 1]) / diag[i + 1]
-    return row[0] + float(row[1:] @ u)
+        u[i] = (-col[i] - sub[i - 1] * u[i - 1]) / diag[i]
+    return -ingested + float(row @ u)
 
 
 def _equilibrium_at(sys: TruncatedSystem, x: float, M: np.ndarray) -> EquilibriumResult:

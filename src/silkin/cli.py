@@ -19,7 +19,9 @@ environment variable when set.
 Configs are read by one declarative schema, ``_SCHEMA``: each YAML key has
 one :class:`Row` naming its reader, whether it is required, and whether
 ``null`` stands for an absent key.  Unknown keys, non-finite numbers and
-negative tolerances raise :class:`ConfigError` with the field path.  An
+negative tolerances raise :class:`ConfigError` with the field path, and so
+does a coefficient family whose table is not finite at the run's own
+truncation order (the largest rung for ``converge``).  An
 absent key takes the default of the dataclass that receives the value
 (:class:`RunConfig`, ``IntegratorConfig``, ``CoefficientFamily``,
 ``InitialData``); the loader states none.  ``simulate`` and ``verify`` share
@@ -211,11 +213,6 @@ def _family(node: Any, path: str) -> CoefficientFamily:
     return _build(CoefficientFamily, path, _fields(node, path, _FAMILY_ROWS[kind]))
 
 
-def _rates(k: CoefficientFamily, p: CoefficientFamily, q: CoefficientFamily) -> tuple:
-    realize_coefficients(k, p, q, 2)  # checks each family against its role
-    return k, p, q
-
-
 def _initial(decay: Optional[dict] = None, **values: Any) -> InitialData:
     """``initial.decay`` holds the ``b`` and ``rho`` fields of :class:`InitialData`."""
     return InitialData(**values, **(decay or {}))
@@ -250,7 +247,7 @@ _SCHEMA = {
     "schema_version": Row(_version),
     "command": Row(_lands_on("command", _command), nullable=True),
     "model": Row(_lands_on("params", _section(_MODEL, ModelParams)), required=True),
-    "rates": Row(_lands_on("families", _section(_RATES, _rates)), required=True),
+    "rates": Row(_lands_on("families", _section(_RATES, lambda k, p, q: (k, p, q))), required=True),
     "initial": Row(_lands_on("initial", _section(_INITIAL, _initial)), required=True),
     "run": Row(_section(_RUN, _run), required=True),
     "integrator": Row(_lands_on("integrator", _section(_INTEGRATOR, IntegratorConfig))),
@@ -307,7 +304,22 @@ def load_config(path: str) -> RunConfig:
     values = {}
     for fields in _fields(doc, "", _SCHEMA).values():
         values.update(fields)
-    return RunConfig(**values, raw=doc)
+    config = RunConfig(**values, raw=doc)
+    _check_rates(config.families, config.n or config.n_ladder[-1])
+    return config
+
+
+def _check_rates(families: Sequence[CoefficientFamily], n: int) -> None:
+    """Realize the families at the run's largest order ``n``: each table must be finite, each role hold."""
+    for name, family in zip("kpq", families):
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = bool(np.all(np.isfinite(family.realize(n))))
+        if not finite:
+            raise ConfigError(f"rates.{name}", f"not finite at truncation order n = {n}")
+    try:
+        realize_coefficients(*families, n)
+    except ValueError as exc:
+        raise ConfigError("rates", str(exc)) from exc
 
 
 def _write_csv(path: Path, header: Sequence[str], rows) -> None:

@@ -25,7 +25,9 @@ cohort boundary ``m``.  Its Jacobian has a fixed sparsity pattern: the border
 row and column of ``x``, the lower bidiagonal cohort block and the
 accumulator rows, O(n) stored entries.  :meth:`TruncatedSystem.rhs`,
 :func:`eval_rhs` and :func:`eval_jacobian` return the phase part of that one
-field.
+field, and :func:`phase_jacobian_parts` gives the closed-form entries of its
+phase block.  scipy's sparse module is imported only when a Jacobian matrix
+is built.
 
 ``eval_rhs`` and ``eval_jacobian`` are pure functions of their arguments and
 safe to call concurrently.
@@ -34,14 +36,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Sequence, Tuple
 
 import numpy as np
-import scipy.sparse
 
 from .model import ModelParams, RateTable, State
 
-__all__ = ["TruncatedSystem", "BandedBorderJacobian", "augmented_field", "eval_rhs", "eval_jacobian"]
+if TYPE_CHECKING:
+    import scipy.sparse
+
+__all__ = [
+    "TruncatedSystem",
+    "BandedBorderJacobian",
+    "augmented_field",
+    "eval_rhs",
+    "eval_jacobian",
+    "phase_jacobian_parts",
+]
 
 # Accumulator slots appended after the phase components.
 ACC_TOTAL_LOSS = 0        # A1
@@ -105,10 +116,27 @@ class TruncatedSystem:
         return self._phase_field[0](0.0, v)
 
 
+def phase_jacobian_parts(sys: TruncatedSystem, x: float, M: np.ndarray) -> tuple:
+    """Closed-form nonzero entries of the phase Jacobian at ``(x, M)``.
+
+    Returns ``(ingested, kM, row, col, diag, sub)``: ``ingested = sum_i k_i
+    M_i``, so ``d(dx/dt)/dx = -ingested``; ``kM = k_i M_i``; ``row`` is
+    ``d(dx/dt)/dM_i``, ``col`` is ``d(dM_i/dt)/dx`` and ``diag`` is
+    ``d(dM_i/dt)/dM_i`` for ``i = 0 .. n``; ``sub`` is
+    ``d(dM_i/dt)/dM_{i-1}`` for ``i = 1 .. n``.
+    """
+    k = sys.k_masked
+    kM = k * M
+    col = np.empty(len(M))
+    col[0] = -kM[0]
+    col[1:] = kM[:-1] - kM[1:]
+    return k @ M, kM, -k * x + sys.i_times_q, col, -(k * x + sys.loss), k[:-1] * x
+
+
 def augmented_field(sys: TruncatedSystem, flux_orders: Sequence[int] = ()) -> Tuple[Callable, Callable]:
     """``(rhs, jac)`` of the field on ``(x, M_0 .. M_n, A1 .. A4, F_m ..)``.
 
-    Both take ``(t, z)`` as scipy's steppers call them.  The coefficient
+    Both take ``(t, z)`` as the steppers call them.  The coefficient
     arrays are bound and the Jacobian's CSC pattern is built here, once;
     each ``jac`` call computes only a new data vector for that pattern.
     """
@@ -162,19 +190,16 @@ def augmented_field(sys: TruncatedSystem, flux_orders: Sequence[int] = ()) -> Tu
     indptr = np.searchsorted(cols[order], np.arange(size + 1)).astype(np.int32)
 
     def jac(t: float, z: np.ndarray) -> scipy.sparse.csc_matrix:
+        import scipy.sparse
+
         x = z[0]
-        M = z[1:dim]
-        kM = k * M
-        dmdx = np.empty(dim - 1)
-        dmdx[0] = -kM[0]
-        dmdx[1:] = kM[:-1] - kM[1:]
-        ingested = k @ M
+        ingested, kM, row, col, diag, sub = phase_jacobian_parts(sys, x, z[1:dim])
         values = np.concatenate([
             [-ingested],
-            -k * x + iq,
-            dmdx,
-            -(k * x + loss),
-            k[:-1] * x,
+            row,
+            col,
+            diag,
+            sub,
             loss,
             ip,
             iq,

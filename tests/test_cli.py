@@ -2,12 +2,19 @@ import copy
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
-from silkin import CoefficientFamily, InitialData, IntegratorConfig, cli
+from silkin import CoefficientFamily, InitialData, IntegratorConfig, cli, integrator
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def write_config(path, doc):
@@ -296,6 +303,9 @@ def _with(doc, path, value):
         ("verify", "verify.residual_tl", 1e-30),
         ("simulate", "model.gamma", 0.5),
         ("simulate", "rates.k.exponent", 0.5),
+        # finite at n = 2, infinite at the run's n = 4 or at the ladder's top rung 8
+        ("simulate", "rates.k", {"kind": "power_law", "amplitude": 5.0e307, "exponent": 1.0}),
+        ("converge", "rates.q", {"kind": "power_law", "amplitude": 3.0e307, "exponent": 1.0}),
     ],
 )
 def test_config_error_rejected_fields(tmp_path, capsys, command, path, value):
@@ -476,3 +486,47 @@ def test_wide_csv_on_request(tmp_path):
     assert narrow_header[-1] == "M_2"
     wide_header = (out / "trajectory_wide.csv").read_text().splitlines()[0].split(",")
     assert wide_header == ["t", "x"] + [f"M_{i}" for i in range(7)]
+
+
+def test_step_budget_ends_a_huge_t_end(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(integrator, "MAX_STEPS", 1000)
+    doc = yaml.safe_load((ROOT / "configs" / "decay_oracle.yaml").read_text(encoding="utf-8"))
+    doc["run"]["t_end"] = 1.0e308
+    cfg = write_config(tmp_path / "huge.yaml", doc)
+    start = time.monotonic()
+    assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    assert time.monotonic() - start < 20.0
+    err = capsys.readouterr().err
+    assert err.startswith("numerical abort: StepBudgetExceeded: 1000 accepted steps reached t=")
+    assert len(err.strip().splitlines()) == 1
+
+
+SCIPY_PROBE = """
+import sys
+from silkin import cli
+code = cli.main(sys.argv[1:])
+print(code, sorted(m for m in sys.modules if m.startswith("scipy"))[:3])
+"""
+
+
+@pytest.mark.parametrize(
+    "command,config,scipy_used",
+    [("simulate", "decay_oracle", False), ("equilibrium", "equilibrium_chain", False), ("simulate", "bdf", True)],
+)
+def test_scipy_imported_only_for_bdf(tmp_path, command, config, scipy_used):
+    # RK45, the equilibrium solve and config loading run without scipy; BDF imports it on use
+    path = ROOT / "configs" / f"{config}.yaml"
+    if config == "bdf":
+        doc = coupled_doc(n=8, t_end=1.0)
+        doc["integrator"] = {"method": "bdf"}
+        path = write_config(tmp_path / "bdf.yaml", doc)
+    done = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE, command, "--config", str(path), "--out", str(tmp_path / "o")],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+    )
+    code, modules = done.stdout.splitlines()[-1].split(" ", 1)
+    assert code == "0", done.stderr
+    assert (modules != "[]") == scipy_used

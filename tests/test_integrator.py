@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from concurrent.futures import ThreadPoolExecutor
 
@@ -11,12 +12,15 @@ from silkin import (
     NegativityViolation,
     OutOfRange,
     State,
+    StepBudgetExceeded,
+    StepSizeUnderflow,
     TruncatedSystem,
     dense_eval,
     eval_jacobian,
     integrate,
     norm_mu,
 )
+from silkin import integrator
 from silkin.integrator import newton_lu
 from silkin.truncation import augmented_field
 
@@ -343,3 +347,92 @@ def test_restart_continues_time_axis():
     assert second.t_start == 1.5
     assert second.t_end == 3.0
     assert second.initial_state.t == 1.5
+
+
+def scipy_rk45(sys_, y0, t_end, cfg, flux_orders):
+    """Reference run of scipy's RK45 on the same augmented field: the solver, its times and its dense output."""
+    from scipy.integrate import RK45, OdeSolution
+
+    fun, _ = augmented_field(sys_, flux_orders)
+    z0 = np.concatenate([y0.vector(), np.zeros(4 + len(flux_orders))])
+    solver = RK45(fun, y0.t, z0, t_end, rtol=cfg.rel_tol, atol=cfg.abs_tol, max_step=cfg.max_step)
+    ts, segments = [y0.t], []
+    while solver.status == "running":
+        solver.step()
+        if solver.status == "failed":
+            return solver, None, None
+        ts.append(solver.t)
+        segments.append(solver.dense_output())
+    return solver, np.array(ts), OdeSolution(ts, segments)
+
+
+def clamped(Z, dim):
+    Z[:dim] = np.maximum(Z[:dim], 0.0)
+    return Z
+
+
+@pytest.mark.parametrize(
+    "n,gamma,rel_tol,abs_tol,max_step",
+    [
+        (4, 0.5, 1e-10, 1e-15, math.inf),
+        (32, 0.5, 1e-10, 1e-15, math.inf),
+        (4, 0.5, 1e-6, 1e-9, 0.05),     # max_step binds: 102 steps instead of 36
+        (32, 1.0, 1e-4, 1e-8, math.inf),  # 24 rejected steps
+    ],
+)
+def test_rk45_stepper_matches_scipy(n, gamma, rel_tol, abs_tol, max_step):
+    # same accepted times, same nfev, and dense output and step integrals with the same bits as scipy's RK45
+    sys_ = power_law_system(n, gamma=gamma)
+    y0 = decaying_state(n)
+    cfg = IntegratorConfig(rel_tol=rel_tol, abs_tol=abs_tol, max_step=max_step)
+    traj = integrate(sys_, y0, 5.0, cfg, flux_orders=(1,))
+    solver, ts, sol = scipy_rk45(sys_, y0, 5.0, cfg, (1,))
+    dim = sys_.dimension
+    assert np.array_equal(traj.t, ts)
+    assert traj.stats.nfev == solver.nfev
+    assert np.array_equal(traj.accumulators[-1], solver.y[dim:])
+    grid = np.sort(np.concatenate([np.linspace(0.0, 5.0, 201), traj.t]))  # sample times too
+    assert np.array_equal(traj.dense_matrix(grid), clamped(sol(grid), dim))
+    shuffled = np.random.default_rng(3).permutation(grid)
+    assert np.array_equal(traj.dense_matrix(shuffled), clamped(sol(shuffled), dim))
+    for t in grid[1::25]:
+        assert np.array_equal(traj.dense_vector(float(t)), clamped(sol(t), dim))
+    reference = dataclasses.replace(traj, _sol=sol)
+    for mine, ref in zip(traj.step_integrals, reference.step_integrals):
+        assert np.array_equal(mine, ref)
+
+
+def test_rk45_stepper_matches_scipy_at_n256():
+    sys_ = power_law_system(256, gamma=0.5)
+    y0 = decaying_state(256)
+    cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-15)
+    traj = integrate(sys_, y0, 5.0, cfg, flux_orders=(1,))
+    solver, ts, _ = scipy_rk45(sys_, y0, 5.0, cfg, (1,))
+    assert traj.t_end == ts[-1]
+    mine = np.concatenate([traj.phase[-1], traj.accumulators[-1]])
+    ref = clamped(solver.y.copy(), sys_.dimension)
+    assert np.all(np.abs(mine - ref) <= 1e-14 * np.maximum(1.0, np.abs(ref)))
+
+
+def test_rk45_step_size_underflow_as_scipy():
+    # at t = 1e16 ten ulps are 20 time units, far above the step a loss rate of 50 allows
+    sys_ = power_law_system(4, gamma=0.5, p_amp=50.0)
+    y0 = decaying_state(4, t=1e16)
+    cfg = IntegratorConfig()
+    solver, _, _ = scipy_rk45(sys_, y0, 2e16, cfg, ())
+    assert solver.status == "failed"
+    with pytest.raises(StepSizeUnderflow, match="near t=1e"):
+        integrate(sys_, y0, 2e16, cfg)
+
+
+@pytest.mark.parametrize("method", ["rk45", "bdf"])
+def test_step_budget_stops_both_methods(monkeypatch, method):
+    # a run needing exactly MAX_STEPS steps finishes; one more step is over budget
+    sys_ = power_law_system(8, gamma=0.5)
+    cfg = IntegratorConfig(method=method)
+    steps = integrate(sys_, decaying_state(8), 2.0, cfg).stats.steps
+    monkeypatch.setattr(integrator, "MAX_STEPS", steps)
+    assert integrate(sys_, decaying_state(8), 2.0, cfg).stats.steps == steps
+    monkeypatch.setattr(integrator, "MAX_STEPS", steps - 1)
+    with pytest.raises(StepBudgetExceeded, match=f"^{steps - 1} accepted steps reached t="):
+        integrate(sys_, decaying_state(8), 2.0, cfg)
