@@ -1,0 +1,50 @@
+#!/usr/bin/env python3
+"""Print the sha256 of every output of the shipped configs, one ``sha256  <config>/<file>`` line each.
+
+Each config in ``configs/`` runs under its own subcommand, in-process, into
+a temporary directory; every CSV and ``summary.json`` it writes is hashed.
+Run it from two checkouts and ``diff`` the outputs to show that a change
+keeps every output byte:
+
+    python3 scripts/output_digests.py > digests.txt
+
+The package is imported from this checkout's ``src/``.
+"""
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from silkin import cli  # noqa: E402
+
+# The subcommand each shipped config is written for (README, "Command line").
+COMMAND = {
+    "decay_oracle": "simulate",
+    "equilibrium_chain": "equilibrium",
+    "ladder": "converge",
+    "semigroup": "semigroup",
+    "verify_power_law": "verify",
+}
+
+
+def main() -> int:
+    for name, command in COMMAND.items():
+        with tempfile.TemporaryDirectory() as tmp:
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main([command, "--config", str(ROOT / "configs" / f"{name}.yaml"), "--out", tmp])
+            if code != cli.EXIT_OK:
+                print(f"{name}: {command} exited {code}", file=sys.stderr)
+                return code
+            for path in sorted(Path(tmp).iterdir()):
+                if path.suffix == ".csv" or path.name == "summary.json":
+                    print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {name}/{path.name}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

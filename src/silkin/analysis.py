@@ -340,10 +340,10 @@ def find_equilibrium(
         hi = max(f_lo / (float(np.min(positive_k)) * scale), 1.0)
         for _ in range(80):
             f_hi, _ = _x_residual(sys, hi)
-            if f_hi <= 0.0:
+            if f_hi <= 0.0 or math.isinf(2.0 * hi):
                 break
             hi *= 2.0
-        else:
+        if not f_hi <= 0.0:
             raise NoBracket(f"residual stayed positive up to x={hi}")
         if f_hi == 0.0:
             return _equilibrium_at(sys, hi, _steady_chain(sys, hi))

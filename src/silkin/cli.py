@@ -600,11 +600,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         p.add_argument("--seed", type=int, default=None, help="reserved; core paths are deterministic")
     args = parser.parse_args(argv)
     try:
-        return run(args.command, args.config, args.out, seed=args.seed)
+        # A value that leaves double precision (inputs near 1e308) aborts the run instead of
+        # printing numpy warnings and carrying inf or nan on; scoped errstate calls still ignore it.
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return run(args.command, args.config, args.out, seed=args.seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (IntegrationError, NoBracket, DegenerateDenominator) as exc:
+    except (IntegrationError, NoBracket, DegenerateDenominator, FloatingPointError) as exc:
         print(f"numerical abort: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -13,7 +13,22 @@ factor clipped to [0.2, 10] and capped at 1 after a rejection, the RMS error
 norm, FSAL, a minimum step of ten ulps of ``t``, and Shampine's quartic
 interpolant ``Q = K.T @ P``.  So it accepts the same steps with the same
 ``nfev``, and its dense output has the same bits.  scipy is not imported for
-it.
+it.  The stepper makes fewer numpy calls per step than scipy, and each
+difference keeps the bits:
+
+- ``t``, ``h`` and the error norm are Python floats.  IEEE arithmetic rounds
+  them as it rounds numpy scalars, and ``math.nextafter`` gives the ulp.
+- The RMS norm is ``math.sqrt(v.dot(v)) / sqrt(size)``, which is what
+  ``np.linalg.norm`` computes for a vector.
+- The stage views ``K[:s].T``, ``K[:-1].T`` and ``K.T`` and the tableau rows
+  are sliced once per run, not at every stage.
+- ``y + (K.T @ a) * h`` is formed in place as ``(K.T @ a) * h + y``, and
+  IEEE addition is commutative.
+
+The one departure is a NaN step size, which fails the step as an underflow;
+scipy keeps shrinking it and never returns.  Each accepted step makes a new
+``y`` that is never written again, so :func:`integrate` keeps it as the
+sample row without a copy; a BDF state is copied.
 
 ``method="bdf"`` is scipy's BDF fed the sparse Jacobian of that field;
 scipy is imported on its first use.  Its
@@ -335,7 +350,7 @@ _ERROR_EXPONENT = -1 / 5  # -1 / (error estimator order + 1)
 
 
 def _rms(v: np.ndarray) -> float:
-    return np.linalg.norm(v) / v.size ** 0.5
+    return math.sqrt(v.dot(v)) / v.size ** 0.5
 
 
 class _DormandPrince:
@@ -344,29 +359,31 @@ class _DormandPrince:
     It offers what :func:`integrate` reads of a scipy solver: ``step()``
     returning a failure message or ``None``, ``status``, ``t``, ``y``, the
     work counts and ``dense_output()``, which here is the last step's
-    ``Q = K.T @ P``.
+    ``Q = K.T @ P``.  Each accepted step makes a new ``y``; none is changed
+    afterwards.
     """
 
     njev = 0
     nlu = 0
 
     def __init__(self, fun, t0: float, y0: np.ndarray, t_bound: float, rtol: float, atol: float, max_step: float):
-        self._fun = fun
-        self.nfev = 0
-        self.t = t0
+        self.fun = fun
+        self.t = float(t0)
         self.y = y0
-        self.t_bound = t_bound
+        self.t_bound = float(t_bound)
         self.rtol = max(rtol, 100 * np.finfo(float).eps)  # scipy raises rtol to this floor
         self.atol = atol
         self.max_step = max_step
         self.status = "running"
-        self.f = self.fun(t0, y0)
+        self.f = fun(self.t, y0)
+        self.nfev = 1
         self.h_abs = self._initial_step()
-        self.K = np.empty((len(_DP_C) + 1, len(y0)))
-
-    def fun(self, t, y: np.ndarray) -> np.ndarray:
-        self.nfev += 1
-        return self._fun(t, y)
+        self.K = K = np.empty((len(_DP_C) + 1, len(y0)))
+        # Views of K and of the tableau, made once: stage s reads K[:s].T and _DP_A[s, :s].
+        self._stages = [(s, K[:s].T, _DP_A[s, :s], float(_DP_C[s])) for s in range(1, len(_DP_C))]
+        self._K_solution = K[:-1].T
+        self._K_all = K.T
+        self._abs_y = np.abs(y0)
 
     def _initial_step(self) -> float:
         """Hairer, Norsett & Wanner II.4 starting step, as scipy's ``select_initial_step``."""
@@ -381,7 +398,8 @@ class _DormandPrince:
             h0 = 0.01 * d0 / d1
         h0 = min(h0, interval_length)
         f1 = self.fun(t0 + h0, y0 + h0 * f0)
-        d2 = _rms((f1 - f0) / scale) / h0
+        self.nfev += 1
+        d2 = _rms((f1 - f0) / scale) / h0 if h0 > 0.0 else math.inf  # h0 = 0 when f0 overflowed
         if d1 <= 1e-15 and d2 <= 1e-15:
             h1 = max(1e-6, h0 * 1e-3)
         else:
@@ -389,8 +407,8 @@ class _DormandPrince:
         return min(100 * h0, h1, interval_length, self.max_step)
 
     def step(self) -> Optional[str]:
-        t, y, K = self.t, self.y, self.K
-        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        t, y, K, fun = self.t, self.y, self.K, self.fun
+        min_step = 10 * (math.nextafter(t, math.inf) - t)
         if self.h_abs > self.max_step:
             h_abs = self.max_step
         elif self.h_abs < min_step:
@@ -400,23 +418,35 @@ class _DormandPrince:
 
         step_rejected = False
         while True:
-            if h_abs < min_step:
+            if not h_abs >= min_step:  # a NaN step size fails too, where scipy would loop forever
                 self.status = "failed"
                 return "Required step size is less than spacing between numbers."
             t_new = min(t + h_abs, self.t_bound)
             h = t_new - t
-            h_abs = np.abs(h)
+            h_abs = abs(h)
 
+            # y + (K[:s].T @ a) * h, written as ((K[:s].T @ a) * h) + y: the same bits with fewer temporaries.
             K[0] = self.f
-            for s in range(1, len(_DP_C)):
-                dy = np.dot(K[:s].T, _DP_A[s, :s]) * h
-                K[s] = self.fun(t + _DP_C[s] * h, y + dy)
-            y_new = y + h * np.dot(K[:-1].T, _DP_B)
-            f_new = self.fun(t + h, y_new)
+            for s, K_s, a, c in self._stages:
+                dy = K_s.dot(a)
+                dy *= h
+                dy += y
+                K[s] = fun(t + c * h, dy)
+            y_new = self._K_solution.dot(_DP_B)
+            y_new *= h
+            y_new += y
+            f_new = fun(t + h, y_new)
             K[-1] = f_new
+            self.nfev += len(_DP_C)  # five stages and f_new
 
-            scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
-            error_norm = _rms(np.dot(K.T, _DP_E) * h / scale)
+            abs_new = np.abs(y_new)
+            scale = np.maximum(self._abs_y, abs_new)
+            scale *= self.rtol
+            scale += self.atol
+            error = self._K_all.dot(_DP_E)
+            error *= h
+            error /= scale
+            error_norm = _rms(error)
             if error_norm < 1:
                 factor = _MAX_FACTOR if error_norm == 0 else min(_MAX_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
                 if step_rejected:
@@ -426,13 +456,13 @@ class _DormandPrince:
             h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
             step_rejected = True
 
-        self.t, self.y, self.f, self.h_abs = t_new, y_new, f_new, h_abs
+        self.t, self.y, self.f, self.h_abs, self._abs_y = t_new, y_new, f_new, h_abs, abs_new
         if t_new >= self.t_bound:
             self.status = "finished"
         return None
 
     def dense_output(self) -> np.ndarray:
-        return self.K.T.dot(_DP_P)
+        return self._K_all.dot(_DP_P)
 
 
 @dataclass(frozen=True, eq=False)
@@ -508,7 +538,8 @@ def integrate(
     dim = sys.dimension
     fun, jac = augmented_field(sys, flux)
     z0 = np.concatenate([y0.vector(), np.zeros(NUM_BASE_ACC + len(flux))])
-    if cfg.method == "bdf":
+    rk45 = cfg.method == "rk45"
+    if not rk45:
         solver = _diagonal_pivot_bdf()(
             fun, y0.t, z0, t_end, rtol=cfg.rel_tol, atol=cfg.abs_tol, max_step=cfg.max_step, jac=jac
         )
@@ -530,8 +561,8 @@ def integrate(
             raise StepSizeUnderflow(f"step size underflow near t={solver.t}: {message}")
         segments.append(solver.dense_output())
         ts.append(solver.t)
-        rows.append(solver.y.copy())
-        worst = float(np.min(solver.y[:dim]))
+        rows.append(solver.y if rk45 else solver.y.copy())  # only the RK45 stepper promises never to write y again
+        worst = float(solver.y[:dim].min())
         pre_clamp_min = min(pre_clamp_min, worst)
         if worst < floor:
             raise NegativityViolation(
@@ -540,12 +571,12 @@ def integrate(
 
     t = np.asarray(ts)
     Z = np.asarray(rows)
-    if cfg.method == "bdf":
+    if rk45:
+        sol = _DormandPrinceDense(t, Z, segments)
+    else:
         from scipy.integrate import OdeSolution
 
         sol = OdeSolution(t, segments)
-    else:
-        sol = _DormandPrinceDense(t, Z, segments)
     return Trajectory(
         sys=sys,
         cfg=cfg,

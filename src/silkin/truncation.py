@@ -146,24 +146,33 @@ def augmented_field(sys: TruncatedSystem, flux_orders: Sequence[int] = ()) -> Tu
     alpha = sys.params.alpha
     k = sys.k_masked
     loss = sys.loss
+    loss_0 = float(loss[0])
+    loss_tail = loss[1:]
     ip = sys.i_times_p
     iq = sys.i_times_q
     flux_idx = np.array([m - 1 for m in flux_orders], dtype=int)
+    add = np.add.reduce
 
     def rhs(t: float, z: np.ndarray) -> np.ndarray:
+        # Every slot of ``out`` is written below; the operations and their order are fixed
+        # (tests/oracles.py::reference_augmented_rhs pins the bits).
         x = z[0]
         M = z[1:dim]
-        flow = (x * k) * M
-        out = np.zeros_like(z)
-        out[1] = r - flow[0] - loss[0] * M[0]
-        out[2:dim] = flow[:-1] - flow[1:] - loss[1:] * M[1:]
-        total_flow = flow.sum()
-        out[0] = alpha - total_flow + iq @ M
+        flow = x * k
+        flow *= M
+        out = np.empty_like(z)
+        out[1] = r - flow[0] - loss_0 * M[0]
+        tail = out[2:dim]
+        np.subtract(flow[:-1], flow[1:], out=tail)
+        tail -= loss_tail * M[1:]
+        total_flow = add(flow)
+        released = iq.dot(M)
+        out[0] = alpha - total_flow + released
         if len(z) == dim:  # phase state only, as TruncatedSystem.rhs passes it
             return out
-        out[dim + ACC_TOTAL_LOSS] = loss @ M
-        out[dim + ACC_QUARTZ_REMOVED] = ip @ M
-        out[dim + ACC_QUARTZ_RELEASED] = iq @ M
+        out[dim + ACC_TOTAL_LOSS] = loss.dot(M)
+        out[dim + ACC_QUARTZ_REMOVED] = ip.dot(M)
+        out[dim + ACC_QUARTZ_RELEASED] = released
         out[dim + ACC_QUARTZ_INGESTED] = total_flow
         if len(flux_idx):
             out[dim + NUM_BASE_ACC:] = flow[flux_idx]

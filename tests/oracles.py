@@ -11,6 +11,13 @@ import numpy as np
 import mpmath
 
 from silkin import TruncatedSystem, State, eval_rhs
+from silkin.truncation import (
+    ACC_QUARTZ_INGESTED,
+    ACC_QUARTZ_RELEASED,
+    ACC_QUARTZ_REMOVED,
+    ACC_TOTAL_LOSS,
+    NUM_BASE_ACC,
+)
 
 
 def decoupled_solution(x0, M0, p, q, r, alpha, t):
@@ -102,3 +109,38 @@ def chain_equilibrium(n: int, x: float):
 
 def rhs_norm(sys: TruncatedSystem, x: float, M) -> float:
     return float(np.max(np.abs(eval_rhs(sys, State(t=0.0, x=x, M=M)))))
+
+
+def reference_augmented_rhs(sys: TruncatedSystem, flux_orders, z: np.ndarray) -> np.ndarray:
+    """The augmented field as first written, kept verbatim to pin the bits of ``augmented_field``.
+
+    Its zeroed output, repeated ``iq @ M`` and ``ndarray.sum`` are slower
+    than the library's field, but every floating-point operation and its
+    order is the same, so the two agree bit for bit.
+    """
+    dim = sys.dimension
+    r = sys.params.r
+    alpha = sys.params.alpha
+    k = sys.k_masked
+    loss = sys.loss
+    ip = sys.i_times_p
+    iq = sys.i_times_q
+    flux_idx = np.array([m - 1 for m in flux_orders], dtype=int)
+
+    x = z[0]
+    M = z[1:dim]
+    flow = (x * k) * M
+    out = np.zeros_like(z)
+    out[1] = r - flow[0] - loss[0] * M[0]
+    out[2:dim] = flow[:-1] - flow[1:] - loss[1:] * M[1:]
+    total_flow = flow.sum()
+    out[0] = alpha - total_flow + iq @ M
+    if len(z) == dim:  # phase state only, as TruncatedSystem.rhs passes it
+        return out
+    out[dim + ACC_TOTAL_LOSS] = loss @ M
+    out[dim + ACC_QUARTZ_REMOVED] = ip @ M
+    out[dim + ACC_QUARTZ_RELEASED] = iq @ M
+    out[dim + ACC_QUARTZ_INGESTED] = total_flow
+    if len(flux_idx):
+        out[dim + NUM_BASE_ACC:] = flow[flux_idx]
+    return out

@@ -242,6 +242,13 @@ def test_equilibrium_zero_supply():
     assert result.residual == 0.0
 
 
+def test_equilibrium_no_bracket_without_macrophage_supply():
+    # r = 0 and alpha > 0: free quartz only grows, so the doubling search stops before x overflows
+    sys_ = TruncatedSystem(ModelParams(r=0.0, alpha=1.0), constant_rates(8, k=1.0, p=1.0))
+    with pytest.raises(NoBracket, match="stayed positive"):
+        find_equilibrium(sys_)
+
+
 def test_equilibrium_residual_contract(rng):
     sys_ = power_law_system(32, gamma=0.5, r=0.8, alpha=0.6, q_amp=0.2, q_exp=0.5)
     result = find_equilibrium(sys_, tol=1e-12)

@@ -1,8 +1,14 @@
-"""Hostile edits of the shipped configs: ``load_config`` returns or raises ``ConfigError``.
+"""Hostile edits of the shipped configs: ``load_config`` returns or raises ``ConfigError``,
+and ``cli.main`` ends with an exit code.
 
 A hostile value in any field may load or fail; a misspelt key always fails.
+Run in-process on small-n copies with a small step budget, ``cli.main``
+ends every hostile config with exit 0, 1, 2 or 3 within a time bound,
+prints no traceback, and names an exit-2 or exit-3 failure in one stderr
+line.
 """
 import copy
+import time
 from pathlib import Path
 
 import pytest
@@ -10,10 +16,21 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from silkin import cli
+from silkin import cli, integrator
 
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.yaml"))
 HOSTILE = (None, "a string", -1, 0, 1e308, [], {}, True, [1, "a", None], float("nan"))
+# The subcommand each shipped config is written for (README, "Command line").
+COMMAND = {
+    "decay_oracle": "simulate",
+    "equilibrium_chain": "equilibrium",
+    "ladder": "converge",
+    "semigroup": "semigroup",
+    "verify_power_law": "verify",
+}
+SMALL_RUN = {"n": 8, "n_ladder": [8, 16]}
+FUZZ_STEPS = 400  # step budget of a fuzzed run; the unmutated small configs take at most 263 steps
+SECONDS_PER_EXAMPLE = 5.0
 
 
 def _paths(node, prefix=()):
@@ -74,4 +91,44 @@ def test_load_config_rejects_renamed_keys(config, tmp_path_factory):
         with pytest.raises(cli.ConfigError):
             cli.load_config(str(target))
 
+    check()
+
+
+def _small(doc):
+    """``doc`` at truncation order 8 (ladder 8, 16); configs already that small keep their order."""
+    doc = copy.deepcopy(doc)
+    for key, value in SMALL_RUN.items():
+        if key in doc["run"] and (key != "n" or doc["run"]["n"] > value):
+            doc["run"][key] = value
+    return doc
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda p: p.stem)
+def test_main_ends_every_hostile_config_with_an_exit_code(config, tmp_path_factory, capsys, monkeypatch):
+    monkeypatch.setattr(integrator, "MAX_STEPS", FUZZ_STEPS)
+    command = COMMAND[config.stem]
+    doc = _small(yaml.safe_load(config.read_text(encoding="utf-8")))
+    paths = list(_paths(doc))
+    work = tmp_path_factory.mktemp(config.stem)
+    target = work / "mutated.yaml"
+    argv = [command, "--config", str(target), "--out", str(work / "out")]
+
+    @settings(max_examples=80, deadline=None, database=None, derandomize=True)
+    @given(path=st.sampled_from(paths), value=st.sampled_from(HOSTILE))
+    def check(path, value):
+        target.write_text(yaml.safe_dump(_replaced(doc, path, value)), encoding="utf-8")
+        start = time.perf_counter()
+        code = cli.main(argv)
+        elapsed = time.perf_counter() - start
+        out, err = capsys.readouterr()
+        assert "Traceback" not in out + err
+        assert code in (cli.EXIT_OK, cli.EXIT_CHECK_FAILED, cli.EXIT_CONFIG, cli.EXIT_NUMERICAL)
+        if code in (cli.EXIT_CONFIG, cli.EXIT_NUMERICAL):
+            assert len(err.splitlines()) == 1, err
+        assert elapsed < SECONDS_PER_EXAMPLE
+
+    target.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    # the small copy runs to its checks (ladder's final gap fails at orders this low)
+    assert cli.main(argv) in (cli.EXIT_OK, cli.EXIT_CHECK_FAILED)
+    capsys.readouterr()
     check()

@@ -349,20 +349,27 @@ def test_restart_continues_time_axis():
     assert second.initial_state.t == 1.5
 
 
-def scipy_rk45(sys_, y0, t_end, cfg, flux_orders):
-    """Reference run of scipy's RK45 on the same augmented field: the solver, its times and its dense output."""
+def scipy_rk45(sys_, y0, t_end, cfg, flux_orders, rows=None):
+    """Reference run of scipy's RK45 on the same augmented field: the solver, its times and its dense output.
+
+    A ``rows`` list receives a copy of scipy's state at the start and after every accepted step.
+    """
     from scipy.integrate import RK45, OdeSolution
 
     fun, _ = augmented_field(sys_, flux_orders)
     z0 = np.concatenate([y0.vector(), np.zeros(4 + len(flux_orders))])
     solver = RK45(fun, y0.t, z0, t_end, rtol=cfg.rel_tol, atol=cfg.abs_tol, max_step=cfg.max_step)
     ts, segments = [y0.t], []
+    if rows is not None:
+        rows.append(solver.y.copy())
     while solver.status == "running":
         solver.step()
         if solver.status == "failed":
             return solver, None, None
         ts.append(solver.t)
         segments.append(solver.dense_output())
+        if rows is not None:
+            rows.append(solver.y.copy())
     return solver, np.array(ts), OdeSolution(ts, segments)
 
 
@@ -402,6 +409,29 @@ def test_rk45_stepper_matches_scipy(n, gamma, rel_tol, abs_tol, max_step):
         assert np.array_equal(mine, ref)
 
 
+@pytest.mark.parametrize(
+    "n,gamma,rel_tol,abs_tol,max_step",
+    [  # the cases of test_rk45_stepper_matches_scipy
+        (4, 0.5, 1e-10, 1e-15, math.inf),
+        (32, 0.5, 1e-10, 1e-15, math.inf),
+        (4, 0.5, 1e-6, 1e-9, 0.05),
+        (32, 1.0, 1e-4, 1e-8, math.inf),
+    ],
+)
+def test_rk45_sample_rows_match_scipy(n, gamma, rel_tol, abs_tol, max_step):
+    # every sample row is scipy's state after that step, bitwise: no row aliases a state the stepper reuses
+    sys_ = power_law_system(n, gamma=gamma)
+    y0 = decaying_state(n)
+    cfg = IntegratorConfig(rel_tol=rel_tol, abs_tol=abs_tol, max_step=max_step)
+    traj = integrate(sys_, y0, 5.0, cfg, flux_orders=(1,))
+    rows = []
+    scipy_rk45(sys_, y0, 5.0, cfg, (1,), rows)
+    Z = np.array(rows)
+    dim = sys_.dimension
+    assert traj.phase.tobytes() == np.where(Z[:, :dim] < 0.0, 0.0, Z[:, :dim]).tobytes()
+    assert traj.accumulators.tobytes() == Z[:, dim:].tobytes()
+
+
 def test_rk45_stepper_matches_scipy_at_n256():
     sys_ = power_law_system(256, gamma=0.5)
     y0 = decaying_state(256)
@@ -423,6 +453,13 @@ def test_rk45_step_size_underflow_as_scipy():
     assert solver.status == "failed"
     with pytest.raises(StepSizeUnderflow, match="near t=1e"):
         integrate(sys_, y0, 2e16, cfg)
+
+
+def test_rk45_nan_field_fails_the_step():
+    # a NaN step size fails at once; scipy's RK45 keeps shrinking it without end
+    solver = integrator._DormandPrince(lambda t, y: np.full_like(y, np.nan), 0.0, np.ones(3), 1.0, 1e-6, 1e-9, math.inf)
+    assert solver.step() is not None
+    assert solver.status == "failed"
 
 
 @pytest.mark.parametrize("method", ["rk45", "bdf"])

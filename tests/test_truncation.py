@@ -9,9 +9,10 @@ from silkin import (
     eval_jacobian,
     eval_rhs,
 )
+from silkin.truncation import NUM_BASE_ACC, augmented_field
 
 from conftest import constant_rates, power_law_system, rates_from_arrays
-from oracles import central_jacobian
+from oracles import central_jacobian, reference_augmented_rhs
 
 
 def test_rhs_zero_state_sources_only():
@@ -101,6 +102,22 @@ def test_total_matter_derivative_identity(x, M, coeffs, supplies):
     expected = r + alpha - (sys_.loss @ M) - ((i * sys_.rates.p) @ M)
     scale = abs(r) + abs(alpha) + float(np.sum(np.abs(out))) + float(w @ M) + 1.0
     assert abs(udot - expected) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("n", [2, 7, 80, 300])
+@pytest.mark.parametrize("flux", ["none", "first_and_top"])
+def test_augmented_field_bits_match_reference(n, flux, rng):
+    # the field's arithmetic is pinned: same floating-point operations in the same order as the reference
+    flux_orders = {"none": (), "first_and_top": (1, n)}[flux]
+    rates = rates_from_arrays(n, rng.uniform(0.0, 2.0, n + 1), rng.uniform(0.0, 1.0, n + 1), rng.uniform(0.0, 1.0, n + 1))
+    sys_ = TruncatedSystem(ModelParams(r=float(rng.uniform(0.0, 1.0)), alpha=float(rng.uniform(0.0, 1.0))), rates)
+    fun, _ = augmented_field(sys_, flux_orders)
+    dim = sys_.dimension
+    for _ in range(25):
+        phase = rng.uniform(0.0, 2.0, dim) * rng.choice([0.0, 1e-9, 1.0, 1e3], dim)  # cone states, some on its boundary
+        z = np.concatenate([phase, rng.uniform(0.0, 1.0, NUM_BASE_ACC + len(flux_orders))])
+        assert fun(0.0, z).tobytes() == reference_augmented_rhs(sys_, flux_orders, z).tobytes()
+        assert sys_.rhs(phase).tobytes() == reference_augmented_rhs(sys_, flux_orders, phase).tobytes()
 
 
 def test_jacobian_zero_coefficients():
