@@ -3,6 +3,8 @@
 
 Each config in ``configs/`` runs under its own subcommand, in-process, into
 a temporary directory; every CSV and ``summary.json`` it writes is hashed.
+``verify_power_law`` runs a second time with ``integrator.method: bdf``
+(lines ``verify_power_law_bdf/...``), so the stiff path is covered too.
 Run it from two checkouts and ``diff`` the outputs to show that a change
 keeps every output byte:
 
@@ -16,6 +18,8 @@ import io
 import sys
 import tempfile
 from pathlib import Path
+
+import yaml
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
@@ -32,18 +36,31 @@ COMMAND = {
 }
 
 
+def digest(name: str, command: str, config: Path) -> int:
+    """Run one config into a temporary directory and print the hash of each output."""
+    with tempfile.TemporaryDirectory() as tmp:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main([command, "--config", str(config), "--out", tmp])
+        if code != cli.EXIT_OK:
+            print(f"{name}: {command} exited {code}", file=sys.stderr)
+            return code
+        for path in sorted(Path(tmp).iterdir()):
+            if path.suffix == ".csv" or path.name == "summary.json":
+                print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {name}/{path.name}")
+    return 0
+
+
 def main() -> int:
     for name, command in COMMAND.items():
-        with tempfile.TemporaryDirectory() as tmp:
-            with contextlib.redirect_stdout(io.StringIO()):
-                code = cli.main([command, "--config", str(ROOT / "configs" / f"{name}.yaml"), "--out", tmp])
-            if code != cli.EXIT_OK:
-                print(f"{name}: {command} exited {code}", file=sys.stderr)
-                return code
-            for path in sorted(Path(tmp).iterdir()):
-                if path.suffix == ".csv" or path.name == "summary.json":
-                    print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {name}/{path.name}")
-    return 0
+        code = digest(name, command, ROOT / "configs" / f"{name}.yaml")
+        if code:
+            return code
+    doc = yaml.safe_load((ROOT / "configs" / "verify_power_law.yaml").read_text(encoding="utf-8"))
+    doc["integrator"]["method"] = "bdf"
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "verify_power_law_bdf.yaml"
+        config.write_text(yaml.safe_dump(doc), encoding="utf-8")
+        return digest("verify_power_law_bdf", "verify", config)
 
 
 if __name__ == "__main__":

@@ -29,9 +29,11 @@ from .integrator import (
 from .moments import (
     GronwallReport,
     InvalidWeights,
+    InvarianceReport,
     MomentSnapshot,
     compute_moments,
     gronwall_check,
+    invariance_check,
     macrophage_balance_residual,
     mass_balance_residual,
     moment_identity_residual,
@@ -42,7 +44,6 @@ from .analysis import (
     ConvergenceReport,
     DegenerateDenominator,
     EquilibriumResult,
-    InvarianceReport,
     NoBracket,
     NoConvergence,
     TruncationRungError,
@@ -50,7 +51,6 @@ from .analysis import (
     convergence_study,
     differential_form_check,
     find_equilibrium,
-    invariance_check,
     semigroup_residual,
     uniqueness_probe,
 )

@@ -20,18 +20,15 @@ from .model import (
     CoefficientFamily,
     InitialData,
     ModelParams,
-    MomentWeights,
     State,
     realize_coefficients,
     weighted_norm,
 )
-from .moments import _envelope_data, _relative_margins
 from .truncation import TruncatedSystem, phase_jacobian_parts
 
 __all__ = [
     "ConvergenceReport",
     "EquilibriumResult",
-    "InvarianceReport",
     "ContinuityRow",
     "TruncationRungError",
     "NoBracket",
@@ -41,7 +38,6 @@ __all__ = [
     "uniqueness_probe",
     "semigroup_residual",
     "continuity_study",
-    "invariance_check",
     "find_equilibrium",
     "differential_form_check",
 ]
@@ -67,8 +63,21 @@ class DegenerateDenominator(ZeroDivisionError):
     """The steady-state recursion hit ``k_i x + p_i + q_i = 0``."""
 
 
-def _phase_gap(za: np.ndarray, zb: np.ndarray) -> np.ndarray:
-    """Per-grid-point total-matter-norm gap between two phase matrices.
+GRID_POINTS = 201
+"""Evenly spaced times, ends included, on which two runs are compared."""
+
+MAX_ITER = 200
+"""Newton/bisection iterations :func:`find_equilibrium` takes before it gives up."""
+
+
+def _on_grid(traj: Trajectory) -> np.ndarray:
+    """The phase block ``(dim, GRID_POINTS)`` of ``traj`` on the shared grid over its time range."""
+    grid = np.linspace(traj.t_start, traj.t_end, GRID_POINTS)
+    return traj.dense_matrix(grid)[: traj.sys.dimension]
+
+
+def _gap(za: np.ndarray, zb: np.ndarray, mu: float = 1.0) -> float:
+    """Sup over the grid of the ``mu``-weighted-norm distance between two phase blocks.
 
     ``za``/``zb`` are ``(dim, G)`` with possibly different dims; the shorter
     cohort list is padded with zeros (its cohorts above its own order are
@@ -76,10 +85,9 @@ def _phase_gap(za: np.ndarray, zb: np.ndarray) -> np.ndarray:
     """
     if za.shape[0] > zb.shape[0]:
         za, zb = zb, za
-    top = np.zeros((zb.shape[0], za.shape[1]))
-    top[: za.shape[0]] = za
-    diff = zb - top
-    return weighted_norm(diff[0], diff[1:])
+    diff = zb.copy()
+    diff[: za.shape[0]] -= za
+    return float(np.max(weighted_norm(diff[0], diff[1:], mu)))
 
 
 @dataclass(frozen=True)
@@ -99,7 +107,6 @@ def convergence_study(
     n_ladder: Sequence[int],
     t_end: float,
     cfg: Optional[IntegratorConfig] = None,
-    num_grid: int = 201,
 ) -> ConvergenceReport:
     """Integrate every rung from the projected initial data and report gaps.
 
@@ -110,7 +117,6 @@ def convergence_study(
     ladder = tuple(int(n) for n in n_ladder)
     if len(ladder) < 2 or any(b <= a for a, b in zip(ladder, ladder[1:])) or ladder[0] < 2:
         raise ValueError(f"n_ladder must be strictly increasing with min >= 2, got {ladder}")
-    grid = np.linspace(0.0, t_end, num_grid)
     phases: List[np.ndarray] = []
     for n in ladder:
         rates = realize_coefficients(*families, n)
@@ -119,18 +125,13 @@ def convergence_study(
             traj = integrate(sys, initial_data.state(n), t_end, cfg)
         except IntegrationError as exc:
             raise TruncationRungError(n, str(exc)) from exc
-        phases.append(traj.dense_matrix(grid)[: sys.dimension])
-    gaps = []
-    x_gaps = []
-    for za, zb in zip(phases, phases[1:]):
-        per_t = _phase_gap(za, zb)
-        gaps.append(float(np.max(per_t)))
-        x_gaps.append(float(np.max(np.abs(zb[0] - za[0]))))
-    gaps_arr = np.asarray(gaps)
+        phases.append(_on_grid(traj))
+    pairs = list(zip(phases, phases[1:]))
+    gaps_arr = np.array([_gap(za, zb) for za, zb in pairs])
     return ConvergenceReport(
         n_ladder=ladder,
         gaps=gaps_arr,
-        x_gaps=np.asarray(x_gaps),
+        x_gaps=np.array([float(np.max(np.abs(zb[0] - za[0]))) for za, zb in pairs]),
         decreasing=bool(np.all(np.diff(gaps_arr) < 0.0)),
     )
 
@@ -141,13 +142,9 @@ def uniqueness_probe(
     t_end: float,
     cfg_a: IntegratorConfig,
     cfg_b: IntegratorConfig,
-    num_grid: int = 201,
 ) -> float:
     """Sup-in-time total-matter-norm gap between two stepping configurations."""
-    grid = np.linspace(y0.t, t_end, num_grid)
-    za = integrate(sys, y0, t_end, cfg_a).dense_matrix(grid)[: sys.dimension]
-    zb = integrate(sys, y0, t_end, cfg_b).dense_matrix(grid)[: sys.dimension]
-    return float(np.max(_phase_gap(za, zb)))
+    return _gap(_on_grid(integrate(sys, y0, t_end, cfg_a)), _on_grid(integrate(sys, y0, t_end, cfg_b)))
 
 
 def semigroup_residual(
@@ -190,7 +187,6 @@ def continuity_study(
     perturbations: Sequence[State],
     t_end: float,
     cfg: Optional[IntegratorConfig] = None,
-    num_grid: int = 201,
 ) -> List[ContinuityRow]:
     """Continuity-in-initial-data table.
 
@@ -199,45 +195,14 @@ def continuity_study(
     Lipschitz bound).
     """
     mu = 1.0 + sys.rates.gamma
-    grid = np.linspace(y0.t, t_end, num_grid)
-    base = integrate(sys, y0, t_end, cfg).dense_matrix(grid)[: sys.dimension]
+    base = _on_grid(integrate(sys, y0, t_end, cfg))
     rows = []
     for pert in perturbations:
         in_gap = weighted_norm(pert.x - y0.x, pert.M - y0.M, mu)
-        other = integrate(sys, pert, t_end, cfg).dense_matrix(grid)[: sys.dimension]
-        diff = other - base
-        out_gap = float(np.max(weighted_norm(diff[0], diff[1:], mu)))
+        out_gap = _gap(base, _on_grid(integrate(sys, pert, t_end, cfg)), mu)
         ratio = out_gap / in_gap if in_gap > 0.0 else 0.0
         rows.append(ContinuityRow(input_gap=in_gap, output_gap=out_gap, ratio=ratio))
     return rows
-
-
-@dataclass(frozen=True)
-class InvarianceReport:
-    ok: bool
-    max_norm: float
-    margin: float
-
-
-def invariance_check(traj: Trajectory, gamma: float) -> InvarianceReport:
-    """Check that the ``(1 + gamma)``-weighted norm stays inside its envelope.
-
-    Uses the exponential envelope for weights ``(i+1)^{1+gamma}`` and absorbs
-    the free-quartz and empty-cohort terms into the constant (both are
-    dominated by the total-matter norm bound), so the whole weighted norm is
-    covered.  ``gamma = 0`` reduces to the linear-growth norm bound.
-    """
-    if not 0.0 <= gamma <= 1.0:
-        raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
-    rates = traj.sys.rates
-    w = MomentWeights.power(rates.n, 1.0 + gamma, rates)
-    g, _, c2, _, _, c1_used, _ = _envelope_data(traj, w)
-    norms = traj.phase[:, 0] + traj.phase[:, 1:] @ g
-    with np.errstate(over="ignore"):
-        bounds = 2.0 * c2 + c1_used * np.exp(c2 * (traj.t - traj.t_start))
-    ok = bool(np.all(norms <= bounds))
-    margin = float(np.min(_relative_margins(norms, bounds)))
-    return InvarianceReport(ok=ok, max_norm=float(np.max(norms)), margin=margin)
 
 
 @dataclass(frozen=True)
@@ -303,7 +268,6 @@ def find_equilibrium(
     sys: TruncatedSystem,
     x_bracket: Optional[Tuple[float, float]] = None,
     tol: float = 1e-12,
-    max_iter: int = 200,
 ) -> EquilibriumResult:
     """Steady state via the cohort recursion plus a safeguarded scalar Newton.
 
@@ -349,7 +313,7 @@ def find_equilibrium(
             return _equilibrium_at(sys, hi, _steady_chain(sys, hi))
 
     x = 0.5 * (lo + hi)
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         f, M = _x_residual(sys, x)
         if abs(f) <= tol:
             return _equilibrium_at(sys, x, M)

@@ -47,7 +47,6 @@ from .analysis import (
     convergence_study,
     differential_form_check,
     find_equilibrium,
-    invariance_check,
     semigroup_residual,
 )
 from .integrator import IntegrationError, IntegratorConfig, Trajectory, integrate
@@ -63,6 +62,7 @@ from .model import (
 from .moments import (
     compute_moments,
     gronwall_check,
+    invariance_check,
     macrophage_balance_residual,
     mass_balance_residual,
     moment_identity_residual,

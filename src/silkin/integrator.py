@@ -52,6 +52,20 @@ each accepted step, by six-node Gauss-Legendre quadrature of the dense output
 (Hairer, Norsett & Wanner, *Solving ODEs I*, II.6), exact for its products of
 degree <= 10 up to the cone clamp.  Windows add at most two partial steps.
 
+There is one dense evaluator, :meth:`Trajectory.dense_matrix`.  A point read
+(:meth:`Trajectory.dense_vector`) is a one-column call of it, and keeps the
+bits of scipy's scalar evaluation: numpy sends the ``(4, 1)`` power block to
+the same BLAS matrix-vector product as a 1-D power vector.  Several points in
+one step go through a matrix-matrix product instead, whose last bits can
+differ from the point-by-point values, so a caller that needs those values
+reads one point at a time.  :meth:`Trajectory.at` states the sample rule
+once: a stored sample time returns that sample, any other time the dense
+output.
+
+:func:`integrate` runs with numpy's overflow, invalid and divide errors
+raised, so an input that leaves double precision ends in one
+``FloatingPointError``.
+
 Negativity policy: the exact flow preserves the nonnegative cone, so small
 numerical undershoots are clamped to zero when samples are recorded and when
 dense output is evaluated, while an undershoot below ``negativity_floor``
@@ -63,7 +77,6 @@ may run concurrently.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -229,11 +242,17 @@ class Trajectory:
         return Z
 
     def dense_vector(self, t: float) -> np.ndarray:
+        """The augmented row at ``t`` by dense output, through the same evaluator as :meth:`dense_matrix`."""
         self._check_range(t)
-        z = self._sol(t)
-        dim = self.sys.dimension
-        np.maximum(z[:dim], 0.0, out=z[:dim])
-        return z
+        return self.dense_matrix(np.array([t]))[:, 0]
+
+    def at(self, t: float) -> np.ndarray:
+        """The augmented row at ``t``: the stored sample at a sample time, the dense output anywhere else."""
+        self._check_range(t)
+        i = np.searchsorted(self.t, t)
+        if i < self.num_samples and self.t[i] == t:
+            return np.concatenate((self.phase[i], self.accumulators[i]))
+        return self.dense_vector(t)
 
     def _panel_integrals(self, a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """``int M_i`` and ``int x M_i`` over each panel ``[a_j, b_j]``, each ``(panels, n + 1)``."""
@@ -269,14 +288,6 @@ class Trajectory:
             whole = [w + p.sum(axis=0) for w, p in zip(whole, self._panel_integrals(*partial.T))]
         return whole[0], whole[1]
 
-    def accumulators_at(self, t: float) -> np.ndarray:
-        """Balance integrals A1..A4 (and any flux integrals) at time ``t``."""
-        self._check_range(t)
-        i = np.searchsorted(self.t, t)
-        if i < self.num_samples and self.t[i] == t:
-            return self.accumulators[i].copy()
-        return self._sol(t)[self.sys.dimension:]
-
     def flux_slot(self, m: int) -> int:
         """Index of F_m within the accumulator block."""
         try:
@@ -288,7 +299,7 @@ class Trajectory:
             ) from None
 
     def flux_at(self, m: int, t: float) -> float:
-        return float(self.accumulators_at(t)[self.flux_slot(m)])
+        return float(self.at(t)[self.sys.dimension + self.flux_slot(m)])
 
 
 def newton_lu(A) -> SuperLU:
@@ -301,24 +312,6 @@ def newton_lu(A) -> SuperLU:
     from scipy.sparse.linalg import splu
 
     return splu(A, diag_pivot_thresh=0.0)
-
-
-@functools.cache
-def _diagonal_pivot_bdf() -> type:
-    """scipy's BDF whose Newton matrices are factored by :func:`newton_lu`, built on first use."""
-    from scipy.integrate import BDF
-
-    class _DiagonalPivotBDF(BDF):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-
-            def lu(A):
-                self.nlu += 1
-                return newton_lu(A)
-
-            self.lu = lu
-
-    return _DiagonalPivotBDF
 
 
 # Dormand-Prince 5(4): nodes, stage matrix, fifth-order weights, error weights
@@ -489,14 +482,7 @@ class _DormandPrinceDense:
     def _step_of(self, t):
         return np.clip(np.searchsorted(self.t, t, side="left") - 1, 0, len(self.q) - 1)
 
-    def __call__(self, t) -> np.ndarray:
-        t = np.asarray(t)
-        if t.ndim == 0:
-            i = int(self._step_of(t))
-            p = np.cumprod(np.tile((t - self.t[i]) / self.h[i], 4))
-            z = self.h[i] * np.dot(self.q[i], p)
-            z += self.y[i]
-            return z
+    def __call__(self, t: np.ndarray) -> np.ndarray:
         order = np.argsort(t)
         t_sorted = t[order]
         steps = self._step_of(t_sorted)
@@ -504,13 +490,18 @@ class _DormandPrinceDense:
         out = np.empty((self.y.shape[1], len(t)), order="F")  # the layout of scipy's ``ys[:, reverse]``
         for a, b in zip(cuts[:-1], cuts[1:]):
             i = steps[a]
-            p = np.cumprod(np.tile((t_sorted[a:b] - self.t[i]) / self.h[i], (4, 1)), axis=0)
+            # The rows s, s^2, s^3, s^4: the products scipy's cumprod forms, in the same order.
+            p = np.empty((4, b - a))
+            np.divide(t_sorted[a:b] - self.t[i], self.h[i], out=p[0])
+            for j in range(1, 4):
+                np.multiply(p[j - 1], p[0], out=p[j])
             z = self.h[i] * np.dot(self.q[i], p)
             z += self.y[i][:, None]
             out[:, order[a:b]] = z
         return out
 
 
+@np.errstate(over="raise", invalid="raise", divide="raise")
 def integrate(
     sys: TruncatedSystem,
     y0: State,
@@ -522,8 +513,10 @@ def integrate(
 
     Raises :class:`StepSizeUnderflow` when the stepper stalls (switch to the
     stiff method), :class:`NegativityViolation` when any phase component
-    undershoots the negativity floor, and :class:`StepBudgetExceeded` when
-    :data:`MAX_STEPS` accepted steps do not reach ``t_end``.
+    undershoots the negativity floor, :class:`StepBudgetExceeded` when
+    :data:`MAX_STEPS` accepted steps do not reach ``t_end``, and
+    ``FloatingPointError`` when a value leaves double precision (inputs near
+    1e308) instead of carrying inf or nan on.
     """
     cfg = cfg or IntegratorConfig()
     if y0.n != sys.n:
@@ -539,12 +532,18 @@ def integrate(
     fun, jac = augmented_field(sys, flux)
     z0 = np.concatenate([y0.vector(), np.zeros(NUM_BASE_ACC + len(flux))])
     rk45 = cfg.method == "rk45"
-    if not rk45:
-        solver = _diagonal_pivot_bdf()(
-            fun, y0.t, z0, t_end, rtol=cfg.rel_tol, atol=cfg.abs_tol, max_step=cfg.max_step, jac=jac
-        )
-    else:
+    if rk45:
         solver = _DormandPrince(fun, y0.t, z0, t_end, cfg.rel_tol, cfg.abs_tol, cfg.max_step)
+    else:
+        from scipy.integrate import BDF
+
+        solver = BDF(fun, y0.t, z0, t_end, rtol=cfg.rel_tol, atol=cfg.abs_tol, max_step=cfg.max_step, jac=jac)
+
+        def lu(A):
+            solver.nlu += 1
+            return newton_lu(A)
+
+        solver.lu = lu  # scipy's BDF factors its Newton matrices through this attribute
 
     floor = cfg.floor
     ts = [y0.t]
@@ -594,9 +593,5 @@ def integrate(
 
 def dense_eval(traj: Trajectory, t: float) -> State:
     """Interpolated state at ``t``; a stored sample time returns that sample exactly."""
-    traj._check_range(t)
-    i = np.searchsorted(traj.t, t)
-    if i < traj.num_samples and traj.t[i] == t:
-        return traj.state(i)
-    z = traj.dense_vector(t)
+    z = traj.at(t)
     return State(t=float(t), x=float(z[0]), M=z[1:traj.sys.dimension])

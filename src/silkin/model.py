@@ -147,8 +147,7 @@ class RateTable:
     and ``q`` the death/release rates, each of length ``n + 1``.  The vector
     field builder treats ``k[n]`` as zero (the truncation convention); the
     stored value is kept for tail diagnostics.  ``gamma`` records the growth
-    class of the ``k`` family (needed by the ``(1+gamma)``-weighted norms) and
-    ``q_growth`` that of ``q``.
+    class of the ``k`` family (needed by the ``(1+gamma)``-weighted norms).
     """
 
     n: int
@@ -156,7 +155,6 @@ class RateTable:
     p: np.ndarray
     q: np.ndarray
     gamma: float = 0.0
-    q_growth: float = 0.0
 
     def __post_init__(self) -> None:
         if self.n < 2:
@@ -195,7 +193,6 @@ def realize_coefficients(
         p=family_p.realize(n),
         q=family_q.realize(n),
         gamma=family_k.growth_exponent,
-        q_growth=family_q.growth_exponent,
     )
 
 

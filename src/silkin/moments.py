@@ -27,7 +27,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .integrator import Trajectory, dense_eval
+from .integrator import Trajectory
 from .model import MomentWeights, RateTable, State, norm_mu, validate_weights
 from .truncation import ACC_QUARTZ_REMOVED, ACC_TOTAL_LOSS
 
@@ -41,6 +41,8 @@ __all__ = [
     "macrophage_balance_residual",
     "moment_identity_residual",
     "gronwall_check",
+    "InvarianceReport",
+    "invariance_check",
 ]
 
 
@@ -89,12 +91,13 @@ def _balance_residual(traj: Trajectory, t: float, balance: str) -> float:
     """``S(t) - S(t0) - supply (t - t0) + sum of loss accumulators`` for one balance."""
     moment, supply_rate, slots = _BALANCES[balance]
     rates = traj.sys.rates
-    now = getattr(compute_moments(dense_eval(traj, t), rates), moment)
+    dim = traj.sys.dimension
+    z = traj.at(t)
+    now = getattr(compute_moments(State(t=float(t), x=float(z[0]), M=z[1:dim]), rates), moment)
     start = getattr(compute_moments(traj.initial_state, rates), moment)
-    acc = traj.accumulators_at(t)
     residual = now - start - supply_rate(traj.sys.params) * (t - traj.t_start)
     for slot in slots:
-        residual += float(acc[slot])
+        residual += float(z[dim + slot])
     return residual
 
 
@@ -148,17 +151,16 @@ def moment_identity_residual(
         raise ValueError(f"m must lie in 1..{n}, got {m}")
     m_int, xm_int = traj.window_integrals(t1, t2)
     g = _weight_vector(w, n)
-
-    def tail_sum(t: float) -> float:
-        s = dense_eval(traj, t)
-        return float(g[m:] @ s.M[m:])
+    dim = traj.sys.dimension
+    flux = dim + traj.flux_slot(m)
+    z1, z2 = traj.at(t1), traj.at(t2)
 
     tail_loss = g[m:] * traj.sys.loss[m:]
     transfer_gain = (g[m + 1:] - g[m:n]) * rates.k[m:n]
-    flux_term = g[m] * (traj.flux_at(m, t2) - traj.flux_at(m, t1))
+    flux_term = g[m] * (float(z2[flux]) - float(z1[flux]))
     return (
-        tail_sum(t2)
-        - tail_sum(t1)
+        float(g[m:] @ z2[1 + m:dim])
+        - float(g[m:] @ z1[1 + m:dim])
         + float(tail_loss @ m_int[m:])
         - flux_term
         - float(transfer_gain @ xm_int[m:n])
@@ -200,11 +202,11 @@ def _relative_margins(lhs: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     return np.where(np.isinf(bounds) & np.isfinite(lhs), 1.0, rel)
 
 
-def _envelope_data(traj: Trajectory, w: MomentWeights):
-    """Per-sample left-hand side and envelope constants for weights ``w``.
+def _envelope(traj: Trajectory, w: MomentWeights):
+    """Weights, growth constant ``C``, exponent ``c2`` and constant ``c1`` of the envelope for ``w``.
 
-    The left-hand side is ``sum_{i>=1} g_i M_i(t) + int_{t0}^t sum_{i>=1}
-    g_i (p_i + q_i) M_i``; by the weighted balance and Gronwall's lemma it is
+    The left-hand side ``sum_{i>=1} g_i M_i(t) + int_{t0}^t sum_{i>=1}
+    g_i (p_i + q_i) M_i`` is, by the weighted balance and Gronwall's lemma,
     dominated by ``c1 * exp(c2 (t - t0))`` with ``c2 = ||y0||_1 + (r+alpha) T``
     once ``c1`` absorbs the boundary-flux bound and the growth constant of
     the weights.
@@ -224,17 +226,10 @@ def _envelope_data(traj: Trajectory, w: MomentWeights):
     params = traj.sys.params
     T = traj.duration
     c2 = norm_mu(traj.initial_state, 1.0) + (params.r + params.alpha) * T
-
-    loss_coef = np.zeros(rates.n + 1)
-    loss_coef[1:] = g[1:] * traj.sys.loss[1:]
-    m_steps, _ = traj.step_integrals
-    lhs = traj.phase[:, 2:] @ g[1:] + np.concatenate(([0.0], np.cumsum(m_steps @ loss_coef)))
-
+    lhs0 = float((traj.phase[:, 2:] @ g[1:])[0])  # the product gronwall_check forms, for the same bits
     with np.errstate(over="ignore"):
-        c1_init = float(lhs[0]) + rates.k[0] * g[1] * c2 * c2 * T
-        c1_used = c1_init * math.exp(min(max(C - 1.0, 0.0) * c2 * T, 700.0))
-        bounds = c1_used * np.exp(c2 * (traj.t - traj.t_start))
-    return g, C, c2, lhs, c1_init, c1_used, bounds
+        c1 = (lhs0 + rates.k[0] * g[1] * c2 * c2 * T) * math.exp(min(max(C - 1.0, 0.0) * c2 * T, 700.0))
+    return g, C, c2, c1
 
 
 def gronwall_check(traj: Trajectory, w: MomentWeights) -> GronwallReport:
@@ -245,8 +240,12 @@ def gronwall_check(traj: Trajectory, w: MomentWeights) -> GronwallReport:
     worst relative slack ``(bound - lhs) / bound`` over the samples.
     """
     rates = traj.sys.rates
-    g, C, c2, lhs, _, c1_used, bounds = _envelope_data(traj, w)
+    g, C, c2, c1_used = _envelope(traj, w)
     T = traj.duration
+    loss_coef = np.zeros(rates.n + 1)
+    loss_coef[1:] = g[1:] * traj.sys.loss[1:]
+    m_steps, _ = traj.step_integrals
+    lhs = traj.phase[:, 2:] @ g[1:] + np.concatenate(([0.0], np.cumsum(m_steps @ loss_coef)))
 
     if rates.k[0] * g[1] == 0.0:
         boundary = 0.0
@@ -256,6 +255,7 @@ def gronwall_check(traj: Trajectory, w: MomentWeights) -> GronwallReport:
         boundary = rates.k[0] * g[1] * (c2 / C) ** 2 * T
     c1_apriori = boundary + float(lhs[0])
     with np.errstate(over="ignore"):
+        bounds = c1_used * np.exp(c2 * (traj.t - traj.t_start))
         c1_fitted = float(np.max(lhs * np.exp(-c2 * (traj.t - traj.t_start))))
 
     ok = bool(np.all(lhs <= bounds))
@@ -269,3 +269,30 @@ def gronwall_check(traj: Trajectory, w: MomentWeights) -> GronwallReport:
         c2=c2,
         growth_constant=C,
     )
+
+
+@dataclass(frozen=True)
+class InvarianceReport:
+    ok: bool
+    max_norm: float
+    margin: float
+
+
+def invariance_check(traj: Trajectory, gamma: float) -> InvarianceReport:
+    """Check that the ``(1 + gamma)``-weighted norm stays inside its envelope.
+
+    Uses the exponential envelope for weights ``(i+1)^{1+gamma}`` and absorbs
+    the free-quartz and empty-cohort terms into the constant (both are
+    dominated by the total-matter norm bound), so the whole weighted norm is
+    covered.  ``gamma = 0`` reduces to the linear-growth norm bound.
+    """
+    if not 0.0 <= gamma <= 1.0:
+        raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
+    rates = traj.sys.rates
+    g, _, c2, c1 = _envelope(traj, MomentWeights.power(rates.n, 1.0 + gamma, rates))
+    norms = traj.phase[:, 0] + traj.phase[:, 1:] @ g
+    with np.errstate(over="ignore"):
+        bounds = 2.0 * c2 + c1 * np.exp(c2 * (traj.t - traj.t_start))
+    ok = bool(np.all(norms <= bounds))
+    margin = float(np.min(_relative_margins(norms, bounds)))
+    return InvarianceReport(ok=ok, max_norm=float(np.max(norms)), margin=margin)

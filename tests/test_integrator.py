@@ -76,6 +76,15 @@ def test_dense_eval_at_sample_time_is_exact():
     s = dense_eval(traj, float(traj.t[mid]))
     assert s.x == traj.phase[mid, 0]
     assert np.array_equal(s.M, traj.phase[mid, 1:])
+    # Trajectory.at, for both methods: the stored sample at every sample time, the dense output at any other
+    for method in ("rk45", "bdf"):
+        cfg = IntegratorConfig(method=method)
+        coupled = integrate(power_law_system(8, gamma=0.5), decaying_state(8), 2.0, cfg, flux_orders=(1,))
+        for i, t in enumerate(coupled.t):
+            row = np.concatenate((coupled.phase[i], coupled.accumulators[i]))
+            assert coupled.at(float(t)).tobytes() == row.tobytes()
+        for t in 0.5 * (coupled.t[1:] + coupled.t[:-1]):
+            assert coupled.at(float(t)).tobytes() == coupled.dense_vector(float(t)).tobytes()
 
 
 def test_dense_eval_constant_solution():
@@ -99,6 +108,16 @@ def test_dense_eval_out_of_range():
         dense_eval(traj, -0.1)
     with pytest.raises(OutOfRange):
         dense_eval(traj, 1.1)
+
+
+@pytest.mark.parametrize("field", ["r", "x0", "p"])
+def test_integrate_ends_in_one_error_on_overflow(field):
+    # a value that leaves double precision raises at once, with no numpy warning and no StepSizeUnderflow
+    n = 4
+    sys_ = power_law_system(n, gamma=0.5, r=1e308 if field == "r" else 0.4, p_amp=1e308 if field == "p" else 0.7)
+    y0 = decaying_state(n, x0=1e308 if field == "x0" else 1.0)
+    with pytest.raises(FloatingPointError):
+        integrate(sys_, y0, 5.0)
 
 
 def test_cone_preservation_random_states(rng):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -168,6 +169,36 @@ def test_path_integrals_evaluate_the_dense_output_once(monkeypatch):
     gronwall_check(traj, MomentWeights.power(n, 1.0 + gamma, sys_.rates))
     invariance_check(traj, gamma)
     assert sum(points) <= 12
+
+
+def test_each_balance_reads_the_dense_output_once():
+    # one read of the run per time: the sample itself at a sample time, one dense evaluation anywhere else
+    sys_ = power_law_system(12, gamma=0.5)
+    traj = integrate(sys_, decaying_state(12), 3.0, flux_orders=(1,))
+    calls = []
+
+    def counted(ts):
+        calls.append(np.size(ts))
+        return traj._sol(ts)
+
+    spy = dataclasses.replace(traj, _sol=counted)
+    balances = (mass_balance_residual, quartz_balance_residual, macrophage_balance_residual)
+    for t in (float(traj.t[3]), traj.t_end):
+        for fn in balances:
+            assert fn(spy, t) == fn(traj, t)
+    assert calls == []
+    between = [0.5 * float(traj.t[3] + traj.t[4]), 1.234]
+    for t in between:
+        for fn in balances:
+            assert fn(spy, t) == fn(traj, t)
+    assert calls == [1] * (len(balances) * len(between))
+
+
+def test_invariance_check_leaves_the_step_integrals_unbuilt():
+    sys_ = power_law_system(12, gamma=0.5)
+    traj = integrate(sys_, decaying_state(12), 3.0)
+    assert invariance_check(traj, 0.5).ok
+    assert "step_integrals" not in traj.__dict__
 
 
 def test_gronwall_zero_cohorts():
