@@ -159,16 +159,17 @@ def semigroup_residual(
     Compares integrating straight to ``t + s`` against integrating to ``s``
     and restarting for ``t``, in the ``(1 + gamma)``-weighted norm attached
     to the ingestion family.  Degenerate legs (``t = 0`` or ``s = 0``) skip
-    the zero-length integration, so those residuals are exactly zero.
+    the zero-length integration, and so do legs whose end time rounds to
+    their start time; those residuals are exactly zero.
     """
     if t < 0.0 or s < 0.0:
         raise ValueError("t and s must be >= 0")
     mu = 1.0 + sys.rates.gamma
-    if t + s == 0.0:
+    if y0.t + t + s == y0.t:
         return 0.0
     direct = integrate(sys, y0, y0.t + t + s, cfg).final_state
-    mid = integrate(sys, y0, y0.t + s, cfg).final_state if s > 0.0 else y0
-    two_leg = integrate(sys, mid, mid.t + t, cfg).final_state if t > 0.0 else mid
+    mid = integrate(sys, y0, y0.t + s, cfg).final_state if y0.t + s > y0.t else y0
+    two_leg = integrate(sys, mid, mid.t + t, cfg).final_state if mid.t + t > mid.t else mid
     return weighted_norm(direct.x - two_leg.x, direct.M - two_leg.M, mu)
 
 

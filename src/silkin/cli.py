@@ -356,10 +356,10 @@ def _write_trajectory(config: RunConfig, traj: Trajectory, out: Path) -> dict:
     header = ["t", "x", "M_total", "X_total", "U_total", "Q", "P"] + [f"M_{i}" for i in range(cohorts)]
 
     def rows():
-        for i in range(traj.num_samples):
-            s = traj.state(i)
-            snap = compute_moments(s, rates)
-            yield [s.t, s.x, snap.m_total, snap.x_total, snap.u_total, snap.Q, snap.P] + s.M[:cohorts].tolist()
+        for t, row in zip(traj.t.tolist(), traj.phase):
+            x, M = row[0], row[1:]
+            snap = compute_moments(x, M, rates)
+            yield [t, float(x), snap.m_total, snap.x_total, snap.u_total, snap.Q, snap.P] + M[:cohorts].tolist()
 
     _write_csv(out / "trajectory.csv", header, rows())
     artifacts = {"trajectory_csv": "trajectory.csv"}
@@ -443,8 +443,8 @@ def _cmd_verify(config: RunConfig, out: Path):
         _check("invariance_envelope", "invariance_check", inv.margin, 0.0, inv.ok and inv.margin >= 0.0, comparison=">=")
     )
 
-    h = 1e-4
     span = traj.duration
+    h = min(1e-4, 0.05 * span)  # every t +- h of the grid stays inside the run
     grid = traj.t_start + span * np.linspace(0.1, 0.9, 9)
     defect = differential_form_check(traj, grid, h=h)
     checks.append(_bound_check("differential_form", "differential_form_check", defect, config.verify_differential_tol))
@@ -535,15 +535,15 @@ _DISPATCH = {
 
 def _jsonable(value):
     if isinstance(value, (np.floating, np.integer)):
-        return value.item()
+        value = value.item()
+    if isinstance(value, float) and not math.isfinite(value):
+        return repr(value)
     if isinstance(value, np.ndarray):
         return [_jsonable(v) for v in value]
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
-    if isinstance(value, float) and not math.isfinite(value):
-        return repr(value)
     return value
 
 

@@ -12,6 +12,10 @@ a computed trajectory yields a residual that vanishes to stepper precision.
 A persistent residual therefore flags a defect in the vector field, the
 accumulators or the integrator, never "model error".
 
+Everything here reads phase rows ``(x, M_0 .. M_n)`` from :meth:`Trajectory.at`
+and :attr:`Trajectory.phase` and builds no ``State``; the envelope forms its
+sample sums ``sum_{i>=1} g_i M_i`` once, for both checks that use it.
+
 Time integrals of g-weighted cohort sums are dot products of the weights
 with the trajectory's cached integrals: ``int M_i`` and ``int x M_i`` are
 computed once per accepted step (:attr:`Trajectory.step_integrals`), and a
@@ -28,7 +32,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .integrator import Trajectory
-from .model import MomentWeights, RateTable, State, norm_mu, validate_weights
+from .model import MomentWeights, RateTable, validate_weights, weighted_norm
 from .truncation import ACC_QUARTZ_REMOVED, ACC_TOTAL_LOSS
 
 __all__ = [
@@ -52,9 +56,8 @@ class InvalidWeights(ValueError):
 
 @dataclass(frozen=True)
 class MomentSnapshot:
-    """Moments of one state: totals plus the weighted release/removal sums."""
+    """Moments of one phase row: totals plus the weighted release/removal sums."""
 
-    t: float
     m_total: float
     x_total: float
     u_total: float
@@ -62,20 +65,19 @@ class MomentSnapshot:
     P: float
 
 
-def compute_moments(s: State, rates: RateTable) -> MomentSnapshot:
-    """Finite moment sums of a state against a rate table."""
-    if s.n != rates.n:
-        raise ValueError(f"state carries cohorts 0..{s.n} but rates expect 0..{rates.n}")
+def compute_moments(x: float, M: np.ndarray, rates: RateTable) -> MomentSnapshot:
+    """Finite moment sums of the phase row ``(x, M_0 .. M_n)`` against a rate table."""
+    if len(M) != rates.n + 1:
+        raise ValueError(f"row carries cohorts 0..{len(M) - 1} but rates expect 0..{rates.n}")
     i = np.arange(rates.n + 1, dtype=float)
-    m_total = float(np.sum(s.M))
-    x_total = s.x + float(i @ s.M)
+    m_total = float(np.sum(M))
+    x_total = float(x) + float(i @ M)
     return MomentSnapshot(
-        t=s.t,
         m_total=m_total,
         x_total=x_total,
         u_total=x_total + m_total,
-        Q=float((i * rates.q) @ s.M),
-        P=float((i * rates.p) @ s.M),
+        Q=float((i * rates.q) @ M),
+        P=float((i * rates.p) @ M),
     )
 
 
@@ -92,9 +94,9 @@ def _balance_residual(traj: Trajectory, t: float, balance: str) -> float:
     moment, supply_rate, slots = _BALANCES[balance]
     rates = traj.sys.rates
     dim = traj.sys.dimension
-    z = traj.at(t)
-    now = getattr(compute_moments(State(t=float(t), x=float(z[0]), M=z[1:dim]), rates), moment)
-    start = getattr(compute_moments(traj.initial_state, rates), moment)
+    z, z0 = traj.at(t), traj.phase[0]
+    now = getattr(compute_moments(z[0], z[1:dim], rates), moment)
+    start = getattr(compute_moments(z0[0], z0[1:], rates), moment)
     residual = now - start - supply_rate(traj.sys.params) * (t - traj.t_start)
     for slot in slots:
         residual += float(z[dim + slot])
@@ -203,7 +205,7 @@ def _relative_margins(lhs: np.ndarray, bounds: np.ndarray) -> np.ndarray:
 
 
 def _envelope(traj: Trajectory, w: MomentWeights):
-    """Weights, growth constant ``C``, exponent ``c2`` and constant ``c1`` of the envelope for ``w``.
+    """Weights, growth constant ``C``, exponent ``c2``, constant ``c1`` and sample sums ``sum_{i>=1} g_i M_i``.
 
     The left-hand side ``sum_{i>=1} g_i M_i(t) + int_{t0}^t sum_{i>=1}
     g_i (p_i + q_i) M_i`` is, by the weighted balance and Gronwall's lemma,
@@ -225,11 +227,11 @@ def _envelope(traj: Trajectory, w: MomentWeights):
     C = chk.C_min
     params = traj.sys.params
     T = traj.duration
-    c2 = norm_mu(traj.initial_state, 1.0) + (params.r + params.alpha) * T
-    lhs0 = float((traj.phase[:, 2:] @ g[1:])[0])  # the product gronwall_check forms, for the same bits
+    c2 = weighted_norm(traj.phase[0, 0], traj.phase[0, 1:]) + (params.r + params.alpha) * T
+    weighted = traj.phase[:, 2:] @ g[1:]
     with np.errstate(over="ignore"):
-        c1 = (lhs0 + rates.k[0] * g[1] * c2 * c2 * T) * math.exp(min(max(C - 1.0, 0.0) * c2 * T, 700.0))
-    return g, C, c2, c1
+        c1 = (float(weighted[0]) + rates.k[0] * g[1] * c2 * c2 * T) * math.exp(min(max(C - 1.0, 0.0) * c2 * T, 700.0))
+    return g, C, c2, c1, weighted
 
 
 def gronwall_check(traj: Trajectory, w: MomentWeights) -> GronwallReport:
@@ -240,21 +242,21 @@ def gronwall_check(traj: Trajectory, w: MomentWeights) -> GronwallReport:
     worst relative slack ``(bound - lhs) / bound`` over the samples.
     """
     rates = traj.sys.rates
-    g, C, c2, c1_used = _envelope(traj, w)
+    g, C, c2, c1_used, weighted = _envelope(traj, w)
     T = traj.duration
     loss_coef = np.zeros(rates.n + 1)
     loss_coef[1:] = g[1:] * traj.sys.loss[1:]
     m_steps, _ = traj.step_integrals
-    lhs = traj.phase[:, 2:] @ g[1:] + np.concatenate(([0.0], np.cumsum(m_steps @ loss_coef)))
+    lhs = weighted + np.concatenate(([0.0], np.cumsum(m_steps @ loss_coef)))
 
-    if rates.k[0] * g[1] == 0.0:
-        boundary = 0.0
-    elif C == 0.0:
-        boundary = math.inf
-    else:
-        boundary = rates.k[0] * g[1] * (c2 / C) ** 2 * T
-    c1_apriori = boundary + float(lhs[0])
     with np.errstate(over="ignore"):
+        if rates.k[0] * g[1] == 0.0:
+            boundary = 0.0
+        elif C == 0.0:
+            boundary = math.inf
+        else:
+            boundary = rates.k[0] * g[1] * np.float64(c2 / C) ** 2 * T
+        c1_apriori = boundary + float(lhs[0])
         bounds = c1_used * np.exp(c2 * (traj.t - traj.t_start))
         c1_fitted = float(np.max(lhs * np.exp(-c2 * (traj.t - traj.t_start))))
 
@@ -289,7 +291,7 @@ def invariance_check(traj: Trajectory, gamma: float) -> InvarianceReport:
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
     rates = traj.sys.rates
-    g, _, c2, c1 = _envelope(traj, MomentWeights.power(rates.n, 1.0 + gamma, rates))
+    g, _, c2, c1, _ = _envelope(traj, MomentWeights.power(rates.n, 1.0 + gamma, rates))
     norms = traj.phase[:, 0] + traj.phase[:, 1:] @ g
     with np.errstate(over="ignore"):
         bounds = 2.0 * c2 + c1 * np.exp(c2 * (traj.t - traj.t_start))

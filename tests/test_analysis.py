@@ -143,6 +143,15 @@ def test_semigroup_degenerate_legs_exact():
     assert semigroup_residual(sys_, y0, 0.0, 0.0) == 0.0
 
 
+def test_semigroup_legs_that_round_to_zero_length_are_skipped():
+    sys_ = power_law_system(6, gamma=0.5)
+    y0 = decaying_state(6)
+    assert semigroup_residual(sys_, y0, 1e-17, 0.5) == 0.0  # 0.5 + 1e-17 == 0.5
+    late = State(t=1.0, x=y0.x, M=y0.M)
+    assert semigroup_residual(sys_, late, 0.5, 1e-17) == 0.0  # 1.0 + 1e-17 == 1.0
+    assert semigroup_residual(sys_, late, 1e-17, 1e-17) == 0.0
+
+
 def test_semigroup_decay_restart():
     sys_ = TruncatedSystem(ModelParams(0.0, 0.0), constant_rates(4, p=1.0))
     y0 = State(t=0.0, x=0.0, M=[1.0, 0.0, 0.0, 0.0, 0.0])

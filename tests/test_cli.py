@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import yaml
 
-from silkin import CoefficientFamily, InitialData, IntegratorConfig, cli, integrator
+from silkin import CoefficientFamily, InitialData, IntegratorConfig, State, cli, integrator
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -122,6 +122,45 @@ def test_verify_coupled_model_all_checks_named(tmp_path):
     assert "gronwall" in summary["metadata"]
 
 
+@pytest.mark.parametrize("t_end", [1e-4, 1e-9])
+def test_verify_on_a_very_short_run_writes_every_check(tmp_path, capsys, t_end):
+    # the differential-form step shrinks with the span, so every t +- h lies inside the run
+    cfg = write_config(tmp_path / "short.yaml", coupled_doc(n=8, t_end=t_end))
+    out = tmp_path / "out"
+    assert cli.main(["verify", "--config", cfg, "--out", str(out)]) in (cli.EXIT_OK, cli.EXIT_CHECK_FAILED)
+    assert "Traceback" not in "".join(capsys.readouterr())
+    assert len(read_summary(out)["checks"]) == 12
+
+
+def test_verify_with_a_tiny_growth_constant_reports_an_infinite_apriori_constant(tmp_path):
+    doc = coupled_doc(n=8, t_end=1.0)
+    doc["rates"]["k"]["amplitude"] = 1e-300
+    cfg = write_config(tmp_path / "tiny_k.yaml", doc)
+    out = tmp_path / "out"
+    assert cli.main(["verify", "--config", cfg, "--out", str(out)]) in (cli.EXIT_OK, cli.EXIT_CHECK_FAILED)
+    assert read_summary(out)["metadata"]["gronwall"]["c1_apriori"] == "inf"
+
+
+def test_verify_builds_only_the_initial_state(tmp_path, monkeypatch):
+    # the battery reads phase rows; the initial data is the one State of the run
+    built = []
+    post_init = State.__post_init__
+
+    def counting(self):
+        built.append(self.t)
+        post_init(self)
+
+    monkeypatch.setattr(State, "__post_init__", counting)
+    config = str(ROOT / "configs" / "verify_power_law.yaml")
+    assert cli.main(["verify", "--config", config, "--out", str(tmp_path / "out")]) == cli.EXIT_OK
+    assert built == [0.0]
+
+
+def test_jsonable_writes_numpy_and_python_non_finite_values_alike():
+    values = {"np_inf": np.float64("inf"), "inf": math.inf, "np_ninf": np.float64("-inf"), "np_nan": np.float64("nan")}
+    assert cli._jsonable(values) == {"np_inf": "inf", "inf": "inf", "np_ninf": "-inf", "np_nan": "nan"}
+
+
 def test_converge_command(tmp_path):
     doc = {
         "model": {"r": 0.0, "alpha": 0.0},
@@ -176,6 +215,16 @@ def test_semigroup_command(tmp_path):
     by_pair = {(p["t"], p["s"]): p["residual"] for p in summary["metadata"]["pairs"]}
     assert by_pair[(0.0, 1.0)] == 0.0
     assert by_pair[(1.0, 0.0)] == 0.0
+
+
+def test_semigroup_pair_with_a_leg_that_rounds_away(tmp_path):
+    # 1e-17 + 0.5 == 0.5: the restart leg has no length and the residual is exactly zero
+    doc = coupled_doc(n=8, t_end=1.0)
+    doc["semigroup"] = {"pairs": [[1e-17, 0.5]]}
+    cfg = write_config(tmp_path / "semi.yaml", doc)
+    out = tmp_path / "out"
+    assert cli.main(["semigroup", "--config", cfg, "--out", str(out)]) == 0
+    assert read_summary(out)["metadata"]["pairs"] == [{"t": 1e-17, "s": 0.5, "residual": 0.0}]
 
 
 def test_config_error_missing_field(tmp_path, capsys):

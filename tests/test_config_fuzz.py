@@ -6,6 +6,10 @@ Run in-process on small-n copies with a small step budget, ``cli.main``
 ends every hostile config with exit 0, 1, 2 or 3 within a time bound,
 prints no traceback, and names an exit-2 or exit-3 failure in one stderr
 line.
+
+A deterministic sweep sets each numeric field of the same small copies to
+``TINY``, one at a time: no hostile value is a tiny positive number, and such
+values reach zero-length steps, spans and growth constants.
 """
 import copy
 import time
@@ -20,6 +24,7 @@ from silkin import cli, integrator
 
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.yaml"))
 HOSTILE = (None, "a string", -1, 0, 1e308, [], {}, True, [1, "a", None], float("nan"))
+TINY = 1e-300
 # The subcommand each shipped config is written for (README, "Command line").
 COMMAND = {
     "decay_oracle": "simulate",
@@ -132,3 +137,29 @@ def test_main_ends_every_hostile_config_with_an_exit_code(config, tmp_path_facto
     assert cli.main(argv) in (cli.EXIT_OK, cli.EXIT_CHECK_FAILED)
     capsys.readouterr()
     check()
+
+
+def _numeric_paths(doc):
+    """Paths of the int and float leaves of ``doc``."""
+    for path in _paths(doc):
+        node = doc
+        for key in path:
+            node = node[key]
+        if isinstance(node, (int, float)) and not isinstance(node, bool):
+            yield path
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda p: p.stem)
+def test_main_ends_every_tiny_value_with_an_exit_code(config, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(integrator, "MAX_STEPS", FUZZ_STEPS)
+    doc = _small(yaml.safe_load(config.read_text(encoding="utf-8")))
+    target = tmp_path / "tiny.yaml"
+    argv = [COMMAND[config.stem], "--config", str(target), "--out", str(tmp_path / "out")]
+    for path in _numeric_paths(doc):
+        target.write_text(yaml.safe_dump(_replaced(doc, path, TINY)), encoding="utf-8")
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+        assert "Traceback" not in out + err, path
+        assert code in (cli.EXIT_OK, cli.EXIT_CHECK_FAILED, cli.EXIT_CONFIG, cli.EXIT_NUMERICAL), path
+        if code in (cli.EXIT_CONFIG, cli.EXIT_NUMERICAL):
+            assert len(err.splitlines()) == 1, (path, err)

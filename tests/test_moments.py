@@ -30,7 +30,7 @@ from oracles import precise_moments
 
 def test_compute_moments_hand_sums():
     rates = constant_rates(2, p=0.5, q=0.25)
-    snap = compute_moments(State(t=0, x=1.0, M=[1.0, 1.0, 0.0]), rates)
+    snap = compute_moments(1.0, np.array([1.0, 1.0, 0.0]), rates)
     assert snap.m_total == 2.0
     assert snap.x_total == 2.0
     assert snap.u_total == 4.0
@@ -40,7 +40,7 @@ def test_compute_moments_hand_sums():
 
 def test_compute_moments_zero_state():
     rates = constant_rates(3, p=1.0, q=1.0)
-    snap = compute_moments(State(t=0, x=0.0, M=np.zeros(4)), rates)
+    snap = compute_moments(0.0, np.zeros(4), rates)
     assert (snap.m_total, snap.x_total, snap.u_total, snap.Q, snap.P) == (0, 0, 0, 0, 0)
 
 
@@ -50,7 +50,7 @@ def test_compute_moments_extended_precision(rng):
     for _ in range(10):
         M = rng.uniform(0.0, 2.0, n + 1) * 0.8 ** np.arange(n + 1)
         x = rng.uniform(0.0, 3.0)
-        snap = compute_moments(State(t=0, x=x, M=M), rates)
+        snap = compute_moments(x, M, rates)
         ref = precise_moments(x, M, rates.p, rates.q)
         for got, want in zip((snap.m_total, snap.x_total, snap.u_total, snap.Q, snap.P), ref):
             assert got == pytest.approx(want, rel=5e-15, abs=5e-15)
@@ -58,7 +58,7 @@ def test_compute_moments_extended_precision(rng):
 
 def test_compute_moments_dimension_mismatch():
     with pytest.raises(ValueError):
-        compute_moments(State(t=0, x=0.0, M=np.zeros(3)), constant_rates(4))
+        compute_moments(0.0, np.zeros(3), constant_rates(4))
 
 
 def test_mass_balance_zero_rates_exact():
@@ -242,7 +242,8 @@ def _weighted_series(traj, t_grid, which):
     rates = traj.sys.rates
     from silkin import dense_eval
 
-    return np.array([getattr(compute_moments(dense_eval(traj, float(t)), rates), which) for t in t_grid])
+    states = [dense_eval(traj, float(t)) for t in t_grid]
+    return np.array([getattr(compute_moments(s.x, s.M, rates), which) for s in states])
 
 
 def test_release_and_removal_moments_continuous():
@@ -268,8 +269,9 @@ def test_total_moment_rates_match_finite_differences():
     h = 1e-5
     for t in np.linspace(0.3, 2.7, 7):
         sm = dense_eval(traj, float(t))
-        plus = compute_moments(dense_eval(traj, float(t + h)), rates)
-        minus = compute_moments(dense_eval(traj, float(t - h)), rates)
+        up, down = dense_eval(traj, float(t + h)), dense_eval(traj, float(t - h))
+        plus = compute_moments(up.x, up.M, rates)
+        minus = compute_moments(down.x, down.M, rates)
         dm = (plus.m_total - minus.m_total) / (2.0 * h)
         dxm = (plus.x_total - minus.x_total) / (2.0 * h)
         assert dm == pytest.approx(sys_.params.r - float(sys_.loss @ sm.M), abs=1e-5)
