@@ -3,6 +3,9 @@
 
 Each config in ``configs/`` runs under its own subcommand, in-process, into
 a temporary directory; every CSV and ``summary.json`` it writes is hashed.
+A run whose summary records integrator statistics also gets a line
+``steps=.. nfev=.. njev=.. nlu=..  <config>/integrator``, so a diff shows a
+changed step sequence, not only changed hashes.
 ``verify_power_law`` runs a second time with ``integrator.method: bdf``
 (lines ``verify_power_law_bdf/...``), so the stiff path is covered too.
 Run it from two checkouts and ``diff`` the outputs to show that a change
@@ -15,6 +18,7 @@ The package is imported from this checkout's ``src/``.
 import contextlib
 import hashlib
 import io
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -47,6 +51,9 @@ def digest(name: str, command: str, config: Path) -> int:
         for path in sorted(Path(tmp).iterdir()):
             if path.suffix == ".csv" or path.name == "summary.json":
                 print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {name}/{path.name}")
+        stats = json.loads((Path(tmp) / "summary.json").read_text(encoding="utf-8"))["metadata"].get("integrator")
+        if stats:
+            print(" ".join(f"{key}={stats[key]}" for key in ("steps", "nfev", "njev", "nlu")) + f"  {name}/integrator")
     return 0
 
 

@@ -20,8 +20,8 @@ Configs are read by one declarative schema, ``_SCHEMA``: each YAML key has
 one :class:`Row` naming its reader, whether it is required, and whether
 ``null`` stands for an absent key.  Unknown keys, non-finite numbers and
 negative tolerances raise :class:`ConfigError` with the field path, and so
-does a coefficient family whose table is not finite at the run's own
-truncation order (the largest rung for ``converge``).  An
+does a coefficient family whose table is not finite, or cannot be allocated,
+at the run's own truncation order (the largest rung for ``converge``).  An
 absent key takes the default of the dataclass that receives the value
 (:class:`RunConfig`, ``IntegratorConfig``, ``CoefficientFamily``,
 ``InitialData``); the loader states none.  ``simulate`` and ``verify`` share
@@ -305,19 +305,23 @@ def load_config(path: str) -> RunConfig:
     for fields in _fields(doc, "", _SCHEMA).values():
         values.update(fields)
     config = RunConfig(**values, raw=doc)
-    _check_rates(config.families, config.n or config.n_ladder[-1])
+    _check_rates(config)
     return config
 
 
-def _check_rates(families: Sequence[CoefficientFamily], n: int) -> None:
-    """Realize the families at the run's largest order ``n``: each table must be finite, each role hold."""
-    for name, family in zip("kpq", families):
-        with np.errstate(over="ignore", invalid="ignore"):
-            finite = bool(np.all(np.isfinite(family.realize(n))))
+def _check_rates(config: RunConfig) -> None:
+    """Realize the families at the run's largest order: each table must fit in memory and be finite, each role hold."""
+    n, order = (config.n, "run.n") if config.n else (config.n_ladder[-1], "run.n_ladder")
+    for name, family in zip("kpq", config.families):
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                finite = bool(np.all(np.isfinite(family.realize(n))))
+        except (MemoryError, ValueError) as exc:  # numpy's answers to an array it cannot allocate
+            raise ConfigError(order, f"truncation order {n} is too large: {exc}") from exc
         if not finite:
             raise ConfigError(f"rates.{name}", f"not finite at truncation order n = {n}")
     try:
-        realize_coefficients(*families, n)
+        realize_coefficients(*config.families, n)
     except ValueError as exc:
         raise ConfigError("rates", str(exc)) from exc
 
@@ -425,16 +429,14 @@ def _cmd_verify(config: RunConfig, out: Path):
     rates = traj.sys.rates
     tol = config.verify_residual_tol
 
-    weight_sets = [
-        ("flat", MomentWeights.ones(rates.n)),
-        ("linear", MomentWeights.linear(rates.n, rates)),
-        ("power", MomentWeights.power(rates.n, 1.0 + rates.gamma, rates)),
-    ]
+    power = MomentWeights.power(rates.n, 1.0 + rates.gamma, rates)
+    # the identities read only g; the Gronwall envelope also reads the power weights' C
+    weight_sets = [("flat", MomentWeights.ones(rates.n)), ("linear", MomentWeights.linear(rates.n)), ("power", power)]
     for label, w in weight_sets:
         value = abs(moment_identity_residual(traj, w, 1, traj.t_start, traj.t_end))
         checks.append(_bound_check(f"moment_identity_{label}", "moment_identity_residual", value, tol))
 
-    gron = gronwall_check(traj, MomentWeights.power(rates.n, 1.0 + rates.gamma, rates))
+    gron = gronwall_check(traj, power)
     checks.append(
         _check("gronwall_envelope", "gronwall_check", gron.margin, 0.0, gron.ok and gron.margin >= 0.0, comparison=">=")
     )
@@ -607,7 +609,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (IntegrationError, NoBracket, DegenerateDenominator, FloatingPointError) as exc:
+    except (IntegrationError, NoBracket, DegenerateDenominator, FloatingPointError, MemoryError) as exc:
         print(f"numerical abort: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -1,7 +1,7 @@
 """Adaptive integration of the truncated system with co-integrated balance accumulators.
 
 The integration state is that of :func:`silkin.truncation.augmented_field`:
-the phase, then the balance integrals A1..A4 and the requested flux
+the phase, then the balance integrals A1 and A2 and the requested flux
 integrals F_m.  The same stepper and error control apply to all of them, so
 residual checks probe the model, not a quadrature scheme.
 
@@ -34,8 +34,10 @@ sample row without a copy; a BDF state is copied.
 scipy is imported on its first use.  Its
 Newton matrix ``I - c J`` is factored by :func:`newton_lu` with diagonal
 pivots, so the LU factors stay about as sparse as the matrix.  Partial
-pivoting would pick the large accumulator entries (``c i q_i`` and the
-like) as pivots and fill U.  Diagonal pivots are safe here: nothing depends
+pivoting would take the x row's release entry ``c n q_n`` and an A2 entry
+``c i p_i`` as pivots; each spreads a dense row into the cohort
+rows, hundreds of cohort columns then pivot on their subdiagonal, and U
+fills.  Diagonal pivots are safe here: nothing depends
 on the accumulators, so their diagonal block is the identity and their rows
 never update another row; each cohort's diagonal
 ``1 + c (k_i x + p_i + q_i)`` is at least 1 and larger than the
@@ -108,7 +110,7 @@ _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(6)
 _CHUNK_FLOATS = 2 ** 18  # one quadrature chunk's dense matrix stays near 2 MB
 
 MAX_STEPS = 20_000
-"""Accepted steps one integration may take: 12x the longest run of the tests or the benchmark (1 602 steps)."""
+"""Accepted steps one integration may take: 12x the longest run of the tests or the benchmark (1 601 steps)."""
 
 
 class IntegrationError(RuntimeError):

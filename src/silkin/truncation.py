@@ -17,13 +17,14 @@ extended with running integrals that the balance identities need:
 
     A1(t) = int_0^t sum_i (p_i + q_i) M_i        (total loss)
     A2(t) = int_0^t sum_i i p_i M_i              (quartz removed by the escalator)
-    A3(t) = int_0^t sum_i i q_i M_i              (quartz released by cell death)
-    A4(t) = int_0^t x sum_{i<=n-1} k_i M_i       (quartz ingested)
 
 plus one flux integral F_m(t) = int_0^t x k_{m-1} M_{m-1} per requested
-cohort boundary ``m``.  Its Jacobian has a fixed sparsity pattern: the border
-row and column of ``x``, the lower bidiagonal cohort block and the
-accumulator rows, O(n) stored entries.  :meth:`TruncatedSystem.rhs`,
+cohort boundary ``m``.  These are the integrals the balance and tail
+identities read, and no others: every co-integrated slot enters the
+stepper's error norm and the BDF Newton matrix.  The Jacobian has a fixed
+sparsity pattern: the border row and column of ``x``, the lower bidiagonal
+cohort block, the two accumulator rows over the cohorts and two entries per
+flux row, O(n) stored entries.  :meth:`TruncatedSystem.rhs`,
 :func:`eval_rhs` and :func:`eval_jacobian` return the phase part of that one
 field, and :func:`phase_jacobian_parts` gives the closed-form entries of its
 phase block.  scipy's sparse module is imported only when a Jacobian matrix
@@ -57,9 +58,7 @@ __all__ = [
 # Accumulator slots appended after the phase components.
 ACC_TOTAL_LOSS = 0        # A1
 ACC_QUARTZ_REMOVED = 1    # A2
-ACC_QUARTZ_RELEASED = 2   # A3
-ACC_QUARTZ_INGESTED = 3   # A4
-NUM_BASE_ACC = 4
+NUM_BASE_ACC = 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,7 +133,7 @@ def phase_jacobian_parts(sys: TruncatedSystem, x: float, M: np.ndarray) -> tuple
 
 
 def augmented_field(sys: TruncatedSystem, flux_orders: Sequence[int] = ()) -> Tuple[Callable, Callable]:
-    """``(rhs, jac)`` of the field on ``(x, M_0 .. M_n, A1 .. A4, F_m ..)``.
+    """``(rhs, jac)`` of the field on ``(x, M_0 .. M_n, A1, A2, F_m ..)``.
 
     Both take ``(t, z)`` as the steppers call them.  The coefficient
     arrays are bound and the Jacobian's CSC pattern is built here, once;
@@ -165,15 +164,11 @@ def augmented_field(sys: TruncatedSystem, flux_orders: Sequence[int] = ()) -> Tu
         tail = out[2:dim]
         np.subtract(flow[:-1], flow[1:], out=tail)
         tail -= loss_tail * M[1:]
-        total_flow = add(flow)
-        released = iq.dot(M)
-        out[0] = alpha - total_flow + released
+        out[0] = alpha - add(flow) + iq.dot(M)
         if len(z) == dim:  # phase state only, as TruncatedSystem.rhs passes it
             return out
         out[dim + ACC_TOTAL_LOSS] = loss.dot(M)
         out[dim + ACC_QUARTZ_REMOVED] = ip.dot(M)
-        out[dim + ACC_QUARTZ_RELEASED] = released
-        out[dim + ACC_QUARTZ_INGESTED] = total_flow
         if len(flux_idx):
             out[dim + NUM_BASE_ACC:] = flow[flux_idx]
         return out
@@ -188,7 +183,6 @@ def augmented_field(sys: TruncatedSystem, flux_orders: Sequence[int] = ()) -> Tu
         (cohorts, cohorts),                          # diagonal of the M block
         (cohorts[1:], cohorts[:-1]),                 # its subdiagonal
         *((np.full(dim - 1, dim + a), cohorts) for a in range(NUM_BASE_ACC)),  # dA/dM
-        ([dim + ACC_QUARTZ_INGESTED], [0]),          # dA4/dx
         (flux_rows, np.zeros(len(flux_orders))),     # dF_m/dx
         (flux_rows, flux_idx + 1),                   # dF_m/dM_{m-1}
     ]
@@ -211,9 +205,6 @@ def augmented_field(sys: TruncatedSystem, flux_orders: Sequence[int] = ()) -> Tu
             sub,
             loss,
             ip,
-            iq,
-            x * k,
-            [ingested],
             kM[flux_idx],
             x * k[flux_idx],
         ])

@@ -9,7 +9,9 @@ line.
 
 A deterministic sweep sets each numeric field of the same small copies to
 ``TINY``, one at a time: no hostile value is a tiny positive number, and such
-values reach zero-length steps, spans and growth constants.
+values reach zero-length steps, spans and growth constants.  A second sweep
+sets each integer field to ``HUGE``, a truncation order or sample count no
+machine can allocate arrays for.
 """
 import copy
 import time
@@ -25,6 +27,7 @@ from silkin import cli, integrator
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.yaml"))
 HOSTILE = (None, "a string", -1, 0, 1e308, [], {}, True, [1, "a", None], float("nan"))
 TINY = 1e-300
+HUGE = 10 ** 18  # 8 EB per float array: numpy refuses at once, nothing is allocated
 # The subcommand each shipped config is written for (README, "Command line").
 COMMAND = {
     "decay_oracle": "simulate",
@@ -139,27 +142,38 @@ def test_main_ends_every_hostile_config_with_an_exit_code(config, tmp_path_facto
     check()
 
 
-def _numeric_paths(doc):
-    """Paths of the int and float leaves of ``doc``."""
+def _numeric_paths(doc, types):
+    """Paths of the leaves of ``doc`` that are instances of ``types`` (never ``bool``)."""
     for path in _paths(doc):
         node = doc
         for key in path:
             node = node[key]
-        if isinstance(node, (int, float)) and not isinstance(node, bool):
+        if isinstance(node, types) and not isinstance(node, bool):
             yield path
 
 
-@pytest.mark.parametrize("config", CONFIGS, ids=lambda p: p.stem)
-def test_main_ends_every_tiny_value_with_an_exit_code(config, tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(integrator, "MAX_STEPS", FUZZ_STEPS)
+def _sweep(config, value, types, tmp_path, capsys):
+    """Set each leaf of type ``types`` of the small copy of ``config`` to ``value`` in turn and run ``cli.main``."""
     doc = _small(yaml.safe_load(config.read_text(encoding="utf-8")))
-    target = tmp_path / "tiny.yaml"
+    target = tmp_path / "extreme.yaml"
     argv = [COMMAND[config.stem], "--config", str(target), "--out", str(tmp_path / "out")]
-    for path in _numeric_paths(doc):
-        target.write_text(yaml.safe_dump(_replaced(doc, path, TINY)), encoding="utf-8")
+    for path in _numeric_paths(doc, types):
+        target.write_text(yaml.safe_dump(_replaced(doc, path, value)), encoding="utf-8")
         code = cli.main(argv)
         out, err = capsys.readouterr()
         assert "Traceback" not in out + err, path
         assert code in (cli.EXIT_OK, cli.EXIT_CHECK_FAILED, cli.EXIT_CONFIG, cli.EXIT_NUMERICAL), path
         if code in (cli.EXIT_CONFIG, cli.EXIT_NUMERICAL):
             assert len(err.splitlines()) == 1, (path, err)
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda p: p.stem)
+def test_main_ends_every_tiny_value_with_an_exit_code(config, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(integrator, "MAX_STEPS", FUZZ_STEPS)
+    _sweep(config, TINY, (int, float), tmp_path, capsys)
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda p: p.stem)
+def test_main_ends_every_huge_integer_with_an_exit_code(config, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(integrator, "MAX_STEPS", FUZZ_STEPS)
+    _sweep(config, HUGE, int, tmp_path, capsys)

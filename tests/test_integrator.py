@@ -22,7 +22,7 @@ from silkin import (
 )
 from silkin import integrator
 from silkin.integrator import newton_lu
-from silkin.truncation import augmented_field
+from silkin.truncation import NUM_BASE_ACC, augmented_field
 
 from conftest import constant_rates, decaying_state, power_law_system
 from oracles import decoupled_solution
@@ -264,7 +264,7 @@ def test_augmented_jacobian_matches_finite_differences(rng):
         fun, jac = augmented_field(sys_, flux)
         dim = sys_.dimension
         for _ in range(20):
-            z = np.concatenate([rng.uniform(0.0, 2.0, dim), rng.uniform(0.0, 1.0, 6)])
+            z = np.concatenate([rng.uniform(0.0, 2.0, dim), rng.uniform(0.0, 1.0, NUM_BASE_ACC + len(flux))])
             J = jac(0.0, z).toarray()
             J_fd = np.empty_like(J)
             for j in range(len(z)):
@@ -279,8 +279,8 @@ def test_augmented_jacobian_matches_finite_differences(rng):
             s = State(t=0.0, x=z[0], M=z[1:dim])
             assert np.array_equal(eval_jacobian(sys_, s).to_dense(), J[:dim, :dim])
         # stored entries grow linearly: x border row and column, bidiagonal
-        # M block, four accumulator rows and two entries per flux row
-        assert jac(0.0, z).nnz <= 8 * dim + 2 * len(flux)
+        # M block, two accumulator rows and two entries per flux row
+        assert jac(0.0, z).nnz <= 6 * dim + 2 * len(flux)
 
 
 def test_negativity_floor_policy():
@@ -376,7 +376,7 @@ def scipy_rk45(sys_, y0, t_end, cfg, flux_orders, rows=None):
     from scipy.integrate import RK45, OdeSolution
 
     fun, _ = augmented_field(sys_, flux_orders)
-    z0 = np.concatenate([y0.vector(), np.zeros(4 + len(flux_orders))])
+    z0 = np.concatenate([y0.vector(), np.zeros(NUM_BASE_ACC + len(flux_orders))])
     solver = RK45(fun, y0.t, z0, t_end, rtol=cfg.rel_tol, atol=cfg.abs_tol, max_step=cfg.max_step)
     ts, segments = [y0.t], []
     if rows is not None:

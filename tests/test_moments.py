@@ -21,8 +21,10 @@ from silkin import (
     macrophage_balance_residual,
     mass_balance_residual,
     moment_identity_residual,
+    moments,
     quartz_balance_residual,
 )
+from silkin.truncation import NUM_BASE_ACC
 
 from conftest import constant_rates, decaying_state, power_law_system
 from oracles import precise_moments
@@ -87,6 +89,12 @@ def test_component_balances():
     for t in np.linspace(0.5, 4.0, 8):
         assert abs(quartz_balance_residual(traj, float(t))) < 1e-8
         assert abs(macrophage_balance_residual(traj, float(t))) < 1e-8
+
+
+def test_every_base_accumulator_is_read_by_a_balance():
+    # a co-integrated slot enters every error norm and Newton matrix, so one that no balance reads is waste
+    read = {slot for _, _, slots in moments._BALANCES.values() for slot in slots}
+    assert read == set(range(NUM_BASE_ACC))
 
 
 def test_moment_identity_zero_trajectory():
