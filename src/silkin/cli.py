@@ -21,7 +21,9 @@ one :class:`Row` naming its reader, whether it is required, and whether
 ``null`` stands for an absent key.  Unknown keys, non-finite numbers and
 negative tolerances raise :class:`ConfigError` with the field path, and so
 does a coefficient family whose table is not finite, or cannot be allocated,
-at the run's own truncation order (the largest rung for ``converge``).  An
+at the run's own truncation order (the largest rung for ``converge``).  That
+table is realized once, as :attr:`RunConfig.rates`, and a run at that order
+reuses it.  An
 absent key takes the default of the dataclass that receives the value
 (:class:`RunConfig`, ``IntegratorConfig``, ``CoefficientFamily``,
 ``InitialData``); the loader states none.  ``simulate`` and ``verify`` share
@@ -35,6 +37,7 @@ import math
 import os
 import sys
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -55,6 +58,7 @@ from .model import (
     InitialData,
     ModelParams,
     MomentWeights,
+    RateTable,
     State,
     realize_coefficients,
     weighted_norm,
@@ -289,6 +293,30 @@ class RunConfig:
     converge_final_gap_tol: Optional[float] = None
     raw: dict = field(default_factory=dict, repr=False)
 
+    @cached_property
+    def rates(self) -> RateTable:
+        """The families realized once, at the run's largest order (a ladder's top rung).
+
+        A failure names what failed: an order too large to allocate names
+        ``run.n`` or ``run.n_ladder``, a table that is not finite
+        ``rates.<k|p|q>``, a family that breaks its role ``rates``.
+        """
+        n, order = (self.n, "run.n") if self.n else (self.n_ladder[-1], "run.n_ladder")
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                return realize_coefficients(*self.families, n)
+        except (MemoryError, ValueError) as exc:
+            error = exc
+        for name, family in zip("kpq", self.families):  # find the failure; a run that loads never comes here
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    finite = bool(np.all(np.isfinite(family.realize(n))))
+            except (MemoryError, ValueError) as exc:  # numpy's answers to an array it cannot allocate
+                raise ConfigError(order, f"truncation order {n} is too large: {exc}") from exc
+            if not finite:
+                raise ConfigError(f"rates.{name}", f"not finite at truncation order n = {n}")
+        raise ConfigError("rates", str(error)) from error
+
 
 def load_config(path: str) -> RunConfig:
     """Parse and validate a YAML experiment file into a :class:`RunConfig`."""
@@ -305,25 +333,8 @@ def load_config(path: str) -> RunConfig:
     for fields in _fields(doc, "", _SCHEMA).values():
         values.update(fields)
     config = RunConfig(**values, raw=doc)
-    _check_rates(config)
+    config.rates  # realizes and checks the families now, so a bad table is a config error
     return config
-
-
-def _check_rates(config: RunConfig) -> None:
-    """Realize the families at the run's largest order: each table must fit in memory and be finite, each role hold."""
-    n, order = (config.n, "run.n") if config.n else (config.n_ladder[-1], "run.n_ladder")
-    for name, family in zip("kpq", config.families):
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                finite = bool(np.all(np.isfinite(family.realize(n))))
-        except (MemoryError, ValueError) as exc:  # numpy's answers to an array it cannot allocate
-            raise ConfigError(order, f"truncation order {n} is too large: {exc}") from exc
-        if not finite:
-            raise ConfigError(f"rates.{name}", f"not finite at truncation order n = {n}")
-    try:
-        realize_coefficients(*config.families, n)
-    except ValueError as exc:
-        raise ConfigError("rates", str(exc)) from exc
 
 
 def _write_csv(path: Path, header: Sequence[str], rows) -> None:
@@ -349,9 +360,8 @@ def _bound_check(name: str, operation: str, value: float, threshold: float) -> d
     return _check(name, operation, float(value), float(threshold), value <= threshold)
 
 
-def _build_system(config: RunConfig, n: int) -> Tuple[TruncatedSystem, State]:
-    rates = realize_coefficients(*config.families, n)
-    return TruncatedSystem(config.params, rates), config.initial.state(n)
+def _build_system(config: RunConfig) -> Tuple[TruncatedSystem, State]:
+    return TruncatedSystem(config.params, config.rates), config.initial.state(config.n)
 
 
 def _write_trajectory(config: RunConfig, traj: Trajectory, out: Path) -> dict:
@@ -401,7 +411,7 @@ def _norm_bound_checks(traj: Trajectory, slack: float = 1e-6) -> List[dict]:
 
 def _integrated_run(config: RunConfig, out: Path, balances: Sequence[Callable]):
     """Integrate ``run.n``, write the trajectory, and check the norm bounds and the given balances."""
-    sys_, y0 = _build_system(config, config.n)
+    sys_, y0 = _build_system(config)
     traj = integrate(sys_, y0, config.t_end, config.integrator, flux_orders=(1,))
     artifacts = _write_trajectory(config, traj, out)
     checks = _norm_bound_checks(traj)
@@ -445,10 +455,8 @@ def _cmd_verify(config: RunConfig, out: Path):
         _check("invariance_envelope", "invariance_check", inv.margin, 0.0, inv.ok and inv.margin >= 0.0, comparison=">=")
     )
 
-    span = traj.duration
-    h = min(1e-4, 0.05 * span)  # every t +- h of the grid stays inside the run
-    grid = traj.t_start + span * np.linspace(0.1, 0.9, 9)
-    defect = differential_form_check(traj, grid, h=h)
+    grid = traj.t_start + traj.duration * np.linspace(0.1, 0.9, 9)
+    defect = differential_form_check(traj, grid)
     checks.append(_bound_check("differential_form", "differential_form_check", defect, config.verify_differential_tol))
 
     meta["gronwall"] = {
@@ -488,7 +496,7 @@ def _cmd_converge(config: RunConfig, out: Path):
 
 
 def _cmd_equilibrium(config: RunConfig, out: Path):
-    sys_, _ = _build_system(config, config.n)
+    sys_, _ = _build_system(config)
     result = find_equilibrium(sys_, config.equilibrium_x_bracket, tol=config.equilibrium_tol)
     _write_csv(
         out / "equilibrium.csv",
@@ -513,7 +521,7 @@ def _cmd_equilibrium(config: RunConfig, out: Path):
 
 
 def _cmd_semigroup(config: RunConfig, out: Path):
-    sys_, y0 = _build_system(config, config.n)
+    sys_, y0 = _build_system(config)
     checks = []
     values = []
     for t, s in config.semigroup_pairs:

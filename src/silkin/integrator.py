@@ -31,7 +31,10 @@ scipy keeps shrinking it and never returns.  Each accepted step makes a new
 sample row without a copy; a BDF state is copied.
 
 ``method="bdf"`` is scipy's BDF fed the sparse Jacobian of that field;
-scipy is imported on its first use.  Its
+scipy is imported on its first use.  Of each step's dense output only
+``t_shift``, ``denom`` and the difference array ``D`` are read; the step
+polynomial is evaluated here, with the operations of scipy's
+``BdfDenseOutput``, so the values keep scipy's bits.  Its
 Newton matrix ``I - c J`` is factored by :func:`newton_lu` with diagonal
 pivots, so the LU factors stay about as sparse as the matrix.  Partial
 pivoting would take the x row's release entry ``c n q_n`` and an A2 entry
@@ -54,7 +57,11 @@ each accepted step, by six-node Gauss-Legendre quadrature of the dense output
 (Hairer, Norsett & Wanner, *Solving ODEs I*, II.6), exact for its products of
 degree <= 10 up to the cone clamp.  Windows add at most two partial steps.
 
-There is one dense evaluator, :meth:`Trajectory.dense_matrix`.  A point read
+There is one dense evaluator for both methods, built from the accepted steps:
+:meth:`Trajectory.dense_matrix` reads its values and
+:meth:`Trajectory.dense_derivative` the exact time derivative of the same
+step polynomials (Enright 1989; Shampine 2005), so the continuous extension's
+defect ``u' - f(u)`` needs no difference quotient.  A point read
 (:meth:`Trajectory.dense_vector`) is a one-column call of it, and keeps the
 bits of scipy's scalar evaluation: numpy sends the ``(4, 1)`` power block to
 the same BLAS matrix-vector product as a 1-D power vector.  Several points in
@@ -82,7 +89,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -202,7 +209,7 @@ class Trajectory:
     flux_orders: Tuple[int, ...]
     pre_clamp_min: float
     stats: IntegratorStats
-    _sol: Callable[[np.ndarray], np.ndarray] = field(repr=False)
+    _sol: _DenseOutput = field(repr=False)
 
     @property
     def t_start(self) -> float:
@@ -232,8 +239,8 @@ class Trajectory:
     def final_state(self) -> State:
         return self.state(-1)
 
-    def _check_range(self, t: float) -> None:
-        if not (self.t_start <= t <= self.t_end):
+    def _check_range(self, t) -> None:
+        if not (self.t_start <= np.min(t) and np.max(t) <= self.t_end):
             raise OutOfRange(f"t={t} outside trajectory range [{self.t_start}, {self.t_end}]")
 
     def dense_matrix(self, ts: np.ndarray) -> np.ndarray:
@@ -243,6 +250,11 @@ class Trajectory:
         np.maximum(Z[:dim], 0.0, out=Z[:dim])
         return Z
 
+    def dense_derivative(self, ts: np.ndarray) -> np.ndarray:
+        """Time derivative of the augmented dense output at ``ts``, not clamped; every time must lie in the run."""
+        self._check_range(ts)
+        return self._sol(ts, derivative=True)
+
     def dense_vector(self, t: float) -> np.ndarray:
         """The augmented row at ``t`` by dense output, through the same evaluator as :meth:`dense_matrix`."""
         self._check_range(t)
@@ -250,8 +262,7 @@ class Trajectory:
 
     def at(self, t: float) -> np.ndarray:
         """The augmented row at ``t``: the stored sample at a sample time, the dense output anywhere else."""
-        self._check_range(t)
-        i = np.searchsorted(self.t, t)
+        i = np.searchsorted(self.t, t)  # a time outside the run is no sample: dense_vector rejects it
         if i < self.num_samples and self.t[i] == t:
             return np.concatenate((self.phase[i], self.accumulators[i]))
         return self.dense_vector(t)
@@ -299,9 +310,6 @@ class Trajectory:
                 f"flux integral F_{m} was not requested at integration time "
                 f"(available: {list(self.flux_orders)})"
             ) from None
-
-    def flux_at(self, m: int, t: float) -> float:
-        return float(self.at(t)[self.sys.dimension + self.flux_slot(m)])
 
 
 def newton_lu(A) -> SuperLU:
@@ -460,47 +468,67 @@ class _DormandPrince:
         return self._K_all.dot(_DP_P)
 
 
-@dataclass(frozen=True, eq=False)
-class _DormandPrinceDense:
-    """Dense output of accepted Dormand-Prince steps.
+_DP_ORDERS = np.arange(1.0, 5.0)[:, None]  # d/ds of s^j is j s^(j-1)
 
-    Step ``i`` runs from ``t[i]`` to ``t[i + 1]``, starts at row ``y[i]`` and
-    has interpolant matrix ``q[i]``.  Points are evaluated as scipy's
-    ``OdeSolution`` over ``RkDenseOutput`` segments does: sorted, a point on a
-    step boundary belongs to the earlier step, and each run of points in one
-    step is ``h * (Q @ p) + y_old``, so the values have the same bits.  The
-    matrix is column-major like scipy's, so reductions over it (the einsum
-    of :meth:`Trajectory._panel_integrals`) also sum in the same order.
+
+@dataclass(frozen=True, eq=False)
+class _DenseOutput:
+    """Dense output of the accepted steps of either stepper, and its time derivative.
+
+    Step ``i`` runs from ``t[i]`` to ``t[i + 1]``; ``steps[i]`` is that step's
+    polynomial: Shampine's matrix ``Q`` for RK45, scipy's ``BdfDenseOutput``
+    for BDF, of which only ``t_shift``, ``denom`` and ``D`` are read.  Points
+    are grouped as scipy's ``OdeSolution`` groups them: sorted, a point on a
+    step boundary belongs to the earlier step, and each step evaluates its
+    run of points with the operations of scipy's own step interpolant, so the
+    values have the same bits.  The matrix is column-major like scipy's, so
+    reductions over it (the einsum of :meth:`Trajectory._panel_integrals`)
+    also sum in the same order.
     """
 
     t: np.ndarray
     y: np.ndarray
-    q: List[np.ndarray]
+    steps: list
+    rk45: bool
 
-    @cached_property
-    def h(self) -> np.ndarray:
-        return np.diff(self.t)
-
-    def _step_of(self, t):
-        return np.clip(np.searchsorted(self.t, t, side="left") - 1, 0, len(self.q) - 1)
-
-    def __call__(self, t: np.ndarray) -> np.ndarray:
+    def __call__(self, t: np.ndarray, derivative: bool = False) -> np.ndarray:
         order = np.argsort(t)
         t_sorted = t[order]
-        steps = self._step_of(t_sorted)
+        steps = np.clip(np.searchsorted(self.t, t_sorted, side="left") - 1, 0, len(self.steps) - 1)
         cuts = [0, *(np.flatnonzero(np.diff(steps)) + 1).tolist(), len(t)]
+        block = self._dormand_prince if self.rk45 else self._bdf
         out = np.empty((self.y.shape[1], len(t)), order="F")  # the layout of scipy's ``ys[:, reverse]``
         for a, b in zip(cuts[:-1], cuts[1:]):
-            i = steps[a]
-            # The rows s, s^2, s^3, s^4: the products scipy's cumprod forms, in the same order.
-            p = np.empty((4, b - a))
-            np.divide(t_sorted[a:b] - self.t[i], self.h[i], out=p[0])
-            for j in range(1, 4):
-                np.multiply(p[j - 1], p[0], out=p[j])
-            z = self.h[i] * np.dot(self.q[i], p)
-            z += self.y[i][:, None]
-            out[:, order[a:b]] = z
+            out[:, order[a:b]] = block(int(steps[a]), t_sorted[a:b], derivative)
         return out
+
+    def _dormand_prince(self, i: int, t: np.ndarray, derivative: bool) -> np.ndarray:
+        """``h (Q @ [s, s^2, s^3, s^4]) + y_old``, or its derivative ``Q @ [1, 2s, 3s^2, 4s^3]``."""
+        h = self.t[i + 1] - self.t[i]
+        p = np.empty((4, len(t)))  # s, s^2, s^3, s^4: the products scipy's cumprod forms, in the same order
+        np.divide(t - self.t[i], h, out=p[0])
+        for j in range(1, 4):
+            np.multiply(p[j - 1], p[0], out=p[j])
+        if derivative:
+            return np.dot(self.steps[i], _DP_ORDERS * np.vstack((np.ones(len(t)), p[:3])))
+        z = h * np.dot(self.steps[i], p)
+        z += self.y[i][:, None]
+        return z
+
+    def _bdf(self, i: int, t: np.ndarray, derivative: bool) -> np.ndarray:
+        """``D[1:].T @ p + D[0]`` with ``p = cumprod((t - t_shift) / denom)``, or ``D[1:].T @ p'``."""
+        t_shift, denom, D = self.steps[i].t_shift, self.steps[i].denom, self.steps[i].D
+        x = (t - t_shift[:, None]) / denom[:, None]
+        p = np.cumprod(x, axis=0)
+        if derivative:  # the product rule: p'_0 = 1 / denom_0, p'_j = p'_{j-1} x_j + p_{j-1} / denom_j
+            dp = np.empty_like(p)
+            dp[0] = 1.0 / denom[0]
+            for j in range(1, len(denom)):
+                dp[j] = dp[j - 1] * x[j] + p[j - 1] / denom[j]
+            return np.dot(D[1:].T, dp)
+        z = np.dot(D[1:].T, p)
+        z += D[0, :, None]
+        return z
 
 
 @np.errstate(over="raise", invalid="raise", divide="raise")
@@ -572,12 +600,6 @@ def integrate(
 
     t = np.asarray(ts)
     Z = np.asarray(rows)
-    if rk45:
-        sol = _DormandPrinceDense(t, Z, segments)
-    else:
-        from scipy.integrate import OdeSolution
-
-        sol = OdeSolution(t, segments)
     return Trajectory(
         sys=sys,
         cfg=cfg,
@@ -589,7 +611,7 @@ def integrate(
         stats=IntegratorStats(
             steps=len(segments), nfev=solver.nfev, njev=solver.njev, nlu=solver.nlu
         ),
-        _sol=sol,
+        _sol=_DenseOutput(t, Z, segments, rk45),
     )
 
 

@@ -122,14 +122,16 @@ def test_verify_coupled_model_all_checks_named(tmp_path):
     assert "gronwall" in summary["metadata"]
 
 
-@pytest.mark.parametrize("t_end", [1e-4, 1e-9])
+@pytest.mark.parametrize("t_end", [1e-4, 1e-9, 1e-12, 1e-300])
 def test_verify_on_a_very_short_run_writes_every_check(tmp_path, capsys, t_end):
-    # the differential-form step shrinks with the span, so every t +- h lies inside the run
-    cfg = write_config(tmp_path / "short.yaml", coupled_doc(n=8, t_end=t_end))
-    out = tmp_path / "out"
-    assert cli.main(["verify", "--config", cfg, "--out", str(out)]) in (cli.EXIT_OK, cli.EXIT_CHECK_FAILED)
-    assert "Traceback" not in "".join(capsys.readouterr())
-    assert len(read_summary(out)["checks"]) == 12
+    for method in ("rk45", "bdf"):
+        doc = coupled_doc(n=8, t_end=t_end)
+        doc["integrator"] = {"method": method}
+        cfg = write_config(tmp_path / f"short_{method}.yaml", doc)
+        out = tmp_path / method
+        assert cli.main(["verify", "--config", cfg, "--out", str(out)]) == cli.EXIT_OK
+        assert "Traceback" not in "".join(capsys.readouterr())
+        assert len(read_summary(out)["checks"]) == 12
 
 
 def test_verify_with_a_tiny_growth_constant_reports_an_infinite_apriori_constant(tmp_path):
@@ -154,6 +156,32 @@ def test_verify_builds_only_the_initial_state(tmp_path, monkeypatch):
     config = str(ROOT / "configs" / "verify_power_law.yaml")
     assert cli.main(["verify", "--config", config, "--out", str(tmp_path / "out")]) == cli.EXIT_OK
     assert built == [0.0]
+
+
+@pytest.mark.parametrize(
+    "command,config",
+    [
+        ("simulate", "decay_oracle"),
+        ("verify", "verify_power_law"),
+        ("semigroup", "semigroup"),
+        ("equilibrium", "equilibrium_chain"),
+        ("converge", "ladder"),
+    ],
+)
+def test_each_family_is_realized_once_per_load(tmp_path, monkeypatch, command, config):
+    # the load keeps the rate table it checked; only a ladder's lower rungs realize the families again
+    orders = []
+    realize = CoefficientFamily.realize
+
+    def counting(self, n):
+        orders.append(n)
+        return realize(self, n)
+
+    path = str(ROOT / "configs" / f"{config}.yaml")
+    rungs = len(cli.load_config(path).n_ladder or ())
+    monkeypatch.setattr(CoefficientFamily, "realize", counting)
+    assert cli.main([command, "--config", path, "--out", str(tmp_path / "out")]) == cli.EXIT_OK
+    assert len(orders) == 3 * (1 + rungs)
 
 
 def test_jsonable_writes_numpy_and_python_non_finite_values_alike():

@@ -168,7 +168,7 @@ def test_flux_accumulator_cross_checks_quadrature():
     coef = np.zeros(11)
     coef[0] = sys_.rates.k[0]
     quad = float(coef @ traj.window_integrals(0.0, 3.0)[1])
-    assert traj.flux_at(1, 3.0) == pytest.approx(quad, rel=1e-9, abs=1e-11)
+    assert traj.at(3.0)[sys_.dimension + traj.flux_slot(1)] == pytest.approx(quad, rel=1e-9, abs=1e-11)
 
 
 def _inline_window_integrals(traj, t1, t2):
@@ -449,6 +449,50 @@ def test_rk45_sample_rows_match_scipy(n, gamma, rel_tol, abs_tol, max_step):
     dim = sys_.dimension
     assert traj.phase.tobytes() == np.where(Z[:, :dim] < 0.0, 0.0, Z[:, :dim]).tobytes()
     assert traj.accumulators.tobytes() == Z[:, dim:].tobytes()
+
+
+@pytest.mark.parametrize("n,gamma,rel_tol,abs_tol", [(4, 0.5, 1e-10, 1e-15), (32, 1.0, 1e-6, 1e-9)])
+def test_bdf_dense_output_matches_scipy(n, gamma, rel_tol, abs_tol):
+    # the shared evaluator on the steps of scipy's own BDF: the values and the layout of OdeSolution, bitwise
+    from scipy.integrate import BDF, OdeSolution
+
+    sys_ = power_law_system(n, gamma=gamma)
+    fun, jac = augmented_field(sys_, (1,))
+    z0 = np.concatenate([decaying_state(n).vector(), np.zeros(NUM_BASE_ACC + 1)])
+    solver = BDF(fun, 0.0, z0, 5.0, rtol=rel_tol, atol=abs_tol, jac=jac)
+    ts, rows, segments = [0.0], [z0], []
+    while solver.status == "running":
+        solver.step()
+        assert solver.status != "failed"
+        ts.append(solver.t)
+        rows.append(solver.y.copy())
+        segments.append(solver.dense_output())
+    ts = np.array(ts)
+    mine = integrator._DenseOutput(ts, np.array(rows), segments, rk45=False)
+    reference = OdeSolution(ts, segments)
+    grid = np.sort(np.concatenate([np.linspace(0.0, 5.0, 201), ts]))  # sample times too
+    for points in (grid, np.random.default_rng(3).permutation(grid)):
+        got, want = mine(points), reference(points)
+        assert got.tobytes() == want.tobytes()
+        assert got.flags.f_contiguous == want.flags.f_contiguous
+
+
+@pytest.mark.parametrize("method", ["rk45", "bdf"])
+def test_dense_derivative_matches_the_decay_oracle(method):
+    # r = alpha = 0, no ingestion: M_i' = -a_i M_i(0) e^{-a_i t} and x' = sum_i i q_i M_i(0) e^{-a_i t}
+    n = 6
+    p = np.array([0.3, 0.0, 1.1, 0.7, 0.0, 0.2, 0.9])
+    q = np.array([0.5, 0.4, 0.0, 0.6, 0.3, 0.0, 0.8])
+    from conftest import rates_from_arrays
+
+    sys_ = TruncatedSystem(ModelParams(r=0.0, alpha=0.0), rates_from_arrays(n, np.zeros(n + 1), p, q))
+    M0 = np.array([1.0, 0.8, 0.6, 0.4, 0.3, 0.2, 0.1])
+    traj = integrate(sys_, State(t=0.0, x=0.5, M=M0), 5.0, IntegratorConfig(method=method))
+    times = np.concatenate([traj.t, 0.5 * (traj.t[1:] + traj.t[:-1])])  # step boundaries and interiors
+    M = M0 * np.exp(-np.outer(times, p + q))
+    exact = np.column_stack([M @ (np.arange(n + 1) * q), -(p + q) * M])
+    got = traj.dense_derivative(times)[: sys_.dimension].T
+    np.testing.assert_allclose(got, exact, rtol=0.0, atol=1e-7 if method == "rk45" else 5e-6)  # measured 6e-9, 6e-7
 
 
 def test_rk45_stepper_matches_scipy_at_n256():
