@@ -24,7 +24,7 @@ from .model import (
     realize_coefficients,
     weighted_norm,
 )
-from .truncation import TruncatedSystem, phase_jacobian_parts
+from .truncation import TruncatedSystem
 
 __all__ = [
     "ConvergenceReport",
@@ -56,7 +56,7 @@ class NoBracket(RuntimeError):
 
 
 class NoConvergence(IntegrationError):
-    """The equilibrium Newton/bisection iteration did not reach its tolerance."""
+    """The equilibrium root iteration did not reach its tolerance."""
 
 
 class DegenerateDenominator(ZeroDivisionError):
@@ -67,7 +67,7 @@ GRID_POINTS = 201
 """Evenly spaced times, ends included, on which two runs are compared."""
 
 MAX_ITER = 200
-"""Newton/bisection iterations :func:`find_equilibrium` takes before it gives up."""
+"""Iterations inside the bracket :func:`find_equilibrium` takes before it gives up."""
 
 
 def _on_grid(traj: Trajectory) -> np.ndarray:
@@ -236,24 +236,14 @@ def _steady_chain(sys: TruncatedSystem, x: float) -> np.ndarray:
     return M
 
 
-def _x_residual(sys: TruncatedSystem, x: float):
+def _x_residual(sys: TruncatedSystem, x: float) -> Tuple[float, float, np.ndarray]:
+    """The field's x-rate and max-abs value at ``(x, M(x))``, and the steady chain ``M(x)``."""
     M = _steady_chain(sys, x)
-    phi = sys.params.alpha - x * float(sys.k_masked @ M) + float(sys.i_times_q @ M)
-    return phi, M
+    f = sys.rhs(np.concatenate(([x], M)))
+    return float(f[0]), float(np.max(np.abs(f))), M
 
 
-def _x_residual_slope(sys: TruncatedSystem, x: float, M: np.ndarray) -> float:
-    """d(phi)/dx via the implicit function theorem on the bidiagonal M block."""
-    ingested, _, row, col, diag, sub = phase_jacobian_parts(sys, x, M)
-    u = np.empty_like(M)
-    u[0] = -col[0] / diag[0]
-    for i in range(1, len(M)):
-        u[i] = (-col[i] - sub[i - 1] * u[i - 1]) / diag[i]
-    return -ingested + float(row @ u)
-
-
-def _equilibrium_at(sys: TruncatedSystem, x: float, M: np.ndarray) -> EquilibriumResult:
-    residual = float(np.max(np.abs(sys.rhs(np.concatenate(([x], M))))))
+def _equilibrium_at(sys: TruncatedSystem, x: float, residual: float, M: np.ndarray) -> EquilibriumResult:
     k_raw = sys.rates.k[-1]
     ext = k_raw * x + sys.loss[-1]
     tail = math.inf
@@ -270,69 +260,75 @@ def find_equilibrium(
     x_bracket: Optional[Tuple[float, float]] = None,
     tol: float = 1e-12,
 ) -> EquilibriumResult:
-    """Steady state via the cohort recursion plus a safeguarded scalar Newton.
+    """Steady state via the cohort recursion plus Illinois regula falsi on the field's x-rate.
 
     The M equations are solved exactly by the recursion at any fixed ``x``;
-    the remaining scalar residual (the x equation at the chained cohorts) is
-    bracketed and driven to ``|phi| <= tol`` by Newton steps that fall back
-    to bisection whenever they leave the bracket.  Without an explicit
-    bracket the upper end starts at a supply/ingestion scale estimate and
-    doubles until the residual changes sign.
+    the field the integrator steps is then evaluated at ``(x, M(x))``.  Its
+    x-rate is bracketed and the bracket is shrunk by false-position steps
+    (the midpoint when that point leaves the bracket), halving the stored
+    value of an end that is kept twice in a row (Dowell & Jarratt 1971).
+    The first point, bracket ends included, at which the field's max-abs
+    value is ``<= tol`` is returned, with that value as ``residual``.
+    Without an explicit bracket the upper end starts at a supply/ingestion
+    scale estimate and doubles until the x-rate changes sign.
     """
     if x_bracket is not None:
         lo, hi = float(x_bracket[0]), float(x_bracket[1])
         if not 0.0 <= lo < hi:
             raise ValueError(f"need 0 <= lo < hi, got ({lo}, {hi})")
-        f_lo, M_lo = _x_residual(sys, lo)
-        f_hi, M_hi = _x_residual(sys, hi)
-        if f_lo == 0.0:
-            return _equilibrium_at(sys, lo, M_lo)
-        if f_hi == 0.0:
-            return _equilibrium_at(sys, hi, M_hi)
+        f_lo, res_lo, M_lo = _x_residual(sys, lo)
+        f_hi, res_hi, M_hi = _x_residual(sys, hi)
+        if res_lo <= tol:
+            return _equilibrium_at(sys, lo, res_lo, M_lo)
+        if res_hi <= tol:
+            return _equilibrium_at(sys, hi, res_hi, M_hi)
         if f_lo * f_hi > 0.0:
             raise NoBracket(f"residual has the same sign at {lo} and {hi}")
-        if f_lo < 0.0:  # orient so that phi(lo) > 0 > phi(hi)
-            lo, hi, f_lo, f_hi = hi, lo, f_hi, f_lo
+        if f_lo < 0.0:  # orient so that f(lo) >= 0 >= f(hi)
+            lo, hi, f_lo, f_hi, res_lo, res_hi = hi, lo, f_hi, f_lo, res_hi, res_lo
     else:
         lo = 0.0
-        f_lo, M_lo = _x_residual(sys, lo)
-        if f_lo == 0.0:
-            return _equilibrium_at(sys, lo, M_lo)
+        f_lo, res_lo, M_lo = _x_residual(sys, lo)
+        if res_lo <= tol:
+            return _equilibrium_at(sys, lo, res_lo, M_lo)
         positive_k = sys.k_masked[sys.k_masked > 0.0]
         if len(positive_k) == 0:
             raise NoBracket("no ingestion (k = 0): the x residual never changes sign")
         scale = max(float(np.sum(M_lo)), 1e-300)
         hi = max(f_lo / (float(np.min(positive_k)) * scale), 1.0)
         for _ in range(80):
-            f_hi, _ = _x_residual(sys, hi)
+            f_hi, res_hi, M_hi = _x_residual(sys, hi)
             if f_hi <= 0.0 or math.isinf(2.0 * hi):
                 break
             hi *= 2.0
         if not f_hi <= 0.0:
             raise NoBracket(f"residual stayed positive up to x={hi}")
-        if f_hi == 0.0:
-            return _equilibrium_at(sys, hi, _steady_chain(sys, hi))
+        if res_hi <= tol:
+            return _equilibrium_at(sys, hi, res_hi, M_hi)
 
-    x = 0.5 * (lo + hi)
+    kept = 0  # +1 after hi was kept, -1 after lo was kept
     for _ in range(MAX_ITER):
-        f, M = _x_residual(sys, x)
-        if abs(f) <= tol:
-            return _equilibrium_at(sys, x, M)
+        span = f_lo - f_hi
+        x = hi + f_hi * (hi - lo) / span if span > 0.0 else math.nan
+        if not min(lo, hi) < x < max(lo, hi):
+            x = 0.5 * (lo + hi)
+            if not min(lo, hi) < x < max(lo, hi):
+                break  # lo and hi are adjacent floats
+        f, res, M = _x_residual(sys, x)
+        if res <= tol:
+            return _equilibrium_at(sys, x, res, M)
         if f > 0.0:
-            lo = x
+            lo, f_lo, res_lo = x, f, res
+            if kept == 1:
+                f_hi *= 0.5
+            kept = 1
         else:
-            hi = x
-        slope = _x_residual_slope(sys, x, M)
-        x_new = x - f / slope if slope != 0.0 else math.nan
-        if not (math.isfinite(x_new) and min(lo, hi) < x_new < max(lo, hi)):
-            x_new = 0.5 * (lo + hi)
-        if x_new == x:
-            break
-        x = x_new
-    f, M = _x_residual(sys, x)
-    if abs(f) <= tol:
-        return _equilibrium_at(sys, x, M)
-    raise NoConvergence(f"no convergence to |phi| <= {tol}; best residual {f} at x={x}")
+            hi, f_hi, res_hi = x, f, res
+            if kept == -1:
+                f_lo *= 0.5
+            kept = -1
+    res, x = min((res_lo, lo), (res_hi, hi))
+    raise NoConvergence(f"no convergence to max|f| <= {tol}; best residual {res} at x={x}")
 
 
 def differential_form_check(traj: Trajectory, grid: Sequence[float]) -> float:

@@ -439,8 +439,7 @@ def _cmd_verify(config: RunConfig, out: Path):
     rates = traj.sys.rates
     tol = config.verify_residual_tol
 
-    power = MomentWeights.power(rates.n, 1.0 + rates.gamma, rates)
-    # the identities read only g; the Gronwall envelope also reads the power weights' C
+    power = MomentWeights.power(rates.n, 1.0 + rates.gamma)
     weight_sets = [("flat", MomentWeights.ones(rates.n)), ("linear", MomentWeights.linear(rates.n)), ("power", power)]
     for label, w in weight_sets:
         value = abs(moment_identity_residual(traj, w, 1, traj.t_start, traj.t_end))

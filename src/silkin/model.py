@@ -254,9 +254,10 @@ class MomentWeights:
     ``delta`` claims ``g_{i+1} - g_i >= delta`` and ``C`` claims
     ``(g_{i+1} - g_i) * k_i <= C * g_i`` against some rate table.  The claims
     are *not* enforced here: :func:`validate_weights` checks them against a
-    concrete table, and the exponential-envelope checks require them, while
-    the exact moment identities hold for any real weight sequence (so flat
-    weights with ``delta = 0`` are legitimate inputs there).
+    concrete table.  The exponential-envelope checks require ``delta`` and
+    derive ``C`` from the run's own table; they do not read the stored
+    ``C``.  The exact moment identities hold for any real weight sequence
+    (so flat weights with ``delta = 0`` are legitimate inputs there).
     """
 
     g: np.ndarray

@@ -290,8 +290,7 @@ def invariance_check(traj: Trajectory, gamma: float) -> InvarianceReport:
     """
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
-    rates = traj.sys.rates
-    g, _, c2, c1, _ = _envelope(traj, MomentWeights.power(rates.n, 1.0 + gamma, rates))
+    g, _, c2, c1, _ = _envelope(traj, MomentWeights.power(traj.sys.n, 1.0 + gamma))
     norms = traj.phase[:, 0] + traj.phase[:, 1:] @ g
     with np.errstate(over="ignore"):
         bounds = 2.0 * c2 + c1 * np.exp(c2 * (traj.t - traj.t_start))

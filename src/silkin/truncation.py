@@ -26,9 +26,9 @@ sparsity pattern: the border row and column of ``x``, the lower bidiagonal
 cohort block, the two accumulator rows over the cohorts and two entries per
 flux row, O(n) stored entries.  :meth:`TruncatedSystem.rhs`,
 :func:`eval_rhs` and :func:`eval_jacobian` return the phase part of that one
-field, and :func:`phase_jacobian_parts` gives the closed-form entries of its
-phase block.  scipy's sparse module is imported only when a Jacobian matrix
-is built.
+field; the Jacobian's closed-form entries are written once, in the field's
+``jac``.  scipy's sparse module is imported only when a Jacobian matrix is
+built.
 
 ``eval_rhs`` and ``eval_jacobian`` are pure functions of their arguments and
 safe to call concurrently.
@@ -52,7 +52,6 @@ __all__ = [
     "augmented_field",
     "eval_rhs",
     "eval_jacobian",
-    "phase_jacobian_parts",
 ]
 
 # Accumulator slots appended after the phase components.
@@ -115,29 +114,12 @@ class TruncatedSystem:
         return self._phase_field[0](0.0, v)
 
 
-def phase_jacobian_parts(sys: TruncatedSystem, x: float, M: np.ndarray) -> tuple:
-    """Closed-form nonzero entries of the phase Jacobian at ``(x, M)``.
-
-    Returns ``(ingested, kM, row, col, diag, sub)``: ``ingested = sum_i k_i
-    M_i``, so ``d(dx/dt)/dx = -ingested``; ``kM = k_i M_i``; ``row`` is
-    ``d(dx/dt)/dM_i``, ``col`` is ``d(dM_i/dt)/dx`` and ``diag`` is
-    ``d(dM_i/dt)/dM_i`` for ``i = 0 .. n``; ``sub`` is
-    ``d(dM_i/dt)/dM_{i-1}`` for ``i = 1 .. n``.
-    """
-    k = sys.k_masked
-    kM = k * M
-    col = np.empty(len(M))
-    col[0] = -kM[0]
-    col[1:] = kM[:-1] - kM[1:]
-    return k @ M, kM, -k * x + sys.i_times_q, col, -(k * x + sys.loss), k[:-1] * x
-
-
 def augmented_field(sys: TruncatedSystem, flux_orders: Sequence[int] = ()) -> Tuple[Callable, Callable]:
     """``(rhs, jac)`` of the field on ``(x, M_0 .. M_n, A1, A2, F_m ..)``.
 
     Both take ``(t, z)`` as the steppers call them.  The coefficient
-    arrays are bound and the Jacobian's CSC pattern is built here, once;
-    each ``jac`` call computes only a new data vector for that pattern.
+    arrays and the Jacobian's ``(rows, cols)`` pattern are bound here, once;
+    each ``jac`` call computes the entries and lets scipy assemble the CSC.
     """
     dim = sys.dimension
     size = dim + NUM_BASE_ACC + len(flux_orders)
@@ -188,27 +170,28 @@ def augmented_field(sys: TruncatedSystem, flux_orders: Sequence[int] = ()) -> Tu
     ]
     rows = np.concatenate([b[0] for b in blocks]).astype(np.int32)
     cols = np.concatenate([b[1] for b in blocks]).astype(np.int32)
-    order = np.lexsort((rows, cols))
-    indices = rows[order]
-    indptr = np.searchsorted(cols[order], np.arange(size + 1)).astype(np.int32)
 
     def jac(t: float, z: np.ndarray) -> scipy.sparse.csc_matrix:
         import scipy.sparse
 
         x = z[0]
-        ingested, kM, row, col, diag, sub = phase_jacobian_parts(sys, x, z[1:dim])
+        M = z[1:dim]
+        kM = k * M
+        dM_dx = np.empty(dim - 1)
+        dM_dx[0] = -kM[0]
+        dM_dx[1:] = kM[:-1] - kM[1:]
         values = np.concatenate([
-            [-ingested],
-            row,
-            col,
-            diag,
-            sub,
+            [-(k @ M)],
+            iq - k * x,
+            dM_dx,
+            -(k * x + loss),
+            k[:-1] * x,
             loss,
             ip,
             kM[flux_idx],
             x * k[flux_idx],
         ])
-        return scipy.sparse.csc_matrix((values[order], indices, indptr), shape=(size, size))
+        return scipy.sparse.csc_matrix((values, (rows, cols)), shape=(size, size))
 
     return rhs, jac
 

@@ -268,6 +268,26 @@ def test_equilibrium_residual_contract(rng):
     assert rhs_norm(sys_, result.x_star, result.M_star) <= 1e-12
 
 
+# Two seeded draws on which a stop test on a private copy of dx/dt passed while the
+# field's max-abs value stayed above tol (2.73e-12 and 1.14e-12).
+SYSTEM_A = dict(
+    n=32, gamma=0.13061735709416966, r=303.55755334918825, alpha=611.3947958507456,
+    k_amp=1.4947213869479823, p_amp=1.9828272674597607, q_amp=0.483262605976266, q_exp=1.1576635301662654,
+)
+SYSTEM_B = dict(
+    n=64, gamma=0.13634144711257246, r=99.59389142323518, alpha=857.7129321681635,
+    k_amp=1.4558638227228988, p_amp=0.054570605212121454, q_amp=0.0068312627121665005, q_exp=0.6277647154934536,
+)
+
+
+@pytest.mark.parametrize("params", [SYSTEM_A, SYSTEM_B], ids=["A", "B"])
+def test_equilibrium_residual_is_the_stop_test(params):
+    sys_ = power_law_system(**params)
+    result = find_equilibrium(sys_, tol=1e-12)
+    assert result.residual <= 1e-12
+    assert rhs_norm(sys_, result.x_star, result.M_star) == result.residual
+
+
 def test_equilibrium_is_fixed_point_of_flow():
     sys_ = power_law_system(24, gamma=0.5, r=1.0, alpha=0.5, q_amp=0.3, q_exp=1.0)
     result = find_equilibrium(sys_, tol=1e-10)

@@ -232,6 +232,26 @@ def test_equilibrium_command(tmp_path):
     assert float(rows[1].split(",")[1]) == pytest.approx(0.5, abs=1e-9)
 
 
+def test_equilibrium_command_meets_its_residual_check(tmp_path):
+    # a system on which the solver once reported success with a residual above tol
+    doc = {
+        "model": {"r": 303.55755334918825, "alpha": 611.3947958507456},
+        "rates": {
+            "k": {"kind": "power_law", "amplitude": 1.4947213869479823, "exponent": 0.13061735709416966},
+            "p": {"kind": "constant", "amplitude": 1.9828272674597607},
+            "q": {"kind": "power_law", "amplitude": 0.483262605976266, "exponent": 1.1576635301662654},
+        },
+        "initial": {"x0": 0.0, "M": [0.0]},
+        "run": {"n": 32, "t_end": 1.0},
+        "integrator": {"rel_tol": 1.0e-12, "abs_tol": 1.0e-14},
+    }
+    cfg = write_config(tmp_path / "eq.yaml", doc)
+    out = tmp_path / "out"
+    assert cli.main(["equilibrium", "--config", cfg, "--out", str(out)]) == 0
+    checks = {c["name"]: c for c in read_summary(out)["checks"]}
+    assert checks["equilibrium_residual"]["value"] <= 1e-12
+
+
 def test_semigroup_command(tmp_path):
     doc = coupled_doc(n=8, t_end=3.0)
     doc["integrator"] = {"rel_tol": 1e-11, "abs_tol": 1e-14}
