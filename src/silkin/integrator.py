@@ -26,28 +26,31 @@ difference keeps the bits:
   IEEE addition is commutative.
 
 The one departure is a NaN step size, which fails the step as an underflow;
-scipy keeps shrinking it and never returns.  Each accepted step makes a new
-``y`` that is never written again, so :func:`integrate` keeps it as the
-sample row without a copy; a BDF state is copied.
+scipy keeps shrinking it and never returns.
 
-``method="bdf"`` is scipy's BDF fed the sparse Jacobian of that field;
-scipy is imported on its first use.  Of each step's dense output only
-``t_shift``, ``denom`` and the difference array ``D`` are read; the step
-polynomial is evaluated here, with the operations of scipy's
-``BdfDenseOutput``, so the values keep scipy's bits.  Its
-Newton matrix ``I - c J`` is factored by :func:`newton_lu` with diagonal
-pivots, so the LU factors stay about as sparse as the matrix.  Partial
-pivoting would take the x row's release entry ``c n q_n`` and an A2 entry
-``c i p_i`` as pivots; each spreads a dense row into the cohort
-rows, hundreds of cohort columns then pivot on their subdiagonal, and U
-fills.  Diagonal pivots are safe here: nothing depends
-on the accumulators, so their diagonal block is the identity and their rows
-never update another row; each cohort's diagonal
-``1 + c (k_i x + p_i + q_i)`` is at least 1 and larger than the
-subdiagonal entry below it; and the x diagonal is ``1 + c sum_i k_i M_i``.
+``method="bdf"`` is the module's own variable-order BDF stepper (NDF, orders
+1-5; Shampine & Reichelt 1997).  Its control copies scipy's ``BDF`` operation
+for operation: the starting step, the difference array ``D`` and its rescaling
+``change_D``, the simplified Newton iteration with its convergence-rate test,
+a Jacobian refreshed only when Newton fails, the error estimate and the order
+selection.  Only the Newton solve differs.  ``I - c J`` is never formed: the
+field's ``jac`` returns its closed-form blocks (:class:`JacobianBlocks`), and
+:class:`_NewtonFactor` solves with them in O(n).  The phase block is a lower
+bidiagonal cohort block ``L`` bordered by the row and the column of ``x``; the
+Schur complement on ``x`` reduces a solve to one bidiagonal solve, two dot
+products, and one row product per accumulator.  The bidiagonal solve is the
+recurrence ``w_i = a_i w_{i-1} + b_i / d_i``, run as a log-depth scan (Kogge &
+Stone 1973) whose level products are formed once per factorisation: two
+vector operations per level and no Python loop over the cohorts.  Each step's
+dense output is the scipy ``BdfDenseOutput`` data ``t_shift``, ``denom`` and
+``D``.
 
-Each :class:`Trajectory` carries the stepper's counts (accepted steps,
-``nfev``, ``njev``, ``nlu``) in :class:`IntegratorStats`.  A run that needs
+Both steppers make a new ``y`` at each accepted step and never write it
+again, so :func:`integrate` keeps it as the sample row without a copy.
+
+Each :class:`Trajectory` carries the stepper's counts (accepted and rejected
+steps, ``nfev``, ``njev``, ``nlu``) and its step-size range in
+:class:`IntegratorStats`.  A run that needs
 more than :data:`MAX_STEPS` accepted steps stops with
 :class:`StepBudgetExceeded`.
 
@@ -89,15 +92,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .model import State
-from .truncation import NUM_BASE_ACC, TruncatedSystem, augmented_field
-
-if TYPE_CHECKING:
-    from scipy.sparse.linalg import SuperLU
+from .truncation import NUM_BASE_ACC, JacobianBlocks, TruncatedSystem, augmented_field
 
 __all__ = [
     "IntegratorConfig",
@@ -149,10 +149,10 @@ class IntegratorConfig:
     """Error control and policy knobs.
 
     ``method`` is ``"rk45"`` (explicit Dormand-Prince 5(4), the default) or
-    ``"bdf"`` (implicit backward differentiation for stiff cases, fed by the
-    sparse Jacobian of the augmented field).  Switching is always explicit,
-    never silent.  Defaults leave the 1e-6 residual thresholds three orders
-    of headroom.
+    ``"bdf"`` (implicit backward differentiation for stiff cases, whose
+    Newton systems are solved in O(n) from the field's Jacobian blocks).
+    Switching is always explicit, never silent.  Defaults leave the 1e-6
+    residual thresholds three orders of headroom.
     """
 
     rel_tol: float = 1e-9
@@ -178,15 +178,21 @@ class IntegratorConfig:
 
 @dataclass(frozen=True)
 class IntegratorStats:
-    """Work counts of one integration: accepted steps, right-hand-side and Jacobian calls, LU factorisations.
+    """Work counts of one integration and the range of its accepted step sizes.
 
-    ``njev`` and ``nlu`` are 0 for RK45; for BDF all four are scipy's counts.
+    ``steps`` are accepted, ``rejected`` tried and refused (for BDF also a
+    step whose Newton iteration failed); ``nfev``, ``njev`` and ``nlu`` count
+    field calls, Jacobian calls and Newton factorisations, the last two 0
+    for RK45.  ``h_min`` and ``h_max`` come from the sample times.
     """
 
     steps: int
     nfev: int
     njev: int
     nlu: int
+    rejected: int
+    h_min: float
+    h_max: float
 
 
 @dataclass(eq=False)
@@ -312,18 +318,6 @@ class Trajectory:
             ) from None
 
 
-def newton_lu(A) -> SuperLU:
-    """Sparse LU of a BDF Newton matrix ``I - c J``, pivoting on its diagonal.
-
-    Every diagonal entry is at least 1 and no accumulator row is needed as
-    a pivot (see the module docstring), so the factors keep the fill of the
-    column ordering alone.
-    """
-    from scipy.sparse.linalg import splu
-
-    return splu(A, diag_pivot_thresh=0.0)
-
-
 # Dormand-Prince 5(4): nodes, stage matrix, fifth-order weights, error weights
 # (fifth minus fourth order) and Shampine's dense-output matrix, as in scipy's RK45.
 _DP_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
@@ -350,16 +344,42 @@ _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10
 _ERROR_EXPONENT = -1 / 5  # -1 / (error estimator order + 1)
+_EPS = np.finfo(float).eps
 
 
 def _rms(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v)) / v.size ** 0.5
 
 
+def _initial_step(fun, t0: float, y0: np.ndarray, f0: np.ndarray, t_bound: float, max_step: float,
+                  rtol: float, atol: float, order: int) -> float:
+    """Hairer, Norsett & Wanner II.4 starting step, as scipy's ``select_initial_step``.
+
+    ``order`` is the error estimator's order (4 for RK45, 1 for BDF).  It
+    calls ``fun`` once, and the caller counts that call.
+    """
+    interval_length = abs(t_bound - t0)
+    scale = atol + np.abs(y0) * rtol
+    d0 = _rms(y0 / scale)
+    d1 = _rms(f0 / scale)
+    if d0 < 1e-5 or d1 < 1e-5:
+        h0 = 1e-6
+    else:
+        h0 = 0.01 * d0 / d1
+    h0 = min(h0, interval_length)
+    f1 = fun(t0 + h0, y0 + h0 * f0)
+    d2 = _rms((f1 - f0) / scale) / h0 if h0 > 0.0 else math.inf  # h0 = 0 when f0 overflowed
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / (order + 1))
+    return min(100 * h0, h1, interval_length, max_step)
+
+
 class _DormandPrince:
     """Forward Dormand-Prince 5(4) stepper with scipy's ``RK45`` control, operation for operation.
 
-    It offers what :func:`integrate` reads of a scipy solver: ``step()``
+    It offers what :func:`integrate` reads of a stepper: ``step()``
     returning a failure message or ``None``, ``status``, ``t``, ``y``, the
     work counts and ``dense_output()``, which here is the last step's
     ``Q = K.T @ P``.  Each accepted step makes a new ``y``; none is changed
@@ -374,40 +394,20 @@ class _DormandPrince:
         self.t = float(t0)
         self.y = y0
         self.t_bound = float(t_bound)
-        self.rtol = max(rtol, 100 * np.finfo(float).eps)  # scipy raises rtol to this floor
+        self.rtol = max(rtol, 100 * _EPS)  # scipy raises rtol to this floor
         self.atol = atol
         self.max_step = max_step
         self.status = "running"
         self.f = fun(self.t, y0)
-        self.nfev = 1
-        self.h_abs = self._initial_step()
+        self.h_abs = _initial_step(fun, self.t, y0, self.f, self.t_bound, max_step, self.rtol, atol, 4)
+        self.nfev = 2
+        self.rejected = 0
         self.K = K = np.empty((len(_DP_C) + 1, len(y0)))
         # Views of K and of the tableau, made once: stage s reads K[:s].T and _DP_A[s, :s].
         self._stages = [(s, K[:s].T, _DP_A[s, :s], float(_DP_C[s])) for s in range(1, len(_DP_C))]
         self._K_solution = K[:-1].T
         self._K_all = K.T
         self._abs_y = np.abs(y0)
-
-    def _initial_step(self) -> float:
-        """Hairer, Norsett & Wanner II.4 starting step, as scipy's ``select_initial_step``."""
-        t0, y0, f0 = self.t, self.y, self.f
-        interval_length = abs(self.t_bound - t0)
-        scale = self.atol + np.abs(y0) * self.rtol
-        d0 = _rms(y0 / scale)
-        d1 = _rms(f0 / scale)
-        if d0 < 1e-5 or d1 < 1e-5:
-            h0 = 1e-6
-        else:
-            h0 = 0.01 * d0 / d1
-        h0 = min(h0, interval_length)
-        f1 = self.fun(t0 + h0, y0 + h0 * f0)
-        self.nfev += 1
-        d2 = _rms((f1 - f0) / scale) / h0 if h0 > 0.0 else math.inf  # h0 = 0 when f0 overflowed
-        if d1 <= 1e-15 and d2 <= 1e-15:
-            h1 = max(1e-6, h0 * 1e-3)
-        else:
-            h1 = (0.01 / max(d1, d2)) ** (1 / 5)
-        return min(100 * h0, h1, interval_length, self.max_step)
 
     def step(self) -> Optional[str]:
         t, y, K, fun = self.t, self.y, self.K, self.fun
@@ -458,6 +458,7 @@ class _DormandPrince:
                 break
             h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
             step_rejected = True
+            self.rejected += 1
 
         self.t, self.y, self.f, self.h_abs, self._abs_y = t_new, y_new, f_new, h_abs, abs_new
         if t_new >= self.t_bound:
@@ -468,6 +469,264 @@ class _DormandPrince:
         return self._K_all.dot(_DP_P)
 
 
+class _NewtonFactor:
+    """``I - c J`` for the blocks ``J`` of :func:`augmented_field`'s ``jac``, factored for O(n) solves.
+
+    The phase block of ``I - c J`` is ``[[corner, row], [col, L]]`` with
+    ``L`` lower bidiagonal (diagonal ``d``).  With ``v = L^-1 col`` and the Schur
+    complement ``s = corner - row . v``, a solve is ``w = L^-1 b_M``,
+    ``u_x = (b_x - row . w) / s`` and ``u_M = w - u_x v``; each accumulator
+    row of ``I - c J`` is the identity less ``c`` times a row that reads only
+    the phase, so ``u_A = b_A + c (row_A . u)``.
+
+    ``L w = b`` is the recurrence ``w_i = a_i w_{i-1} + b_i / d_i`` with
+    ``a_i = c sub_i / d_i`` and ``a_0 = 0``.  It is solved by a log-depth
+    scan (Kogge & Stone 1973): at the level of stride ``2^j`` each ``w_i``
+    adds ``A_i w_{i - 2^j}``, where ``A_i`` is the product of the ``a`` over
+    the ``2^j`` rows below ``i``.  The level products depend only on ``c`` and
+    ``J`` and are formed here.  None can overflow, whatever the shape of
+    ``k``: pair each numerator ``c k_l x`` of a window's product with the
+    denominator ``d_l = 1 + c (k_l x + p_l + q_l)`` of the same row, and every
+    pair is below 1 for ``x >= 0``, which leaves at most the window's first
+    numerator ``c k x``.
+    """
+
+    def __init__(self, J: JacobianBlocks, c: float):
+        self.J = J
+        self.c = c
+        self.d = d = 1.0 - c * J.diag
+        a = np.zeros_like(d)
+        np.divide(c * J.sub, d[1:], out=a[1:])
+        self.levels = []
+        stride = 1
+        while stride < len(a):
+            self.levels.append((stride, a[stride:]))
+            a = np.concatenate((a[:stride], a[stride:] * a[:-stride]))
+            stride *= 2
+        self.row = -c * J.row
+        self.v = self._bidiagonal(-c * J.col)
+        self.s = (1.0 - c * J.corner) - self.row.dot(self.v)
+
+    def _bidiagonal(self, b: np.ndarray) -> np.ndarray:
+        """``L^-1 b`` by the scan."""
+        w = b / self.d
+        for stride, a in self.levels:
+            w[stride:] += a * w[:-stride]
+        return w
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """``(I - c J)^-1 b``."""
+        J, c = self.J, self.c
+        dim = len(self.d) + 1
+        w = self._bidiagonal(b[1:dim])
+        u = np.empty_like(b)
+        u_x = u[0] = (b[0] - self.row.dot(w)) / self.s
+        u_M = u[1:dim]
+        np.multiply(self.v, u_x, out=u_M)
+        np.subtract(w, u_M, out=u_M)
+        acc = dim + NUM_BASE_ACC
+        u[dim:acc] = b[dim:acc] + c * J.acc.dot(u_M)
+        u[acc:] = b[acc:] + c * (J.flux_x * u_x + J.flux_M * u_M[J.flux_cohorts])
+        return u
+
+
+# NDF coefficients of scipy's BDF (Shampine & Reichelt 1997), by the same operations.
+_BDF_MAX_ORDER = 5
+_NEWTON_MAXITER = 4
+_NDF_KAPPA = np.array([0, -0.1850, -1/9, -0.0823, -0.0415, 0])
+_BDF_GAMMA = np.hstack((0, np.cumsum(1 / np.arange(1, _BDF_MAX_ORDER + 1))))
+_BDF_ALPHA = (1 - _NDF_KAPPA) * _BDF_GAMMA
+_BDF_ERROR_CONST = _NDF_KAPPA * _BDF_GAMMA + 1 / np.arange(1, _BDF_MAX_ORDER + 2)
+
+
+def _compute_R(order: int, factor: float) -> np.ndarray:
+    """scipy's ``compute_R``: the matrix that changes the differences array for a step ``factor`` times as long."""
+    I = np.arange(1, order + 1)[:, None]
+    J = np.arange(1, order + 1)
+    M = np.zeros((order + 1, order + 1))
+    M[1:, 1:] = (I - 1 - factor * J) / I
+    M[0] = 1
+    return np.cumprod(M, axis=0)
+
+
+def _change_D(D: np.ndarray, order: int, factor: float) -> None:
+    """scipy's ``change_D``: rescale the differences array in place when the step size changes."""
+    RU = _compute_R(order, factor).dot(_compute_R(order, 1))
+    D[:order + 1] = np.dot(RU.T, D[:order + 1])
+
+
+class _BdfStep(NamedTuple):
+    """One BDF step's polynomial: the data of scipy's ``BdfDenseOutput``."""
+
+    t_shift: np.ndarray
+    denom: np.ndarray
+    D: np.ndarray
+
+
+class _BDF:
+    """Variable-order BDF (NDF) stepper with scipy's ``BDF`` control, operation for operation.
+
+    It offers what :func:`integrate` reads, as :class:`_DormandPrince` does;
+    ``dense_output()`` is the last step's :class:`_BdfStep`.  Where scipy
+    factors ``I - c J`` this builds a :class:`_NewtonFactor` and counts it in
+    ``nlu``.
+    """
+
+    def __init__(self, fun, jac, t0: float, y0: np.ndarray, t_bound: float, rtol: float, atol: float,
+                 max_step: float):
+        self.fun = fun
+        self.jac = jac
+        self.t = float(t0)
+        self.y = y0
+        self.t_bound = float(t_bound)
+        self.rtol = max(rtol, 100 * _EPS)  # scipy raises rtol to this floor
+        self.atol = atol
+        self.max_step = max_step
+        self.status = "running"
+        f = fun(self.t, y0)
+        self.h_abs = _initial_step(fun, self.t, y0, f, self.t_bound, max_step, self.rtol, atol, 1)
+        if not self.h_abs > 0.0:  # the field's norm overflowed; scipy divides by this step size
+            raise FloatingPointError("divide by zero: the initial step size is 0")
+        self.nfev = 2
+        self.newton_tol = max(10 * _EPS / rtol, min(0.03, rtol ** 0.5))  # scipy's, from rtol as given
+        self.J = jac(self.t, y0)
+        self.njev = 1
+        self.nlu = 0
+        self.rejected = 0
+        self.D = D = np.empty((_BDF_MAX_ORDER + 3, len(y0)))
+        D[0] = y0
+        D[1] = f * self.h_abs
+        self.order = 1
+        self.n_equal_steps = 0
+        self.LU = None
+
+    def _newton(self, t_new: float, y_predict: np.ndarray, c: float, psi: np.ndarray, LU: _NewtonFactor,
+                scale: np.ndarray):
+        """scipy's ``solve_bdf_system``: ``(converged, iterations, y, d)`` of one step's Newton iteration."""
+        d = 0
+        y = y_predict.copy()
+        dy_norm_old = None
+        converged = False
+        for k in range(_NEWTON_MAXITER):
+            f = self.fun(t_new, y)
+            self.nfev += 1
+            if not np.all(np.isfinite(f)):
+                break
+            dy = LU.solve(c * f - psi - d)
+            dy_norm = _rms(dy / scale)
+            rate = None if dy_norm_old is None else dy_norm / dy_norm_old
+            if rate is not None and (
+                rate >= 1 or rate ** (_NEWTON_MAXITER - k) / (1 - rate) * dy_norm > self.newton_tol
+            ):
+                break
+            y += dy
+            d += dy
+            if dy_norm == 0 or rate is not None and rate / (1 - rate) * dy_norm < self.newton_tol:
+                converged = True
+                break
+            dy_norm_old = dy_norm
+        return converged, k + 1, y, d
+
+    def step(self) -> Optional[str]:
+        t, D, order = self.t, self.D, self.order
+        min_step = 10 * (math.nextafter(t, math.inf) - t)
+        if self.h_abs > self.max_step:
+            h_abs = self.max_step
+            _change_D(D, order, self.max_step / self.h_abs)
+            self.n_equal_steps = 0
+        elif self.h_abs < min_step:
+            h_abs = min_step
+            _change_D(D, order, min_step / self.h_abs)
+            self.n_equal_steps = 0
+        else:
+            h_abs = self.h_abs
+
+        alpha = _BDF_ALPHA[order]
+        J, LU = self.J, self.LU
+        current_jac = False
+        while True:
+            if not h_abs >= min_step:  # a NaN step size fails too
+                self.status = "failed"
+                return "Required step size is less than spacing between numbers."
+            t_new = t + h_abs
+            if t_new > self.t_bound:
+                t_new = self.t_bound
+                _change_D(D, order, abs(t_new - t) / h_abs)
+                self.n_equal_steps = 0
+                LU = None
+            h = t_new - t
+            h_abs = abs(h)
+
+            y_predict = np.sum(D[:order + 1], axis=0)
+            scale = self.atol + self.rtol * np.abs(y_predict)
+            psi = np.dot(D[1:order + 1].T, _BDF_GAMMA[1:order + 1]) / alpha
+            c = h / alpha
+            while True:
+                if LU is None:
+                    LU = _NewtonFactor(J, c)
+                    self.nlu += 1
+                converged, n_iter, y_new, d = self._newton(t_new, y_predict, c, psi, LU, scale)
+                if converged or current_jac:
+                    break
+                J = self.jac(t_new, y_predict)
+                self.njev += 1
+                LU = None
+                current_jac = True
+
+            if not converged:
+                h_abs *= 0.5
+                _change_D(D, order, 0.5)
+                self.n_equal_steps = 0
+                LU = None
+                self.rejected += 1
+                continue
+
+            safety = 0.9 * (2 * _NEWTON_MAXITER + 1) / (2 * _NEWTON_MAXITER + n_iter)
+            scale = self.atol + self.rtol * np.abs(y_new)
+            error_norm = _rms(_BDF_ERROR_CONST[order] * d / scale)
+            if error_norm > 1:
+                factor = max(_MIN_FACTOR, safety * error_norm ** (-1 / (order + 1)))
+                h_abs *= factor
+                _change_D(D, order, factor)
+                self.n_equal_steps = 0
+                self.rejected += 1
+            else:
+                break
+
+        self.n_equal_steps += 1
+        self.t, self.y, self.h_abs, self.J, self.LU = t_new, y_new, h_abs, J, LU
+
+        # D^{j+1} y_n = D^j y_n - D^j y_{n-1}, where d = D^{order+1} y_n (scipy's update).
+        D[order + 2] = d - D[order + 1]
+        D[order + 1] = d
+        for i in reversed(range(order + 1)):
+            D[i] += D[i + 1]
+
+        if self.n_equal_steps >= order + 1:
+            error_m_norm = _rms(_BDF_ERROR_CONST[order - 1] * D[order] / scale) if order > 1 else np.inf
+            error_p_norm = (
+                _rms(_BDF_ERROR_CONST[order + 1] * D[order + 2] / scale) if order < _BDF_MAX_ORDER else np.inf
+            )
+            error_norms = np.array([error_m_norm, error_norm, error_p_norm])
+            with np.errstate(divide="ignore"):
+                factors = error_norms ** (-1 / np.arange(order, order + 3))
+            self.order = order = order + int(np.argmax(factors)) - 1
+            factor = min(_MAX_FACTOR, safety * np.max(factors))
+            self.h_abs *= factor
+            _change_D(D, order, factor)
+            self.n_equal_steps = 0
+            self.LU = None
+
+        if t_new >= self.t_bound:
+            self.status = "finished"
+        return None
+
+    def dense_output(self) -> _BdfStep:
+        h = self.h_abs
+        order = self.order
+        return _BdfStep(self.t - h * np.arange(order), h * (1 + np.arange(order)), self.D[:order + 1].copy())
+
+
 _DP_ORDERS = np.arange(1.0, 5.0)[:, None]  # d/ds of s^j is j s^(j-1)
 
 
@@ -476,8 +735,8 @@ class _DenseOutput:
     """Dense output of the accepted steps of either stepper, and its time derivative.
 
     Step ``i`` runs from ``t[i]`` to ``t[i + 1]``; ``steps[i]`` is that step's
-    polynomial: Shampine's matrix ``Q`` for RK45, scipy's ``BdfDenseOutput``
-    for BDF, of which only ``t_shift``, ``denom`` and ``D`` are read.  Points
+    polynomial: Shampine's matrix ``Q`` for RK45, a :class:`_BdfStep` (the
+    ``t_shift``, ``denom`` and ``D`` of scipy's ``BdfDenseOutput``) for BDF.  Points
     are grouped as scipy's ``OdeSolution`` groups them: sorted, a point on a
     step boundary belongs to the earlier step, and each step evaluates its
     run of points with the operations of scipy's own step interpolant, so the
@@ -516,16 +775,20 @@ class _DenseOutput:
         return z
 
     def _bdf(self, i: int, t: np.ndarray, derivative: bool) -> np.ndarray:
-        """``D[1:].T @ p + D[0]`` with ``p = cumprod((t - t_shift) / denom)``, or ``D[1:].T @ p'``."""
+        """``D[1:].T @ p + D[0]`` with ``p = cumprod((t - t_shift) / denom)``, or its derivative ``D[1:].T @ p'``.
+
+        ``p'`` is formed in units of ``1 / denom[0]`` and the product is divided
+        by ``denom[0]`` last, so a subnormal step takes no reciprocal.
+        """
         t_shift, denom, D = self.steps[i].t_shift, self.steps[i].denom, self.steps[i].D
         x = (t - t_shift[:, None]) / denom[:, None]
         p = np.cumprod(x, axis=0)
-        if derivative:  # the product rule: p'_0 = 1 / denom_0, p'_j = p'_{j-1} x_j + p_{j-1} / denom_j
-            dp = np.empty_like(p)
-            dp[0] = 1.0 / denom[0]
+        if derivative:  # the product rule: q_0 = 1, q_j = q_{j-1} x_j + p_{j-1} denom_0 / denom_j, p' = q / denom_0
+            q = np.empty_like(p)
+            q[0] = 1.0
             for j in range(1, len(denom)):
-                dp[j] = dp[j - 1] * x[j] + p[j - 1] / denom[j]
-            return np.dot(D[1:].T, dp)
+                q[j] = q[j - 1] * x[j] + p[j - 1] * (denom[0] / denom[j])
+            return np.dot(D[1:].T, q) / denom[0]
         z = np.dot(D[1:].T, p)
         z += D[0, :, None]
         return z
@@ -565,15 +828,7 @@ def integrate(
     if rk45:
         solver = _DormandPrince(fun, y0.t, z0, t_end, cfg.rel_tol, cfg.abs_tol, cfg.max_step)
     else:
-        from scipy.integrate import BDF
-
-        solver = BDF(fun, y0.t, z0, t_end, rtol=cfg.rel_tol, atol=cfg.abs_tol, max_step=cfg.max_step, jac=jac)
-
-        def lu(A):
-            solver.nlu += 1
-            return newton_lu(A)
-
-        solver.lu = lu  # scipy's BDF factors its Newton matrices through this attribute
+        solver = _BDF(fun, jac, y0.t, z0, t_end, cfg.rel_tol, cfg.abs_tol, cfg.max_step)
 
     floor = cfg.floor
     ts = [y0.t]
@@ -590,7 +845,7 @@ def integrate(
             raise StepSizeUnderflow(f"step size underflow near t={solver.t}: {message}")
         segments.append(solver.dense_output())
         ts.append(solver.t)
-        rows.append(solver.y if rk45 else solver.y.copy())  # only the RK45 stepper promises never to write y again
+        rows.append(solver.y)  # neither stepper writes an accepted y again
         worst = float(solver.y[:dim].min())
         pre_clamp_min = min(pre_clamp_min, worst)
         if worst < floor:
@@ -609,7 +864,13 @@ def integrate(
         flux_orders=flux,
         pre_clamp_min=pre_clamp_min,
         stats=IntegratorStats(
-            steps=len(segments), nfev=solver.nfev, njev=solver.njev, nlu=solver.nlu
+            steps=len(segments),
+            nfev=solver.nfev,
+            njev=solver.njev,
+            nlu=solver.nlu,
+            rejected=solver.rejected,
+            h_min=float(np.min(np.diff(t))),
+            h_max=float(np.max(np.diff(t))),
         ),
         _sol=_DenseOutput(t, Z, segments, rk45),
     )

@@ -21,14 +21,14 @@ extended with running integrals that the balance identities need:
 plus one flux integral F_m(t) = int_0^t x k_{m-1} M_{m-1} per requested
 cohort boundary ``m``.  These are the integrals the balance and tail
 identities read, and no others: every co-integrated slot enters the
-stepper's error norm and the BDF Newton matrix.  The Jacobian has a fixed
-sparsity pattern: the border row and column of ``x``, the lower bidiagonal
-cohort block, the two accumulator rows over the cohorts and two entries per
-flux row, O(n) stored entries.  :meth:`TruncatedSystem.rhs`,
+stepper's error norm and the BDF Newton solve.  The Jacobian is O(n) closed-form
+blocks (:class:`JacobianBlocks`): the border row and column of ``x``, the lower
+bidiagonal cohort block, the two accumulator rows over the cohorts and two
+entries per flux row.  :meth:`TruncatedSystem.rhs`,
 :func:`eval_rhs` and :func:`eval_jacobian` return the phase part of that one
-field; the Jacobian's closed-form entries are written once, in the field's
-``jac``.  scipy's sparse module is imported only when a Jacobian matrix is
-built.
+field; the Jacobian's entries are written once, in the field's ``jac``.
+:func:`eval_jacobian` is the only place that imports scipy: it assembles the
+phase blocks into a sparse matrix.
 
 ``eval_rhs`` and ``eval_jacobian`` are pure functions of their arguments and
 safe to call concurrently.
@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -49,6 +49,7 @@ if TYPE_CHECKING:
 __all__ = [
     "TruncatedSystem",
     "BandedBorderJacobian",
+    "JacobianBlocks",
     "augmented_field",
     "eval_rhs",
     "eval_jacobian",
@@ -114,15 +115,32 @@ class TruncatedSystem:
         return self._phase_field[0](0.0, v)
 
 
+class JacobianBlocks(NamedTuple):
+    """The nonzero entries of the augmented field's Jacobian, block by block.
+
+    Phase rows and columns are ``(x, M_0 .. M_n)``; ``sub[i]`` is
+    ``d(dM_{i+1}/dt)/dM_i``.  Nothing depends on an accumulator, so the
+    accumulator columns are zero.
+    """
+
+    corner: float        # d(dx/dt)/dx
+    row: np.ndarray      # d(dx/dt)/dM
+    col: np.ndarray      # d(dM/dt)/dx
+    diag: np.ndarray     # diagonal of the M block
+    sub: np.ndarray      # its subdiagonal
+    acc: np.ndarray      # dA/dM, one row per base accumulator
+    flux_x: np.ndarray   # dF_m/dx
+    flux_M: np.ndarray   # dF_m/dM_{m-1}
+    flux_cohorts: np.ndarray  # m - 1 for each flux row
+
+
 def augmented_field(sys: TruncatedSystem, flux_orders: Sequence[int] = ()) -> Tuple[Callable, Callable]:
     """``(rhs, jac)`` of the field on ``(x, M_0 .. M_n, A1, A2, F_m ..)``.
 
-    Both take ``(t, z)`` as the steppers call them.  The coefficient
-    arrays and the Jacobian's ``(rows, cols)`` pattern are bound here, once;
-    each ``jac`` call computes the entries and lets scipy assemble the CSC.
+    Both take ``(t, z)`` as the steppers call them; ``jac`` returns
+    :class:`JacobianBlocks`.  The coefficient arrays are bound here, once.
     """
     dim = sys.dimension
-    size = dim + NUM_BASE_ACC + len(flux_orders)
     r = sys.params.r
     alpha = sys.params.alpha
     k = sys.k_masked
@@ -132,6 +150,8 @@ def augmented_field(sys: TruncatedSystem, flux_orders: Sequence[int] = ()) -> Tu
     ip = sys.i_times_p
     iq = sys.i_times_q
     flux_idx = np.array([m - 1 for m in flux_orders], dtype=int)
+    acc_rows = np.stack((loss, ip))
+    acc_rows.setflags(write=False)
     add = np.add.reduce
 
     def rhs(t: float, z: np.ndarray) -> np.ndarray:
@@ -155,43 +175,25 @@ def augmented_field(sys: TruncatedSystem, flux_orders: Sequence[int] = ()) -> Tu
             out[dim + NUM_BASE_ACC:] = flow[flux_idx]
         return out
 
-    # (rows, cols) of each block, in the order jac() lists the values.
-    cohorts = np.arange(1, dim)
-    flux_rows = dim + NUM_BASE_ACC + np.arange(len(flux_orders))
-    blocks = [
-        ([0], [0]),                                  # d(dx/dt)/dx
-        (np.zeros(dim - 1), cohorts),                # d(dx/dt)/dM
-        (cohorts, np.zeros(dim - 1)),                # d(dM/dt)/dx
-        (cohorts, cohorts),                          # diagonal of the M block
-        (cohorts[1:], cohorts[:-1]),                 # its subdiagonal
-        *((np.full(dim - 1, dim + a), cohorts) for a in range(NUM_BASE_ACC)),  # dA/dM
-        (flux_rows, np.zeros(len(flux_orders))),     # dF_m/dx
-        (flux_rows, flux_idx + 1),                   # dF_m/dM_{m-1}
-    ]
-    rows = np.concatenate([b[0] for b in blocks]).astype(np.int32)
-    cols = np.concatenate([b[1] for b in blocks]).astype(np.int32)
-
-    def jac(t: float, z: np.ndarray) -> scipy.sparse.csc_matrix:
-        import scipy.sparse
-
+    def jac(t: float, z: np.ndarray) -> JacobianBlocks:
         x = z[0]
         M = z[1:dim]
         kM = k * M
-        dM_dx = np.empty(dim - 1)
-        dM_dx[0] = -kM[0]
-        dM_dx[1:] = kM[:-1] - kM[1:]
-        values = np.concatenate([
-            [-(k @ M)],
-            iq - k * x,
-            dM_dx,
-            -(k * x + loss),
-            k[:-1] * x,
-            loss,
-            ip,
-            kM[flux_idx],
-            x * k[flux_idx],
-        ])
-        return scipy.sparse.csc_matrix((values, (rows, cols)), shape=(size, size))
+        kx = k * x
+        col = np.empty(dim - 1)
+        col[0] = -kM[0]
+        np.subtract(kM[:-1], kM[1:], out=col[1:])
+        return JacobianBlocks(
+            corner=-(k @ M),
+            row=iq - kx,
+            col=col,
+            diag=-(kx + loss),
+            sub=kx[:-1],
+            acc=acc_rows,
+            flux_x=kM[flux_idx],
+            flux_M=kx[flux_idx],
+            flux_cohorts=flux_idx,
+        )
 
     return rhs, jac
 
@@ -223,9 +225,19 @@ def eval_rhs(sys: TruncatedSystem, s: State) -> np.ndarray:
 def eval_jacobian(sys: TruncatedSystem, s: State) -> BandedBorderJacobian:
     """Jacobian of :func:`eval_rhs` with respect to ``(x, M_0 .. M_n)``.
 
-    It is the leading phase block of the augmented field's sparse Jacobian.
+    The phase blocks of the augmented field's ``jac``, assembled by scipy
+    from their ``(rows, cols)``.
     """
+    import scipy.sparse
+
     if s.n != sys.n:
         raise ValueError(f"state carries cohorts 0..{s.n} but the system expects 0..{sys.n}")
     d = sys.dimension
-    return BandedBorderJacobian(sys._phase_field[1](0.0, s.vector())[:d, :d])
+    J = sys._phase_field[1](0.0, s.vector())
+    cohorts = np.arange(1, d)
+    zeros = np.zeros(d - 1, dtype=int)
+    # (rows, cols) of corner, border row, border column, diagonal and subdiagonal, in that order.
+    rows = np.concatenate(([0], zeros, cohorts, cohorts, cohorts[1:]))
+    cols = np.concatenate(([0], cohorts, zeros, cohorts, cohorts[:-1]))
+    values = np.concatenate(([J.corner], J.row, J.col, J.diag, J.sub))
+    return BandedBorderJacobian(scipy.sparse.csc_matrix((values, (rows, cols)), shape=(d, d)))

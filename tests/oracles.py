@@ -137,3 +137,26 @@ def reference_augmented_rhs(sys: TruncatedSystem, flux_orders, z: np.ndarray) ->
     if len(flux_idx):
         out[dim + NUM_BASE_ACC:] = flow[flux_idx]
     return out
+
+
+def dense_jacobian(J, size: int) -> np.ndarray:
+    """The augmented Jacobian as a dense ``(size, size)`` matrix, each block placed entry by entry.
+
+    ``J`` holds the blocks of ``augmented_field``'s ``jac``; the placement
+    loops are slow on purpose, so they share no index arithmetic with the library.
+    """
+    dim = len(J.diag) + 1
+    A = np.zeros((size, size))
+    A[0, 0] = J.corner
+    for i in range(dim - 1):
+        A[0, 1 + i] = J.row[i]
+        A[1 + i, 0] = J.col[i]
+        A[1 + i, 1 + i] = J.diag[i]
+        if i > 0:
+            A[1 + i, i] = J.sub[i - 1]
+        for a in range(NUM_BASE_ACC):
+            A[dim + a, 1 + i] = J.acc[a][i]
+    for j, m in enumerate(J.flux_cohorts):
+        A[dim + NUM_BASE_ACC + j, 0] = J.flux_x[j]
+        A[dim + NUM_BASE_ACC + j, 1 + m] = J.flux_M[j]
+    return A

@@ -134,6 +134,25 @@ def test_verify_on_a_very_short_run_writes_every_check(tmp_path, capsys, t_end):
         assert len(read_summary(out)["checks"]) == 12
 
 
+@pytest.mark.parametrize("t_end", [5e-324, 1e-300])
+@pytest.mark.parametrize("method", ["rk45", "bdf"])
+def test_verify_power_law_at_a_subnormal_or_tiny_t_end_ends_with_its_checks(tmp_path, capsys, method, t_end):
+    # the BDF dense derivative takes no reciprocal of the step, so a 5e-324 step no longer overflows.
+    # At that step the difference array holds f * h rounded to multiples of 5e-324, so the BDF
+    # polynomial's derivative is not the field's: only differential_form fails, and says so (exit 1).
+    doc = yaml.safe_load((ROOT / "configs" / "verify_power_law.yaml").read_text(encoding="utf-8"))
+    doc["run"]["t_end"] = t_end
+    doc["integrator"] = dict(doc.get("integrator") or {}, method=method)
+    out = tmp_path / "out"
+    code = cli.main(["verify", "--config", write_config(tmp_path / "tiny.yaml", doc), "--out", str(out)])
+    assert "Traceback" not in "".join(capsys.readouterr())
+    failed = [c["name"] for c in read_summary(out)["checks"] if not c["passed"]]
+    if method == "bdf" and t_end == 5e-324:
+        assert (code, failed) == (cli.EXIT_CHECK_FAILED, ["differential_form"])
+    else:
+        assert (code, failed) == (cli.EXIT_OK, [])
+
+
 def test_verify_with_a_tiny_growth_constant_reports_an_infinite_apriori_constant(tmp_path):
     doc = coupled_doc(n=8, t_end=1.0)
     doc["rates"]["k"]["amplitude"] = 1e-300
@@ -489,8 +508,9 @@ def test_integrator_stats_in_summary(tmp_path):
     assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 0
     summary = read_summary(out)
     stats = summary["metadata"]["integrator"]
-    assert set(stats) == {"steps", "nfev", "njev", "nlu"}
+    assert set(stats) == {"steps", "nfev", "njev", "nlu", "rejected", "h_min", "h_max"}
     assert stats["steps"] == summary["metadata"]["num_samples"] - 1
+    assert 0.0 < stats["h_min"] <= stats["h_max"] <= 1.0
 
 
 def test_check_failure_exit_code(tmp_path):
@@ -607,11 +627,11 @@ print(code, sorted(m for m in sys.modules if m.startswith("scipy"))[:3])
 
 
 @pytest.mark.parametrize(
-    "command,config,scipy_used",
-    [("simulate", "decay_oracle", False), ("equilibrium", "equilibrium_chain", False), ("simulate", "bdf", True)],
+    "command,config",
+    [("simulate", "decay_oracle"), ("equilibrium", "equilibrium_chain"), ("simulate", "bdf"), ("verify", "bdf")],
 )
-def test_scipy_imported_only_for_bdf(tmp_path, command, config, scipy_used):
-    # RK45, the equilibrium solve and config loading run without scipy; BDF imports it on use
+def test_no_subcommand_imports_scipy(tmp_path, command, config):
+    # both steppers, the battery, the equilibrium solve and config loading run without scipy
     path = ROOT / "configs" / f"{config}.yaml"
     if config == "bdf":
         doc = coupled_doc(n=8, t_end=1.0)
@@ -626,4 +646,4 @@ def test_scipy_imported_only_for_bdf(tmp_path, command, config, scipy_used):
     )
     code, modules = done.stdout.splitlines()[-1].split(" ", 1)
     assert code == "0", done.stderr
-    assert (modules != "[]") == scipy_used
+    assert modules == "[]"

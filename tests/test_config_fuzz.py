@@ -9,7 +9,8 @@ line.
 
 A deterministic sweep sets each numeric field of the same small copies to
 ``TINY``, one at a time: no hostile value is a tiny positive number, and such
-values reach zero-length steps, spans and growth constants.  A second sweep
+values reach zero-length steps, spans and growth constants.  It runs a second
+time with ``integrator.method: bdf``, each case within the time bound.  A second sweep
 sets each integer field to ``HUGE``, a truncation order or sample count no
 machine can allocate arrays for.
 """
@@ -152,25 +153,40 @@ def _numeric_paths(doc, types):
             yield path
 
 
-def _sweep(config, value, types, tmp_path, capsys):
-    """Set each leaf of type ``types`` of the small copy of ``config`` to ``value`` in turn and run ``cli.main``."""
+def _sweep(config, value, types, tmp_path, capsys, method=None):
+    """Set each leaf of type ``types`` of the small copy of ``config`` to ``value`` in turn and run ``cli.main``.
+
+    With a ``method``, the copy integrates with it; its own fields are swept too.
+    """
     doc = _small(yaml.safe_load(config.read_text(encoding="utf-8")))
+    if method is not None:
+        doc["integrator"] = dict(doc.get("integrator") or {}, method=method)
     target = tmp_path / "extreme.yaml"
     argv = [COMMAND[config.stem], "--config", str(target), "--out", str(tmp_path / "out")]
     for path in _numeric_paths(doc, types):
         target.write_text(yaml.safe_dump(_replaced(doc, path, value)), encoding="utf-8")
+        start = time.perf_counter()
         code = cli.main(argv)
+        elapsed = time.perf_counter() - start
         out, err = capsys.readouterr()
         assert "Traceback" not in out + err, path
         assert code in (cli.EXIT_OK, cli.EXIT_CHECK_FAILED, cli.EXIT_CONFIG, cli.EXIT_NUMERICAL), path
         if code in (cli.EXIT_CONFIG, cli.EXIT_NUMERICAL):
             assert len(err.splitlines()) == 1, (path, err)
+        if method is not None:
+            assert elapsed < SECONDS_PER_EXAMPLE, path
 
 
 @pytest.mark.parametrize("config", CONFIGS, ids=lambda p: p.stem)
 def test_main_ends_every_tiny_value_with_an_exit_code(config, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(integrator, "MAX_STEPS", FUZZ_STEPS)
     _sweep(config, TINY, (int, float), tmp_path, capsys)
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda p: p.stem)
+def test_main_ends_every_tiny_value_under_bdf_with_an_exit_code(config, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(integrator, "MAX_STEPS", FUZZ_STEPS)
+    _sweep(config, TINY, (int, float), tmp_path, capsys, method="bdf")
 
 
 @pytest.mark.parametrize("config", CONFIGS, ids=lambda p: p.stem)

@@ -4,7 +4,6 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-import scipy.sparse
 
 from silkin import (
     IntegratorConfig,
@@ -21,11 +20,10 @@ from silkin import (
     norm_mu,
 )
 from silkin import integrator
-from silkin.integrator import newton_lu
 from silkin.truncation import NUM_BASE_ACC, augmented_field
 
-from conftest import constant_rates, decaying_state, power_law_system
-from oracles import decoupled_solution
+from conftest import constant_rates, decaying_state, power_law_system, rates_from_arrays
+from oracles import decoupled_solution, dense_jacobian
 
 E_INV = 0.36787944117144233  # exp(-1)
 E_HALF_INV = 0.6065306597126334  # exp(-0.5)
@@ -223,24 +221,36 @@ def test_bdf_accumulators_agree_with_rk45():
     np.testing.assert_allclose(a.accumulators[-1], b.accumulators[-1], rtol=1e-7, atol=1e-10)
 
 
-def test_bdf_newton_lu_has_no_fill(rng):
-    # I - c J for the augmented field at n = 1024: the factors stay within a
-    # fixed multiple of the matrix size, and the solve is backward stable
+def test_newton_factor_is_backward_stable(rng):
+    # the structured solve of I - c J at n = 1024, against the dense matrix placed entry by entry:
+    # an increasing and a decreasing k table, a state with a subnormal tail, and a chain without
+    # release whose bidiagonal solve couples cohorts a thousand apart (the level products decay like l / i)
     n = 1024
-    sys_ = power_law_system(n, gamma=1.0)
-    _, jac = augmented_field(sys_, (1,))
-    z = np.concatenate([decaying_state(n, rho=0.5).vector(), np.zeros(5)])
-    J = jac(0.0, z)
-    size = J.shape[0]
-    for c in (1e-4, 1e-2, 0.2):
-        A = (scipy.sparse.identity(size, format="csc") - c * J).tocsc()
-        lu = newton_lu(A)
-        assert lu.L.nnz + lu.U.nnz <= 16 * size
-        b = rng.standard_normal(size)
-        x = lu.solve(b)
-        residual = np.max(np.abs(A @ x - b))
-        scale = abs(A).sum(axis=1).max() * np.max(np.abs(x)) + np.max(np.abs(b))
-        assert residual <= 1e-12 * scale
+    cohorts = np.arange(n + 1.0)
+    decreasing = rates_from_arrays(n, 3.0 / (1.0 + cohorts), np.full(n + 1, 0.7), 0.5 * cohorts)
+    long_range = rates_from_arrays(n, 1.0 + cohorts, np.full(n + 1, 0.01), np.zeros(n + 1))
+    smooth = decaying_state(n, rho=0.5).vector()
+    subnormal_tail = smooth.copy()
+    subnormal_tail[600:] = 5e-324
+    heavy_x = smooth.copy()
+    heavy_x[0] = 5.0
+    cases = [
+        (power_law_system(n, gamma=1.0), (smooth, subnormal_tail)),
+        (TruncatedSystem(ModelParams(r=0.4, alpha=0.3), decreasing), (smooth, subnormal_tail)),
+        (TruncatedSystem(ModelParams(r=0.4, alpha=0.3), long_range), (heavy_x,)),
+    ]
+    for sys_, phases in cases:
+        _, jac = augmented_field(sys_, (1,))
+        for phase in phases:
+            z = np.concatenate([phase, np.zeros(NUM_BASE_ACC + 1)])
+            J = jac(0.0, z)
+            for c in (1e-4, 1e-2, 0.2):
+                A = np.eye(len(z)) - c * dense_jacobian(J, len(z))
+                b = rng.standard_normal(len(z))
+                u = integrator._NewtonFactor(J, c).solve(b)
+                residual = np.max(np.abs(A @ u - b))
+                scale = np.abs(A).sum(axis=1).max() * np.max(np.abs(u)) + np.max(np.abs(b))
+                assert residual <= 1e-12 * scale
 
 
 def test_integrator_stats_count_stepper_work():
@@ -255,6 +265,19 @@ def test_integrator_stats_count_stepper_work():
     assert min(bdf.steps, bdf.nfev, bdf.njev, bdf.nlu) > 0
 
 
+def test_integrator_stats_report_rejections_and_step_range():
+    # RK45 at 1e-4/1e-8 on n = 32 refuses 18 steps; each step tried costs six field calls
+    # after the two of the starting step
+    sys_ = power_law_system(32, gamma=1.0)
+    traj = integrate(sys_, decaying_state(32), 5.0, IntegratorConfig(rel_tol=1e-4, abs_tol=1e-8), flux_orders=(1,))
+    stats = traj.stats
+    assert stats.rejected == 18
+    assert stats.nfev == 2 + 6 * (stats.steps + stats.rejected)
+    steps = np.diff(traj.t)
+    assert (stats.h_min, stats.h_max) == (float(steps.min()), float(steps.max()))
+    assert 0.0 < stats.h_min < stats.h_max
+
+
 def test_augmented_jacobian_matches_finite_differences(rng):
     # the Jacobian handed to the stiff stepper, including accumulator rows,
     # at a small and a large truncation order
@@ -265,7 +288,7 @@ def test_augmented_jacobian_matches_finite_differences(rng):
         dim = sys_.dimension
         for _ in range(20):
             z = np.concatenate([rng.uniform(0.0, 2.0, dim), rng.uniform(0.0, 1.0, NUM_BASE_ACC + len(flux))])
-            J = jac(0.0, z).toarray()
+            J = dense_jacobian(jac(0.0, z), len(z))
             J_fd = np.empty_like(J)
             for j in range(len(z)):
                 h = 1e-6 * max(1.0, abs(z[j]))
@@ -280,7 +303,8 @@ def test_augmented_jacobian_matches_finite_differences(rng):
             assert np.array_equal(eval_jacobian(sys_, s).to_dense(), J[:dim, :dim])
         # stored entries grow linearly: x border row and column, bidiagonal
         # M block, two accumulator rows and two entries per flux row
-        assert jac(0.0, z).nnz <= 6 * dim + 2 * len(flux)
+        blocks = jac(0.0, z)
+        assert sum(np.size(values) for values in blocks[:-1]) <= 6 * dim + 2 * len(flux)  # the last holds indices
 
 
 def test_negativity_floor_policy():
@@ -403,7 +427,7 @@ def clamped(Z, dim):
         (4, 0.5, 1e-10, 1e-15, math.inf),
         (32, 0.5, 1e-10, 1e-15, math.inf),
         (4, 0.5, 1e-6, 1e-9, 0.05),     # max_step binds: 102 steps instead of 36
-        (32, 1.0, 1e-4, 1e-8, math.inf),  # 24 rejected steps
+        (32, 1.0, 1e-4, 1e-8, math.inf),  # 18 rejected steps
     ],
 )
 def test_rk45_stepper_matches_scipy(n, gamma, rel_tol, abs_tol, max_step):
@@ -451,30 +475,127 @@ def test_rk45_sample_rows_match_scipy(n, gamma, rel_tol, abs_tol, max_step):
     assert traj.accumulators.tobytes() == Z[:, dim:].tobytes()
 
 
-@pytest.mark.parametrize("n,gamma,rel_tol,abs_tol", [(4, 0.5, 1e-10, 1e-15), (32, 1.0, 1e-6, 1e-9)])
-def test_bdf_dense_output_matches_scipy(n, gamma, rel_tol, abs_tol):
-    # the shared evaluator on the steps of scipy's own BDF: the values and the layout of OdeSolution, bitwise
-    from scipy.integrate import BDF, OdeSolution
+class _BlocksAsMatrix:
+    """Jacobian blocks where scipy's BDF expects a matrix: ``c * J`` gives ``(blocks, c)``."""
 
-    sys_ = power_law_system(n, gamma=gamma)
-    fun, jac = augmented_field(sys_, (1,))
-    z0 = np.concatenate([decaying_state(n).vector(), np.zeros(NUM_BASE_ACC + 1)])
-    solver = BDF(fun, 0.0, z0, 5.0, rtol=rel_tol, atol=abs_tol, jac=jac)
-    ts, rows, segments = [0.0], [z0], []
+    __array_ufunc__ = None  # numpy defers ``c * J`` to __rmul__
+
+    def __init__(self, blocks):
+        self.blocks = blocks
+
+    def __rmul__(self, c):
+        return self.blocks, c
+
+
+class _Identity:
+    """scipy's ``I`` in ``I - c J``: it passes ``(blocks, c)`` on to ``lu``."""
+
+    def __sub__(self, scaled):
+        return scaled
+
+
+def scipy_bdf(sys_, y0, t_end, cfg, flux_orders):
+    """scipy's BDF on the augmented field, its Newton systems factored and solved by the library's factor.
+
+    Returns the solver, its times, its state after each step (the start first) and its steps' dense outputs.
+    """
+    import scipy.sparse
+    from scipy.integrate import BDF
+
+    fun, jac = augmented_field(sys_, flux_orders)
+    z0 = np.concatenate([y0.vector(), np.zeros(NUM_BASE_ACC + len(flux_orders))])
+    size = len(z0)
+    # A sparse placeholder gets the constructor past its matrix checks; it counts that call in njev.
+    solver = BDF(
+        fun, y0.t, z0, t_end, rtol=cfg.rel_tol, atol=cfg.abs_tol, max_step=cfg.max_step,
+        jac=lambda t, y: scipy.sparse.csc_matrix((size, size)),
+    )
+    solver.J = _BlocksAsMatrix(jac(y0.t, z0))
+
+    def refreshed(t, y):
+        solver.njev += 1
+        return _BlocksAsMatrix(jac(t, y))
+
+    def lu(scaled):
+        solver.nlu += 1
+        return integrator._NewtonFactor(*scaled)
+
+    solver.jac, solver.I, solver.lu = refreshed, _Identity(), lu
+    solver.solve_lu = lambda factor, b: factor.solve(b)
+    ts, rows, segments = [y0.t], [z0], []
     while solver.status == "running":
         solver.step()
         assert solver.status != "failed"
         ts.append(solver.t)
         rows.append(solver.y.copy())
         segments.append(solver.dense_output())
-    ts = np.array(ts)
-    mine = integrator._DenseOutput(ts, np.array(rows), segments, rk45=False)
+    return solver, np.array(ts), np.array(rows), segments
+
+
+@pytest.mark.parametrize("n,gamma,rel_tol,abs_tol", [(4, 0.5, 1e-10, 1e-15), (32, 1.0, 1e-6, 1e-9)])
+def test_bdf_dense_output_matches_scipy(n, gamma, rel_tol, abs_tol):
+    # the shared evaluator on the steps of scipy's own BDF: the values and the layout of OdeSolution, bitwise
+    from scipy.integrate import OdeSolution
+
+    cfg = IntegratorConfig(method="bdf", rel_tol=rel_tol, abs_tol=abs_tol)
+    _, ts, rows, segments = scipy_bdf(power_law_system(n, gamma=gamma), decaying_state(n), 5.0, cfg, (1,))
+    mine = integrator._DenseOutput(ts, rows, segments, rk45=False)
     reference = OdeSolution(ts, segments)
     grid = np.sort(np.concatenate([np.linspace(0.0, 5.0, 201), ts]))  # sample times too
     for points in (grid, np.random.default_rng(3).permutation(grid)):
         got, want = mine(points), reference(points)
         assert got.tobytes() == want.tobytes()
         assert got.flags.f_contiguous == want.flags.f_contiguous
+
+
+def assert_bdf_matches_scipy(monkeypatch, sys_, y0, cfg):
+    """scipy's BDF driven by the same factor and solve takes the same steps with the same bits as ``integrate``.
+
+    Compared: times, states, work counts, rejections and each step's dense-output data.
+    """
+    import scipy.integrate._ivp.bdf as scipy_bdf_module
+
+    newton_calls = []
+    solve_bdf_system = scipy_bdf_module.solve_bdf_system
+
+    def counted(*args):
+        newton_calls.append(1)
+        return solve_bdf_system(*args)
+
+    monkeypatch.setattr(scipy_bdf_module, "solve_bdf_system", counted)
+    traj = integrate(sys_, y0, 5.0, cfg, flux_orders=(1, 4))
+    solver, ts, rows, segments = scipy_bdf(sys_, y0, 5.0, cfg, (1, 4))
+    dim = sys_.dimension
+    assert traj.t.tobytes() == ts.tobytes()
+    assert traj.phase.tobytes() == np.where(rows[:, :dim] < 0.0, 0.0, rows[:, :dim]).tobytes()
+    assert traj.accumulators.tobytes() == rows[:, dim:].tobytes()
+    stats = traj.stats
+    assert (stats.nfev, stats.njev, stats.nlu) == (solver.nfev, solver.njev, solver.nlu)
+    # each attempt makes one Newton call, and one more after each Jacobian refresh
+    assert stats.rejected == len(newton_calls) - (solver.njev - 1) - stats.steps
+    for mine, ref in zip(traj._sol.steps, segments, strict=True):
+        for a, b in ((mine.t_shift, ref.t_shift), (mine.denom, ref.denom), (mine.D, ref.D)):
+            assert a.tobytes() == b.tobytes()
+    return stats
+
+
+@pytest.mark.parametrize(
+    "rel_tol,abs_tol,max_step",
+    [(1e-10, 1e-15, math.inf), (1e-4, 1e-8, 0.1)],  # the second: max_step binds, Jacobian refreshes at gamma = 1
+)
+@pytest.mark.parametrize("gamma", [0.0, 1.0])
+@pytest.mark.parametrize("n", [4, 32, 256])
+def test_bdf_stepper_matches_scipy(monkeypatch, n, gamma, rel_tol, abs_tol, max_step):
+    cfg = IntegratorConfig(method="bdf", rel_tol=rel_tol, abs_tol=abs_tol, max_step=max_step)
+    assert_bdf_matches_scipy(monkeypatch, power_law_system(n, gamma=gamma), decaying_state(n), cfg)
+
+
+def test_bdf_stepper_matches_scipy_on_a_stiff_system(monkeypatch):
+    # fast ingestion and loss: Newton fails three times on a stale Jacobian, and one step is refused
+    sys_ = power_law_system(32, gamma=1.0, k_amp=50.0, p_amp=20.0)
+    cfg = IntegratorConfig(method="bdf", rel_tol=1e-3, abs_tol=1e-6)
+    stats = assert_bdf_matches_scipy(monkeypatch, sys_, decaying_state(32), cfg)
+    assert (stats.njev, stats.rejected) == (4, 1)
 
 
 @pytest.mark.parametrize("method", ["rk45", "bdf"])
