@@ -4,12 +4,16 @@
 Each config in ``configs/`` runs under its own subcommand, in-process, into
 a temporary directory; every CSV and ``summary.json`` it writes is hashed.
 A run whose summary records integrator statistics also gets a line
-``steps=.. nfev=.. njev=.. nlu=..  <config>/integrator``, so a diff shows a
-changed step sequence, not only changed hashes.
+``steps=.. nfev=.. njev=.. nlu=..  <config>/integrator`` (``converge``: one
+line ``<config>/integrator/n=<rung>`` per rung), so a diff shows a changed
+step sequence, not only changed hashes.
 ``verify_power_law`` runs a second time with ``integrator.method: bdf``
 (lines ``verify_power_law_bdf/...``), so the stiff path is covered too, and
 a third time under ``equilibrium`` (lines ``verify_power_law_equilibrium/...``):
 its root is not exact in floating point, so a changed root finder shows.
+``stiff_wide_4096`` is a BDF ``simulate`` at n = 4096 with ``wide_csv: true``
+on a config built here, so the wide CSV, whose values reach down to
+subnormals, is hashed too.
 Run it from two checkouts and ``diff`` the outputs to show that a change
 keeps every output byte:
 
@@ -41,6 +45,20 @@ COMMAND = {
     "verify_power_law": "verify",
 }
 
+# The acceptance families k = i + 1, p = 0.7, q = 0.5 (i + 1) at n = 4096, under BDF.
+STIFF_WIDE = {
+    "model": {"r": 0.4, "alpha": 0.3},
+    "rates": {
+        "k": {"kind": "power_law", "amplitude": 1.0, "exponent": 1.0},
+        "p": {"kind": "constant", "amplitude": 0.7},
+        "q": {"kind": "power_law", "amplitude": 0.5, "exponent": 1.0},
+    },
+    "initial": {"x0": 1.0, "decay": {"b": 1.0, "rho": 0.5}},
+    "run": {"n": 4096, "t_end": 5.0},
+    "integrator": {"method": "bdf", "rel_tol": 1.0e-10, "abs_tol": 1.0e-15},
+    "output": {"wide_csv": True},
+}
+
 
 def digest(name: str, command: str, config: Path) -> int:
     """Run one config into a temporary directory and print the hash of each output."""
@@ -53,10 +71,22 @@ def digest(name: str, command: str, config: Path) -> int:
         for path in sorted(Path(tmp).iterdir()):
             if path.suffix == ".csv" or path.name == "summary.json":
                 print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {name}/{path.name}")
-        stats = json.loads((Path(tmp) / "summary.json").read_text(encoding="utf-8"))["metadata"].get("integrator")
-        if stats:
-            print(" ".join(f"{key}={stats[key]}" for key in ("steps", "nfev", "njev", "nlu")) + f"  {name}/integrator")
+        meta = json.loads((Path(tmp) / "summary.json").read_text(encoding="utf-8"))["metadata"]
+        stats = meta.get("integrator")
+        runs = [(f"{name}/integrator", stats)] if isinstance(stats, dict) else []
+        if isinstance(stats, list):  # converge: one entry per rung
+            runs = [(f"{name}/integrator/n={n}", entry) for n, entry in zip(meta["n_ladder"], stats)]
+        for label, entry in runs:
+            print(" ".join(f"{key}={entry[key]}" for key in ("steps", "nfev", "njev", "nlu")) + f"  {label}")
     return 0
+
+
+def digest_doc(name: str, command: str, doc: dict) -> int:
+    """:func:`digest` of a config document built here."""
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / f"{name}.yaml"
+        config.write_text(yaml.safe_dump(doc), encoding="utf-8")
+        return digest(name, command, config)
 
 
 def main() -> int:
@@ -66,11 +96,11 @@ def main() -> int:
             return code
     doc = yaml.safe_load((ROOT / "configs" / "verify_power_law.yaml").read_text(encoding="utf-8"))
     doc["integrator"]["method"] = "bdf"
-    with tempfile.TemporaryDirectory() as tmp:
-        config = Path(tmp) / "verify_power_law_bdf.yaml"
-        config.write_text(yaml.safe_dump(doc), encoding="utf-8")
-        code = digest("verify_power_law_bdf", "verify", config)
-    return code or digest("verify_power_law_equilibrium", "equilibrium", ROOT / "configs" / "verify_power_law.yaml")
+    return (
+        digest_doc("verify_power_law_bdf", "verify", doc)
+        or digest("verify_power_law_equilibrium", "equilibrium", ROOT / "configs" / "verify_power_law.yaml")
+        or digest_doc("stiff_wide_4096", "simulate", STIFF_WIDE)
+    )
 
 
 if __name__ == "__main__":

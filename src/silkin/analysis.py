@@ -15,11 +15,12 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .integrator import IntegrationError, IntegratorConfig, Trajectory, integrate
+from .integrator import IntegrationError, IntegratorConfig, IntegratorStats, Trajectory, integrate
 from .model import (
     CoefficientFamily,
     InitialData,
     ModelParams,
+    RateTable,
     State,
     realize_coefficients,
     weighted_norm,
@@ -98,6 +99,7 @@ class ConvergenceReport:
     gaps: np.ndarray
     x_gaps: np.ndarray
     decreasing: bool
+    stats: Tuple[IntegratorStats, ...]
 
 
 def convergence_study(
@@ -107,25 +109,31 @@ def convergence_study(
     n_ladder: Sequence[int],
     t_end: float,
     cfg: Optional[IntegratorConfig] = None,
+    rates: Optional[RateTable] = None,
 ) -> ConvergenceReport:
     """Integrate every rung from the projected initial data and report gaps.
 
     ``gaps[j]`` is ``sup_t`` of the total-matter-norm distance between rungs
     ``j`` and ``j+1`` on a shared dense grid, ``x_gaps[j]`` the same for the
-    free-quartz component alone.
+    free-quartz component alone, and ``stats[j]`` rung ``j``'s integrator
+    statistics.  ``rates``, when given, is the families' table at the top
+    rung, which is then not realized again.
     """
     ladder = tuple(int(n) for n in n_ladder)
     if len(ladder) < 2 or any(b <= a for a, b in zip(ladder, ladder[1:])) or ladder[0] < 2:
         raise ValueError(f"n_ladder must be strictly increasing with min >= 2, got {ladder}")
+    if rates is not None and rates.n != ladder[-1]:
+        raise ValueError(f"rates are at order {rates.n}, not at the top rung {ladder[-1]}")
     phases: List[np.ndarray] = []
+    stats: List[IntegratorStats] = []
     for n in ladder:
-        rates = realize_coefficients(*families, n)
-        sys = TruncatedSystem(params, rates)
+        table = rates if n == ladder[-1] and rates is not None else realize_coefficients(*families, n)
         try:
-            traj = integrate(sys, initial_data.state(n), t_end, cfg)
+            traj = integrate(TruncatedSystem(params, table), initial_data.state(n), t_end, cfg)
         except IntegrationError as exc:
             raise TruncationRungError(n, str(exc)) from exc
         phases.append(_on_grid(traj))
+        stats.append(traj.stats)
     pairs = list(zip(phases, phases[1:]))
     gaps_arr = np.array([_gap(za, zb) for za, zb in pairs])
     return ConvergenceReport(
@@ -133,6 +141,7 @@ def convergence_study(
         gaps=gaps_arr,
         x_gaps=np.array([float(np.max(np.abs(zb[0] - za[0]))) for za, zb in pairs]),
         decreasing=bool(np.all(np.diff(gaps_arr) < 0.0)),
+        stats=tuple(stats),
     )
 
 

@@ -10,8 +10,10 @@ Subcommands
 
 Every summary check names the residual operation that produced it, so a
 failing line is traceable to one function.  The pipeline is deterministic:
-identical configs produce byte-identical CSV output.  ``--seed`` is accepted
-and recorded but reserved; no core path draws random numbers.
+identical configs produce byte-identical CSV output.  Every CSV field is the
+``repr`` of its value, made by :mod:`silkin.csvtext` from row blocks of the
+result arrays.  ``--seed`` is accepted and recorded but reserved; no core
+path draws random numbers.
 
 The output directory is ``--out``, overridden by the ``SILKIN_OUT_DIR``
 environment variable when set.
@@ -337,12 +339,18 @@ def load_config(path: str) -> RunConfig:
     return config
 
 
-def _write_csv(path: Path, header: Sequence[str], rows) -> None:
-    """Rows hold Python ints and floats (``ndarray.tolist()`` gives them): ``repr`` is exact."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(map(repr, row)) + "\n")
+def _write_csv(path: Path, header: Sequence[str], *columns: np.ndarray) -> None:
+    """Write ``header`` and one line per row of ``columns`` side by side (1-D columns or 2-D blocks).
+
+    Each field is the ``repr`` of its value: an integer column's digits, a
+    float column's shortest round-trip decimal.  :mod:`silkin.csvtext` makes
+    the text from row blocks of the arrays, never from Python numbers.
+    """
+    from . import csvtext  # imported here: a run that writes no CSV does not compile it
+
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode("ascii"))
+        fh.writelines(csvtext.chunks(*columns))
 
 
 def _check(name: str, operation: str, value, threshold, passed: bool, comparison: str = "<=") -> dict:
@@ -369,21 +377,13 @@ def _write_trajectory(config: RunConfig, traj: Trajectory, out: Path) -> dict:
     cohorts = min(config.output_m_out, rates.n + 1)
     header = ["t", "x", "M_total", "X_total", "U_total", "Q", "P"] + [f"M_{i}" for i in range(cohorts)]
 
-    def rows():
-        for t, row in zip(traj.t.tolist(), traj.phase):
-            x, M = row[0], row[1:]
-            snap = compute_moments(x, M, rates)
-            yield [t, float(x), snap.m_total, snap.x_total, snap.u_total, snap.Q, snap.P] + M[:cohorts].tolist()
-
-    _write_csv(out / "trajectory.csv", header, rows())
+    snaps = [compute_moments(row[0], row[1:], rates) for row in traj.phase]
+    moments = np.array([[s.m_total, s.x_total, s.u_total, s.Q, s.P] for s in snaps])
+    _write_csv(out / "trajectory.csv", header, traj.t, traj.phase[:, 0], moments, traj.phase[:, 1:cohorts + 1])
     artifacts = {"trajectory_csv": "trajectory.csv"}
     if config.output_wide_csv:
         wide_header = ["t", "x"] + [f"M_{i}" for i in range(rates.n + 1)]
-        _write_csv(
-            out / "trajectory_wide.csv",
-            wide_header,
-            ([t] + traj.phase[i].tolist() for i, t in enumerate(traj.t.tolist())),
-        )
+        _write_csv(out / "trajectory_wide.csv", wide_header, traj.t, traj.phase)
         artifacts["trajectory_wide_csv"] = "trajectory_wide.csv"
     return artifacts
 
@@ -477,12 +477,11 @@ def _cmd_converge(config: RunConfig, out: Path):
         config.n_ladder,
         config.t_end,
         config.integrator,
+        rates=config.rates,
     )
-    rows = [
-        [n_lo, n_hi, float(gap), float(xg)]
-        for n_lo, n_hi, gap, xg in zip(report.n_ladder, report.n_ladder[1:], report.gaps, report.x_gaps)
-    ]
-    _write_csv(out / "gaps.csv", ["n_low", "n_high", "gap", "x_gap"], rows)
+    ladder = np.array(report.n_ladder)
+    header = ["n_low", "n_high", "gap", "x_gap"]
+    _write_csv(out / "gaps.csv", header, ladder[:-1], ladder[1:], report.gaps, report.x_gaps)
     checks = [
         _check("gaps_decreasing", "convergence_study", bool(report.decreasing), True, report.decreasing, comparison="==")
     ]
@@ -490,18 +489,18 @@ def _cmd_converge(config: RunConfig, out: Path):
         checks.append(
             _bound_check("final_gap", "convergence_study", float(report.gaps[-1]), config.converge_final_gap_tol)
         )
-    meta = {"n_ladder": list(report.n_ladder), "gaps": [float(g) for g in report.gaps]}
+    meta = {
+        "n_ladder": list(report.n_ladder),
+        "gaps": [float(g) for g in report.gaps],
+        "integrator": [asdict(s) for s in report.stats],
+    }
     return checks, {"gaps_csv": "gaps.csv"}, meta
 
 
 def _cmd_equilibrium(config: RunConfig, out: Path):
     sys_, _ = _build_system(config)
     result = find_equilibrium(sys_, config.equilibrium_x_bracket, tol=config.equilibrium_tol)
-    _write_csv(
-        out / "equilibrium.csv",
-        ["i", "M_i"],
-        ([i, v] for i, v in enumerate(result.M_star.tolist())),
-    )
+    _write_csv(out / "equilibrium.csv", ["i", "M_i"], np.arange(len(result.M_star)), result.M_star)
     checks = [
         _bound_check("equilibrium_residual", "find_equilibrium", result.residual, config.equilibrium_tol)
     ]

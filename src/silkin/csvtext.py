@@ -1,0 +1,302 @@
+"""CSV text of numeric tables, byte for byte the lines ``",".join(map(repr, row)) + "\\n"``.
+
+A float is written as Python's ``repr`` writes it: the shortest decimal that
+reads back to the same double, the nearer one of two such decimals and the
+even one of a tie; fixed notation for a decimal point position ``-4 < decpt
+<= 16`` (``0.0001``, ``1000000000000000.0``) and exponent notation outside
+it (``1e-05``, ``1e+16``, ``5e-324``); ``inf``, ``-inf`` and ``nan``.  An
+integer column is written as its digits, as ``repr`` writes a Python ``int``.
+
+The digits are those of Ryū (Adams, PLDI 2018), run on whole arrays in
+``uint64``.  Ryū brackets the double by the decimal images of its rounding
+interval, scaled by a 126-bit power of five from a table, and drops decimal
+digits while the bracket still holds two candidates; the 55 x 126-bit
+products are summed from 32-bit limbs.  No per-value Python code and no
+bignum runs, so a subnormal costs what a value near 1 costs (CPython's
+``repr`` falls back to bignums below about 1e-50).
+
+Text is assembled by one gather: each value has a layout key (sign, digit
+count, and the decimal point position or the exponent's sign and width),
+the key's row of a table names the byte plane each character comes from
+(a digit, an exponent digit, a constant, or the separator), and the bytes
+past the value's length are dropped.  The tables are built on first use.
+
+:func:`chunks` formats a table in row blocks of about :data:`BLOCK_VALUES`
+values, so a writer never holds the text, or Python numbers, of the whole
+table.
+"""
+from __future__ import annotations
+
+from functools import cache
+from itertools import groupby
+from typing import Iterator, Tuple
+
+import numpy as np
+
+__all__ = ["BLOCK_VALUES", "lines", "chunks"]
+
+BLOCK_VALUES = 2 ** 14
+"""Values per row block of :func:`chunks` (at least one row)."""
+
+_U64 = np.uint64
+_POW10 = 10 ** np.arange(20, dtype=_U64)
+_POW5 = 5 ** np.arange(22, dtype=_U64)
+_MASK32 = _U64(0xFFFFFFFF)
+
+# Ryū's multiplier tables: floor(2^(bits(5^q) + 124) / 5^q) + 1 for the doubles
+# with e2 >= 0 (row q), then the leading 125 bits of 5^i for e2 < 0 (row 342 + i).
+_INV_ROWS = 342
+_POW_ROWS = 326
+
+# Byte planes: the digits counted from the right, the exponent's digits, the
+# separator, then one plane per constant character.
+_EXP = 20
+_SEP = 23
+_CONST = 24
+_CHARS = b"-.0e+infa"
+_MINUS, _DOT, _ZERO, _E, _PLUS, _I, _N, _F, _A = range(_CONST, _CONST + len(_CHARS))
+_PLANES = _CONST + len(_CHARS)
+
+# Layout forms: 0..19 fixed notation with decpt = form - 3; 20..23 exponent
+# notation (+2 for a positive exponent, +1 for three exponent digits);
+# then integer digits, inf and nan.
+_FIXED = 20
+_INT, _INF, _NAN = 24, 25, 26
+_FORMS = 27
+_DIGITS = 21  # digit counts 0..20 index the key; a uint64 has at most 20
+_WIDTH = 25  # the longest layout, "-1.2345678901234567e-308", and a separator
+
+
+@cache
+def _multipliers() -> np.ndarray:
+    """Both Ryū tables as four rows of 32-bit limbs, least significant first."""
+    values = []
+    p = 1
+    for _ in range(_INV_ROWS):
+        values.append((1 << (p.bit_length() + 124)) // p + 1)
+        p *= 5
+    p = 1
+    for _ in range(_POW_ROWS):
+        shift = p.bit_length() - 125
+        values.append(p >> shift if shift >= 0 else p << -shift)
+        p *= 5
+    limbs = np.frombuffer(b"".join(v.to_bytes(16, "little") for v in values), dtype="<u4")
+    return limbs.reshape(-1, 4).T.astype(_U64)
+
+
+def _template(form: int, k: int) -> list:
+    """The byte planes of the characters of one unsigned layout, in order."""
+    digits = list(range(k - 1, -1, -1))
+    if form == _INF:
+        return [_I, _N, _F]
+    if form == _NAN:
+        return [_N, _A, _N]
+    if form == _INT:
+        return digits
+    if form < _FIXED:
+        decpt = form - 3
+        if decpt <= 0:
+            return [_ZERO, _DOT] + [_ZERO] * -decpt + digits
+        if decpt < k:
+            return digits[:decpt] + [_DOT] + digits[decpt:]
+        return digits + [_ZERO] * (decpt - k) + [_DOT, _ZERO]
+    mantissa = digits[:1] + ([_DOT] + digits[1:] if k > 1 else [])
+    return mantissa + [_E, _PLUS if form >= _FIXED + 2 else _MINUS] + [_EXP + 2, _EXP + 1, _EXP][1 - form % 2:]
+
+
+@cache
+def _layouts() -> Tuple[np.ndarray, np.ndarray]:
+    """Per layout key ``(form * 2 + neg) * 21 + k``: the plane of each byte, and which bytes are kept."""
+    keys = [(form, k) for form in range(_FORMS) for k in range(1, _DIGITS if form == _INT else 18)]
+    templates = [_template(form, k) for form, k in keys]  # a double has at most 17 digits
+    forms, ks = np.array(keys).T
+    source = np.full((_FORMS, 2, _DIGITS, _WIDTH), _SEP, dtype=np.int32)
+    keep = np.zeros(source.shape, dtype=bool)
+    source[forms, 0, ks] = [t + [_SEP] * (_WIDTH - len(t)) for t in templates]
+    keep[forms, 0, ks] = np.arange(_WIDTH) <= np.array([len(t) for t in templates])[:, None]
+    source[:, 1, :, 0], source[:, 1, :, 1:] = _MINUS, source[:, 0, :, :-1]  # a sign before the layout
+    keep[:, 1, :, 0], keep[:, 1, :, 1:] = True, keep[:, 0, :, :-1]
+    source[_NAN, 1], keep[_NAN, 1] = source[_NAN, 0], keep[_NAN, 0]  # nan has no sign
+    return source.reshape(-1, _WIDTH), keep.reshape(-1, _WIDTH)
+
+
+def _mul_shift(m: np.ndarray, limbs: Tuple[np.ndarray, ...], s: np.ndarray) -> np.ndarray:
+    """``floor(m * mul / 2^(64 + s)) mod 2^64`` for ``m < 2^55``, ``mul`` the four limbs, ``0 < s < 64``."""
+    b0, b1 = m & _MASK32, m >> _U64(32)
+    l0, l1, l2, l3 = limbs
+    c = (b0 * l0) >> _U64(32)
+    x, y = b0 * l1, b1 * l0
+    c += (x & _MASK32) + (y & _MASK32)
+    c = (c >> _U64(32)) + (x >> _U64(32)) + (y >> _U64(32))
+    x, y = b0 * l2, b1 * l1
+    c += (x & _MASK32) + (y & _MASK32)
+    p2 = c & _MASK32
+    c = (c >> _U64(32)) + (x >> _U64(32)) + (y >> _U64(32))
+    x, y = b0 * l3, b1 * l2
+    c += (x & _MASK32) + (y & _MASK32)
+    p3 = c & _MASK32
+    c = (c >> _U64(32)) + (x >> _U64(32)) + (y >> _U64(32))
+    x = b1 * l3
+    c += x & _MASK32
+    p4 = c & _MASK32
+    c = (c >> _U64(32)) + (x >> _U64(32))
+    return (((p3 << _U64(32)) | p2) >> s) | (((c << _U64(32)) | p4) << (_U64(64) - s))
+
+
+def _pow5_bits(e: np.ndarray) -> np.ndarray:
+    """The bit length of ``5**e``, for ``0 <= e <= 3528``."""
+    return ((e * 1217359) >> 19) + 1
+
+
+def _shortest(bits: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Ryū's ``d2d``: ``(digits, exponent)`` with ``digits * 10**exponent`` the shortest decimal of each double.
+
+    ``bits`` are the bit patterns of finite, positive doubles.
+    """
+    mant = bits & _U64((1 << 52) - 1)
+    biased = (bits >> _U64(52)).astype(np.int64)
+    e2 = np.maximum(biased, 1) - 1077
+    m2 = mant | (biased > 0).astype(_U64) << _U64(52)
+    even = (m2 & _U64(1)) == 0
+    mm_shift = (mant != 0) | (biased <= 1)
+    mv = m2 << _U64(2)
+
+    # Step 3: the interval's ends and midpoint as decimals, digits * 10^e10.
+    pos = e2 >= 0
+    q = np.where(pos, ((e2 * 78913) >> 18) - (e2 > 3), ((-e2 * 732923) >> 20) - (-e2 > 1))
+    i = -e2 - q
+    row = np.where(pos, q, _INV_ROWS + i)
+    s = np.where(pos, q - e2 + _pow5_bits(q) + 124, q - _pow5_bits(i) + 125) - 64
+    e10 = np.where(pos, q, q + e2)
+    limbs = tuple(np.take(limb, row) for limb in _multipliers())
+    s = s.astype(_U64)
+    vr = _mul_shift(mv, limbs, s)
+    vp = _mul_shift(mv + _U64(2), limbs, s)
+    vm = _mul_shift(mv - _U64(1) - mm_shift.astype(_U64), limbs, s)
+
+    # Which of the exact products end in q decimal zeros (the rounding interval's ends and ties).
+    vr_tz = np.zeros(len(bits), dtype=bool)
+    vm_tz = np.zeros(len(bits), dtype=bool)
+    big = np.flatnonzero(pos & (q <= 21))
+    if big.size:
+        mvb, p5 = mv[big], _POW5[q[big]]
+        five = mvb % _U64(5) == 0
+        vr_tz[big] = five & (mvb % p5 == 0)
+        vm_tz[big] = ~five & even[big] & ((mvb - _U64(1) - mm_shift[big].astype(_U64)) % p5 == 0)
+        vp[big] -= (~five & ~even[big] & ((mvb + _U64(2)) % p5 == 0)).astype(_U64)
+    small = ~pos & (q <= 1)
+    vr_tz |= small
+    vm_tz |= small & even & mm_shift
+    vp -= (small & ~even).astype(_U64)
+    mid = np.flatnonzero(~pos & (q > 1) & (q < 63))
+    vr_tz[mid] = (mv[mid] & ((_U64(1) << q[mid].astype(_U64)) - _U64(1))) == 0
+
+    # Step 4: drop digits while the interval holds two candidates; then, where
+    # the low end is exact, drop its trailing zeros too.
+    removed = np.zeros(len(bits), dtype=np.int64)
+    live, qp, qm = np.arange(len(bits)), vp, vm
+    while live.size:
+        qp, qm = qp // _U64(10), qm // _U64(10)
+        go = qp > qm
+        live, qp, qm = live[go], qp[go], qm[go]
+        removed[live] += 1
+    live = np.flatnonzero(vm_tz)
+    if live.size:
+        vm_tz[live] = vm[live] % _POW10[removed[live]] == 0
+        live = live[vm_tz[live]]
+        qm = vm[live] // _POW10[removed[live]]
+        while live.size:
+            go = qm % _U64(10) == 0
+            live, qm = live[go], qm[go] // _U64(10)
+            removed[live] += 1
+
+    # The last dropped digit rounds: 5 or more rounds up, except that an exact ...5 (every
+    # digit dropped before it zero) is a tie and goes to the even neighbour.
+    below = _POW10[np.maximum(removed - 1, 0)]
+    upto = vr // below
+    out = upto // np.where(removed > 0, _U64(10), _U64(1))
+    last = np.where(removed > 0, upto - out * _U64(10), _U64(0))
+    live = np.flatnonzero(vr_tz)
+    vr_tz[live] = vr[live] % below[live] == 0
+    last[vr_tz & (last == 5) & (out % _U64(2) == 0)] = 4
+    low = vm // _POW10[removed]  # the low end is a candidate only if it is exact (vm_tz, even mantissas only)
+    out += (((out == low) & ~vm_tz) | (last >= 5)).astype(_U64)
+    return out, e10 + removed
+
+
+def _float_fields(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Digits, printed exponent and layout key of each float64 in ``x``."""
+    digits = np.zeros(len(x), dtype=_U64)
+    exp10 = np.zeros(len(x), dtype=np.int64)
+    nan, inf = np.isnan(x), np.isinf(x)
+    nonzero = np.flatnonzero((x != 0) & ~nan & ~inf)
+    if nonzero.size:
+        digits[nonzero], exp10[nonzero] = _shortest(np.abs(x[nonzero]).view(_U64))
+    k = np.maximum(np.searchsorted(_POW10, digits, side="right"), 1)
+    exponent = exp10 + k - 1  # the decimal point sits after decpt = exponent + 1 digits
+    fixed = (exponent >= -4) & (exponent < 16)
+    form = np.where(fixed, exponent + 4, _FIXED + 2 * (exponent >= 0) + (np.abs(exponent) >= 100))
+    form[inf] = _INF
+    form[nan] = _NAN
+    neg = np.signbit(x)
+    return digits, np.abs(exponent), (form * 2 + neg) * _DIGITS + k
+
+
+def _int_fields(v: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Digits and layout key of each integer in ``v``; the exponent is unused."""
+    digits = np.abs(v.astype(np.int64)).astype(_U64)  # |-2^63| wraps to -2^63, whose uint64 is 2^63
+    k = np.maximum(np.searchsorted(_POW10, digits, side="right"), 1)
+    return digits, np.zeros(len(v), dtype=np.int64), (_INT * 2 + (v < 0)) * _DIGITS + k
+
+
+def _columns(part) -> np.ndarray:
+    part = np.asarray(part)
+    return part[:, None] if part.ndim == 1 else part
+
+
+def lines(*parts) -> bytes:
+    """The CSV lines of the rows of ``parts`` side by side, as ``",".join(map(repr, row)) + "\\n"`` writes them.
+
+    Each part is a 1-D column or a 2-D array with the common row count; an
+    integer part is written as integers, any other part as float64.
+    """
+    parts = [_columns(p) for p in parts]
+    rows = len(parts[0])
+    if rows == 0:
+        return b""
+    fields = []
+    for is_int, group in groupby(parts, key=lambda p: p.dtype.kind in "iu"):
+        block = np.hstack(list(group)).ravel()
+        fields.append(_int_fields(block) if is_int else _float_fields(block.astype(np.float64, copy=False)))
+    digits, exponent, key = (np.hstack([f[j].reshape(rows, -1) for f in fields]).ravel() for j in range(3))
+    n = len(key)
+
+    planes = np.empty((_PLANES, n), dtype=np.uint8)
+    for j in range(int(np.max(key % _DIGITS))):
+        if j % 8 == 0:  # eight digits at a time in uint32
+            rest = (digits // _POW10[j] % _U64(10 ** 8)).astype(np.uint32)
+        high = rest // np.uint32(10)
+        planes[j] = rest - high * np.uint32(10) + np.uint32(48)
+        rest = high
+    exponent = exponent.astype(np.uint16)
+    planes[_EXP] = exponent % np.uint16(10) + np.uint16(48)
+    planes[_EXP + 1] = exponent // np.uint16(10) % np.uint16(10) + np.uint16(48)
+    planes[_EXP + 2] = exponent // np.uint16(100) + np.uint16(48)
+    separators = planes[_SEP].reshape(rows, -1)
+    separators[:] = ord(",")
+    separators[:, -1] = ord("\n")
+    planes[_CONST:] = np.frombuffer(_CHARS, dtype=np.uint8)[:, None]
+
+    source, keep = _layouts()
+    index = np.take(source, key, axis=0).astype(np.int32 if _PLANES * n < 2 ** 31 else np.int64, copy=False)
+    index *= n
+    index += np.arange(n, dtype=index.dtype)[:, None]
+    return planes.ravel().take(index[np.take(keep, key, axis=0)]).tobytes()
+
+
+def chunks(*parts) -> Iterator[bytes]:
+    """:func:`lines` of ``parts``, one row block of about :data:`BLOCK_VALUES` values at a time."""
+    parts = [_columns(p) for p in parts]
+    step = max(1, BLOCK_VALUES // sum(p.shape[1] for p in parts))
+    for start in range(0, len(parts[0]), step):
+        yield lines(*(p[start:start + step] for p in parts))

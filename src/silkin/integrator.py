@@ -484,8 +484,10 @@ class _NewtonFactor:
     scan (Kogge & Stone 1973): at the level of stride ``2^j`` each ``w_i``
     adds ``A_i w_{i - 2^j}``, where ``A_i`` is the product of the ``a`` over
     the ``2^j`` rows below ``i``.  The level products depend only on ``c`` and
-    ``J`` and are formed here.  None can overflow, whatever the shape of
-    ``k``: pair each numerator ``c k_l x`` of a window's product with the
+    ``J`` and are formed here.  A level whose products are all zero (they
+    underflow along a subnormal tail) ends the scan, since every later
+    product has one of them as a factor.  None can overflow, whatever the
+    shape of ``k``: pair each numerator ``c k_l x`` of a window's product with the
     denominator ``d_l = 1 + c (k_l x + p_l + q_l)`` of the same row, and every
     pair is below 1 for ``x >= 0``, which leaves at most the window's first
     numerator ``c k x``.
@@ -499,10 +501,11 @@ class _NewtonFactor:
         np.divide(c * J.sub, d[1:], out=a[1:])
         self.levels = []
         stride = 1
-        while stride < len(a):
+        while stride < len(a) and a[stride:].any():  # a zero level makes every later level zero
             self.levels.append((stride, a[stride:]))
             a = np.concatenate((a[:stride], a[stride:] * a[:-stride]))
             stride *= 2
+        self._product = np.empty(len(d) - 1)
         self.row = -c * J.row
         self.v = self._bidiagonal(-c * J.col)
         self.s = (1.0 - c * J.corner) - self.row.dot(self.v)
@@ -511,7 +514,9 @@ class _NewtonFactor:
         """``L^-1 b`` by the scan."""
         w = b / self.d
         for stride, a in self.levels:
-            w[stride:] += a * w[:-stride]
+            product = self._product[:len(a)]
+            np.multiply(a, w[:-stride], out=product)
+            w[stride:] += product
         return w
 
     def solve(self, b: np.ndarray) -> np.ndarray:

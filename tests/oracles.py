@@ -160,3 +160,8 @@ def dense_jacobian(J, size: int) -> np.ndarray:
         A[dim + NUM_BASE_ACC + j, 0] = J.flux_x[j]
         A[dim + NUM_BASE_ACC + j, 1 + m] = J.flux_M[j]
     return A
+
+
+def repr_lines(rows) -> bytes:
+    """``",".join(map(repr, row)) + "\\n"`` for each row of Python ints and floats: the text of a CSV body."""
+    return "".join(",".join(map(repr, row)) + "\n" for row in rows).encode("ascii")

@@ -12,7 +12,9 @@ import numpy as np
 import pytest
 import yaml
 
-from silkin import CoefficientFamily, InitialData, IntegratorConfig, State, cli, integrator
+from silkin import CoefficientFamily, InitialData, IntegratorConfig, State, cli, compute_moments, integrator
+
+from oracles import repr_lines
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -188,7 +190,8 @@ def test_verify_builds_only_the_initial_state(tmp_path, monkeypatch):
     ],
 )
 def test_each_family_is_realized_once_per_load(tmp_path, monkeypatch, command, config):
-    # the load keeps the rate table it checked; only a ladder's lower rungs realize the families again
+    # the load keeps the rate table it checked, and a ladder's top rung reuses it; only the lower
+    # rungs realize the families again
     orders = []
     realize = CoefficientFamily.realize
 
@@ -200,7 +203,7 @@ def test_each_family_is_realized_once_per_load(tmp_path, monkeypatch, command, c
     rungs = len(cli.load_config(path).n_ladder or ())
     monkeypatch.setattr(CoefficientFamily, "realize", counting)
     assert cli.main([command, "--config", path, "--out", str(tmp_path / "out")]) == cli.EXIT_OK
-    assert len(orders) == 3 * (1 + rungs)
+    assert len(orders) == 3 * max(1, rungs)
 
 
 def test_jsonable_writes_numpy_and_python_non_finite_values_alike():
@@ -495,7 +498,7 @@ def test_write_csv_fields_are_exact_reprs(tmp_path):
     floats = np.array([0.0, -0.0, 5e-324, subnormal, 1e-5, 1e16, 1.0 / 3.0])
     row = [3, -7, 0.1] + floats.tolist()
     path = tmp_path / "row.csv"
-    cli._write_csv(path, ["c"] * len(row), [row])
+    cli._write_csv(path, ["c"] * len(row), np.array([[3, -7]]), np.array([0.1]), floats[None, :])
     fields = path.read_text(encoding="utf-8").splitlines()[1].split(",")
     assert fields == [str(3), str(-7), repr(0.1)] + [repr(float(v)) for v in floats]
     # every field parses back to the value written
@@ -603,6 +606,35 @@ def test_wide_csv_on_request(tmp_path):
     assert narrow_header[-1] == "M_2"
     wide_header = (out / "trajectory_wide.csv").read_text().splitlines()[0].split(",")
     assert wide_header == ["t", "x"] + [f"M_{i}" for i in range(7)]
+
+
+def test_bdf_wide_csvs_equal_a_repr_rebuild_from_the_trajectory(tmp_path, monkeypatch):
+    # both CSVs of a BDF run, rebuilt from its Trajectory one Python number at a time
+    runs = []
+
+    def keep(*args, **kwargs):
+        runs.append(integrator.integrate(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(cli, "integrate", keep)
+    doc = coupled_doc(n=128, t_end=2.0)
+    doc["initial"]["decay"]["rho"] = 0.1
+    doc["integrator"] = {"method": "bdf", "rel_tol": 1e-10, "abs_tol": 1e-15}
+    doc["output"] = {"m_out": 5, "wide_csv": True}
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", write_config(tmp_path / "run.yaml", doc), "--out", str(out)]) == 0
+    (traj,) = runs
+    rates = traj.sys.rates
+    narrow, wide = [], []
+    for t, row in zip(traj.t.tolist(), traj.phase):
+        snap = compute_moments(row[0], row[1:], rates)
+        moments = [snap.m_total, snap.x_total, snap.u_total, snap.Q, snap.P]
+        narrow.append([t, float(row[0])] + moments + row[1:6].tolist())
+        wide.append([t] + row.tolist())
+    assert any(0.0 < v < 1e-100 for row in wide for v in row)  # the tail reaches far below 1e-50
+    body = lambda name: (out / name).read_bytes().split(b"\n", 1)[1]  # the lines after the header
+    assert body("trajectory.csv") == repr_lines(narrow)
+    assert body("trajectory_wide.csv") == repr_lines(wide)
 
 
 def test_step_budget_ends_a_huge_t_end(tmp_path, capsys, monkeypatch):

@@ -1,0 +1,85 @@
+"""The vectorized CSV formatter against the ``repr`` join it replaces, value by value."""
+import numpy as np
+import pytest
+
+from silkin import csvtext
+
+from oracles import repr_lines
+
+
+def same_text(*parts):
+    """``csvtext.lines`` of ``parts`` equals the repr join of their rows as Python numbers."""
+    columns = [np.asarray(p).reshape(len(p), -1) for p in parts]
+    rows = [sum((c[i].tolist() for c in columns), []) for i in range(len(columns[0]))]
+    text, expected = csvtext.lines(*parts), repr_lines(rows)
+    if text != expected:
+        got, want = text.decode().split("\n"), expected.decode().split("\n")
+        bad = next((g, w) for g, w in zip(got, want) if g != w)
+        pytest.fail(f"first differing line: {bad[0]!r} != {bad[1]!r}")
+
+
+def with_neighbours(x):
+    x = np.asarray(x, dtype=float)
+    values = np.concatenate([x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf)])
+    values = values[np.isfinite(values)]
+    return np.concatenate([values, -values])
+
+
+def test_random_bit_patterns():
+    # 10^6 doubles spread evenly over every exponent, both signs, subnormals, inf and nan payloads
+    bits = np.random.default_rng(20261018).integers(0, 2 ** 64, size=10 ** 6, dtype=np.uint64, endpoint=False)
+    values = bits.view(np.float64).reshape(-1, 8)
+    for start in range(0, len(values), 25_000):
+        same_text(values[start:start + 25_000])
+
+
+def test_every_power_of_two_and_its_neighbours():
+    same_text(with_neighbours(np.ldexp(1.0, np.arange(-1074, 1024))).reshape(-1, 6))
+
+
+def test_subnormals():
+    tiny = np.arange(1, 4097, dtype=np.uint64).view(np.float64)
+    largest = np.uint64(2 ** 52 - 1).reshape(1).view(np.float64)
+    scattered = np.random.default_rng(7).integers(1, 2 ** 52, size=4096, dtype=np.uint64).view(np.float64)
+    assert tiny[0] == 5e-324
+    same_text(np.concatenate([tiny, -tiny, largest, scattered]))
+
+
+def test_doubles_whose_rounding_interval_ends_are_exact_decimals():
+    # integers and binary fractions near 2^53, and exact multiples of 10^15 .. 10^23: the value or
+    # an end of its rounding interval ends in decimal zeros, where ties and excluded ends decide
+    m = np.random.default_rng(11).integers(2 ** 52, 2 ** 53, size=2000).astype(float)
+    binary = [np.ldexp(m, e) for e in range(-6, 9)]
+    decimal = [np.arange(1.0, 1000.0) * 10.0 ** k for k in range(15, 24)]
+    same_text(with_neighbours(np.concatenate(binary + decimal)).reshape(-1, 6))
+
+
+def test_zeros_infinities_and_nan():
+    same_text(np.array([[0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan]]))
+
+
+def test_switch_points_between_fixed_and_exponent_notation():
+    switch = [1e-4, 1e-5, 1e15, 1e16, 9999999999999998.0, 0.00011, 1.5e16, 123456789012345680.0]
+    same_text(with_neighbours(switch + [10.0 ** e for e in range(-30, 31)]))
+
+
+def test_integers():
+    ints = np.arange(-5000, 5001)
+    extremes = np.array([np.iinfo(np.int64).min, np.iinfo(np.int64).max, -1, 0, 10 ** 18, 10 ** 19 - 1])
+    same_text(ints.reshape(-1, 1))
+    same_text(extremes)
+    same_text(ints.astype(float), 2.0 ** np.arange(54)[ints % 54])
+    same_text(np.arange(5), np.arange(5, 10), np.linspace(0.0, 1.0, 5), np.linspace(-1e300, 1e-300, 5))
+
+
+def test_chunks_split_on_rows_into_blocks_of_bounded_size():
+    columns = 7
+    rows = 3 * (csvtext.BLOCK_VALUES // columns) + 5  # not a multiple of the block's row count
+    x = np.random.default_rng(3).standard_normal((rows, columns)) * 10.0 ** np.arange(-3, 4)
+    t = np.linspace(0.0, 1.0, rows)
+    blocks = list(csvtext.chunks(t, x))
+    assert len(blocks) == 4
+    assert all(block.endswith(b"\n") and block.count(b"\n") <= csvtext.BLOCK_VALUES // 8 for block in blocks)
+    assert b"".join(blocks) == csvtext.lines(t, x)
+    same_text(t, x)
+    assert list(csvtext.chunks(np.empty((0, 3)))) == []
