@@ -40,7 +40,7 @@ BLOCK_VALUES = 2 ** 14
 
 _U64 = np.uint64
 _POW10 = 10 ** np.arange(20, dtype=_U64)
-_POW5 = 5 ** np.arange(22, dtype=_U64)
+_POW5 = 5 ** np.arange(21, dtype=_U64)
 _MASK32 = _U64(0xFFFFFFFF)
 
 # Ryū's multiplier tables: floor(2^(bits(5^q) + 124) / 5^q) + 1 for the doubles
@@ -151,7 +151,30 @@ def _pow5_bits(e: np.ndarray) -> np.ndarray:
 def _shortest(bits: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Ryū's ``d2d``: ``(digits, exponent)`` with ``digits * 10**exponent`` the shortest decimal of each double.
 
-    ``bits`` are the bit patterns of finite, positive doubles.
+    ``bits`` are the bit patterns of finite, positive doubles, ``m2 * 2**(e2 + 2)``.
+
+    Four of Ryū's trailing-zero steps are left out, since no double takes
+    another path with them:
+
+    - ``vr_tz`` for ``e2 >= 0``.  It serves only the tie rule, and a tie
+      ``(10 out + 5) * 10**(D - 1)`` is divisible by ``2**(D - 1)`` and no
+      higher power, while the double is a multiple of ``2**(e2 + 2)`` within
+      ``2**(e2 + 1)`` of the multiple of ``10**D`` the digit loop found;
+      then ``10**D <= 2**(D - 1)``, which no ``D >= 1`` meets.
+    - The ``e2 >= 0`` tests at ``q = 21`` (Ryū's ``q <= 21``).  Only the 57
+      doubles with ``e2`` in 74..76 and one of 19 mantissas pass one, and
+      each prints the same without them; ``tests/test_csvtext.py``
+      enumerates them.
+    - The small-``q`` ``vm_tz`` (Ryū's ``mmShift == 1``).  There ``vm`` is
+      ``20 m2 - 10``, ``100 m2 - 50``, ``50 m2 - 25`` or ``250 m2 - 125``
+      (``e2`` = -1 .. -4; no multiple of 10 at a power of two), and the
+      digit loop drops at least one digit, two at ``e2 = -2``.  So ``vm``
+      ends in the dropped zeros only at ``e2 = -1`` with one digit dropped,
+      where ``vm / 10 = 2 m2 - 1`` is odd and below ``out = 2 m2``.
+    - The small-``q`` ``vp -= 1`` of an odd mantissa.  There ``vp - vm`` is
+      20, 100, 50 or 250 (``e2`` = -1 .. -4) and ``vp`` is ``20 m2 + 10``,
+      ``100 m2 + 50`` or odd, never a multiple of 100, so ``vp`` and
+      ``vp - 1`` leave the digit loop at the same count.
     """
     mant = bits & _U64((1 << 52) - 1)
     biased = (bits >> _U64(52)).astype(np.int64)
@@ -177,17 +200,13 @@ def _shortest(bits: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     # Which of the exact products end in q decimal zeros (the rounding interval's ends and ties).
     vr_tz = np.zeros(len(bits), dtype=bool)
     vm_tz = np.zeros(len(bits), dtype=bool)
-    big = np.flatnonzero(pos & (q <= 21))
+    big = np.flatnonzero(pos & (q <= 20))
     if big.size:
         mvb, p5 = mv[big], _POW5[q[big]]
         five = mvb % _U64(5) == 0
-        vr_tz[big] = five & (mvb % p5 == 0)
         vm_tz[big] = ~five & even[big] & ((mvb - _U64(1) - mm_shift[big].astype(_U64)) % p5 == 0)
         vp[big] -= (~five & ~even[big] & ((mvb + _U64(2)) % p5 == 0)).astype(_U64)
-    small = ~pos & (q <= 1)
-    vr_tz |= small
-    vm_tz |= small & even & mm_shift
-    vp -= (small & ~even).astype(_U64)
+    vr_tz |= ~pos & (q <= 1)
     mid = np.flatnonzero(~pos & (q > 1) & (q < 63))
     vr_tz[mid] = (mv[mid] & ((_U64(1) << q[mid].astype(_U64)) - _U64(1))) == 0
 

@@ -45,8 +45,17 @@ vector operations per level and no Python loop over the cohorts.  Each step's
 dense output is the scipy ``BdfDenseOutput`` data ``t_shift``, ``denom`` and
 ``D``.
 
-Both steppers make a new ``y`` at each accepted step and never write it
-again, so :func:`integrate` keeps it as the sample row without a copy.
+Both steppers share one shell (``_Stepper``): the field, the tolerances with
+scipy's ``rtol`` floor, the first field call and Hairer, Norsett & Wanner's
+starting step, and the ``nfev`` and ``rejected`` counts.  Unlike scipy's
+``OdeSolver`` a stepper has no status: ``step()`` takes one accepted step and
+returns its dense-output record (the start row and ``Q`` for RK45, a
+``_BdfStep`` for BDF), or raises :class:`StepSizeUnderflow` when the step
+size falls below ten ulps of ``t``; :func:`integrate` steps while ``t`` is
+short of the end.  Each accepted ``y`` is a new array that no stepper writes
+again.  :func:`integrate` stacks them once into the one sample matrix and
+clamps its phase columns in place; ``Trajectory.phase`` and
+``Trajectory.accumulators`` are views of it.
 
 Each :class:`Trajectory` carries the stepper's counts (accepted and rejected
 steps, ``nfev``, ``njev``, ``nlu``) and its step-size range in
@@ -72,7 +81,8 @@ one step go through a matrix-matrix product instead, whose last bits can
 differ from the point-by-point values, so a caller that needs those values
 reads one point at a time.  :meth:`Trajectory.at` states the sample rule
 once: a stored sample time returns that sample, any other time the dense
-output.
+output.  Every read rejects a time outside the run with :class:`OutOfRange`;
+the dense output is never extrapolated.
 
 :func:`integrate` runs with numpy's overflow, invalid and divide errors
 raised, so an input that leaves double precision ends in one
@@ -201,9 +211,10 @@ class Trajectory:
 
     ``phase`` holds the clamped phase rows (strictly increasing in time,
     all in the cone); ``accumulators`` the co-integrated balance integrals at
-    the same times.  ``pre_clamp_min`` records the most negative raw phase
-    component seen before clamping, for cone-preservation diagnostics;
-    ``stats`` the stepper's work counts.  :attr:`step_integrals` is built on
+    the same times.  The two are column blocks of one sample matrix.
+    ``pre_clamp_min`` records the most negative raw phase component seen
+    before clamping, for cone-preservation diagnostics; ``stats`` the
+    stepper's work counts.  :attr:`step_integrals` is built on
     first use and then kept: ``2 * steps * (n + 1)`` floats.
     """
 
@@ -245,12 +256,12 @@ class Trajectory:
     def final_state(self) -> State:
         return self.state(-1)
 
-    def _check_range(self, t) -> None:
-        if not (self.t_start <= np.min(t) and np.max(t) <= self.t_end):
-            raise OutOfRange(f"t={t} outside trajectory range [{self.t_start}, {self.t_end}]")
-
     def dense_matrix(self, ts: np.ndarray) -> np.ndarray:
-        """Augmented rows evaluated at sorted times, phase part clamped to the cone."""
+        """Augmented rows at the times ``ts``, in any order, phase part clamped to the cone.
+
+        Every time must lie in the run; others raise :class:`OutOfRange`, as
+        they do for :meth:`dense_vector` and :meth:`dense_derivative`.
+        """
         Z = self._sol(ts)
         dim = self.sys.dimension
         np.maximum(Z[:dim], 0.0, out=Z[:dim])
@@ -258,12 +269,10 @@ class Trajectory:
 
     def dense_derivative(self, ts: np.ndarray) -> np.ndarray:
         """Time derivative of the augmented dense output at ``ts``, not clamped; every time must lie in the run."""
-        self._check_range(ts)
         return self._sol(ts, derivative=True)
 
     def dense_vector(self, t: float) -> np.ndarray:
         """The augmented row at ``t`` by dense output, through the same evaluator as :meth:`dense_matrix`."""
-        self._check_range(t)
         return self.dense_matrix(np.array([t]))[:, 0]
 
     def at(self, t: float) -> np.ndarray:
@@ -351,57 +360,81 @@ def _rms(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v)) / v.size ** 0.5
 
 
-def _initial_step(fun, t0: float, y0: np.ndarray, f0: np.ndarray, t_bound: float, max_step: float,
-                  rtol: float, atol: float, order: int) -> float:
-    """Hairer, Norsett & Wanner II.4 starting step, as scipy's ``select_initial_step``.
+class _Stepper:
+    """The shell both steppers share, after scipy's ``OdeSolver`` but with no status.
 
-    ``order`` is the error estimator's order (4 for RK45, 1 for BDF).  It
-    calls ``fun`` once, and the caller counts that call.
-    """
-    interval_length = abs(t_bound - t0)
-    scale = atol + np.abs(y0) * rtol
-    d0 = _rms(y0 / scale)
-    d1 = _rms(f0 / scale)
-    if d0 < 1e-5 or d1 < 1e-5:
-        h0 = 1e-6
-    else:
-        h0 = 0.01 * d0 / d1
-    h0 = min(h0, interval_length)
-    f1 = fun(t0 + h0, y0 + h0 * f0)
-    d2 = _rms((f1 - f0) / scale) / h0 if h0 > 0.0 else math.inf  # h0 = 0 when f0 overflowed
-    if d1 <= 1e-15 and d2 <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** (1 / (order + 1))
-    return min(100 * h0, h1, interval_length, max_step)
+    It holds the field ``fun``, the time ``t`` and state ``y``, the end
+    ``t_bound``, the tolerances (``rtol`` raised to scipy's floor ``100 eps``)
+    and ``max_step``, and counts field calls in ``nfev`` and refused attempts
+    in ``rejected``.  The constructor makes the first field call, ``f``, and
+    picks the starting step ``h_abs`` by Hairer, Norsett & Wanner's rule
+    (II.4), as scipy's ``select_initial_step`` does; ``order`` is the error
+    estimator's order (4 for RK45, 1 for BDF).
 
-
-class _DormandPrince:
-    """Forward Dormand-Prince 5(4) stepper with scipy's ``RK45`` control, operation for operation.
-
-    It offers what :func:`integrate` reads of a stepper: ``step()``
-    returning a failure message or ``None``, ``status``, ``t``, ``y``, the
-    work counts and ``dense_output()``, which here is the last step's
-    ``Q = K.T @ P``.  Each accepted step makes a new ``y``; none is changed
-    afterwards.
+    A subclass's ``step()`` takes one accepted step toward ``t_bound`` and
+    returns that step's dense-output record.  A step size below ten ulps of
+    ``t``, or NaN, raises :class:`StepSizeUnderflow`.  Each accepted step
+    makes a new ``y``; none is written again.
     """
 
     njev = 0
     nlu = 0
 
-    def __init__(self, fun, t0: float, y0: np.ndarray, t_bound: float, rtol: float, atol: float, max_step: float):
+    def __init__(self, fun, t0: float, y0: np.ndarray, t_bound: float, rtol: float, atol: float,
+                 max_step: float, order: int):
         self.fun = fun
-        self.t = float(t0)
+        self.t = t0 = float(t0)
         self.y = y0
-        self.t_bound = float(t_bound)
-        self.rtol = max(rtol, 100 * _EPS)  # scipy raises rtol to this floor
+        self.t_bound = t_bound = float(t_bound)
+        self.rtol = rtol = max(rtol, 100 * _EPS)  # scipy raises rtol to this floor
         self.atol = atol
         self.max_step = max_step
-        self.status = "running"
-        self.f = fun(self.t, y0)
-        self.h_abs = _initial_step(fun, self.t, y0, self.f, self.t_bound, max_step, self.rtol, atol, 4)
+        self.f = f0 = fun(t0, y0)
+        interval_length = abs(t_bound - t0)
+        scale = atol + np.abs(y0) * rtol
+        d0 = _rms(y0 / scale)
+        d1 = _rms(f0 / scale)
+        if d0 < 1e-5 or d1 < 1e-5:
+            h0 = 1e-6
+        else:
+            h0 = 0.01 * d0 / d1
+        h0 = min(h0, interval_length)
+        f1 = fun(t0 + h0, y0 + h0 * f0)
+        d2 = _rms((f1 - f0) / scale) / h0 if h0 > 0.0 else math.inf  # h0 = 0 when f0 overflowed
+        if d1 <= 1e-15 and d2 <= 1e-15:
+            h1 = max(1e-6, h0 * 1e-3)
+        else:
+            h1 = (0.01 / max(d1, d2)) ** (1 / (order + 1))
+        self.h_abs = min(100 * h0, h1, interval_length, max_step)
         self.nfev = 2
         self.rejected = 0
+
+    def _min_step(self) -> float:
+        """Ten ulps of ``t``, scipy's shortest step."""
+        return 10 * (math.nextafter(self.t, math.inf) - self.t)
+
+    def _check_step(self, h_abs: float, min_step: float) -> None:
+        if not h_abs >= min_step:  # a NaN step size fails too, where scipy's RK45 would loop forever
+            raise StepSizeUnderflow(
+                f"step size underflow near t={self.t}: Required step size is less than spacing between numbers."
+            )
+
+
+class _RkStep(NamedTuple):
+    """One Dormand-Prince step's polynomial: its start row ``y`` and Shampine's matrix ``Q = K.T @ P``."""
+
+    y: np.ndarray
+    Q: np.ndarray
+
+
+class _DormandPrince(_Stepper):
+    """Forward Dormand-Prince 5(4) stepper with scipy's ``RK45`` control, operation for operation.
+
+    ``step()`` returns the step's :class:`_RkStep`.
+    """
+
+    def __init__(self, fun, t0: float, y0: np.ndarray, t_bound: float, rtol: float, atol: float, max_step: float):
+        super().__init__(fun, t0, y0, t_bound, rtol, atol, max_step, 4)
         self.K = K = np.empty((len(_DP_C) + 1, len(y0)))
         # Views of K and of the tableau, made once: stage s reads K[:s].T and _DP_A[s, :s].
         self._stages = [(s, K[:s].T, _DP_A[s, :s], float(_DP_C[s])) for s in range(1, len(_DP_C))]
@@ -409,9 +442,9 @@ class _DormandPrince:
         self._K_all = K.T
         self._abs_y = np.abs(y0)
 
-    def step(self) -> Optional[str]:
+    def step(self) -> _RkStep:
         t, y, K, fun = self.t, self.y, self.K, self.fun
-        min_step = 10 * (math.nextafter(t, math.inf) - t)
+        min_step = self._min_step()
         if self.h_abs > self.max_step:
             h_abs = self.max_step
         elif self.h_abs < min_step:
@@ -421,9 +454,7 @@ class _DormandPrince:
 
         step_rejected = False
         while True:
-            if not h_abs >= min_step:  # a NaN step size fails too, where scipy would loop forever
-                self.status = "failed"
-                return "Required step size is less than spacing between numbers."
+            self._check_step(h_abs, min_step)
             t_new = min(t + h_abs, self.t_bound)
             h = t_new - t
             h_abs = abs(h)
@@ -461,12 +492,7 @@ class _DormandPrince:
             self.rejected += 1
 
         self.t, self.y, self.f, self.h_abs, self._abs_y = t_new, y_new, f_new, h_abs, abs_new
-        if t_new >= self.t_bound:
-            self.status = "finished"
-        return None
-
-    def dense_output(self) -> np.ndarray:
-        return self._K_all.dot(_DP_P)
+        return _RkStep(y, self._K_all.dot(_DP_P))
 
 
 class _NewtonFactor:
@@ -568,39 +594,26 @@ class _BdfStep(NamedTuple):
     D: np.ndarray
 
 
-class _BDF:
+class _BDF(_Stepper):
     """Variable-order BDF (NDF) stepper with scipy's ``BDF`` control, operation for operation.
 
-    It offers what :func:`integrate` reads, as :class:`_DormandPrince` does;
-    ``dense_output()`` is the last step's :class:`_BdfStep`.  Where scipy
-    factors ``I - c J`` this builds a :class:`_NewtonFactor` and counts it in
-    ``nlu``.
+    ``step()`` returns the step's :class:`_BdfStep`.  Where scipy factors
+    ``I - c J`` this builds a :class:`_NewtonFactor` and counts it in ``nlu``.
     """
 
     def __init__(self, fun, jac, t0: float, y0: np.ndarray, t_bound: float, rtol: float, atol: float,
                  max_step: float):
-        self.fun = fun
-        self.jac = jac
-        self.t = float(t0)
-        self.y = y0
-        self.t_bound = float(t_bound)
-        self.rtol = max(rtol, 100 * _EPS)  # scipy raises rtol to this floor
-        self.atol = atol
-        self.max_step = max_step
-        self.status = "running"
-        f = fun(self.t, y0)
-        self.h_abs = _initial_step(fun, self.t, y0, f, self.t_bound, max_step, self.rtol, atol, 1)
+        super().__init__(fun, t0, y0, t_bound, rtol, atol, max_step, 1)
         if not self.h_abs > 0.0:  # the field's norm overflowed; scipy divides by this step size
             raise FloatingPointError("divide by zero: the initial step size is 0")
-        self.nfev = 2
         self.newton_tol = max(10 * _EPS / rtol, min(0.03, rtol ** 0.5))  # scipy's, from rtol as given
+        self.jac = jac
         self.J = jac(self.t, y0)
         self.njev = 1
         self.nlu = 0
-        self.rejected = 0
         self.D = D = np.empty((_BDF_MAX_ORDER + 3, len(y0)))
         D[0] = y0
-        D[1] = f * self.h_abs
+        D[1] = self.f * self.h_abs
         self.order = 1
         self.n_equal_steps = 0
         self.LU = None
@@ -632,9 +645,9 @@ class _BDF:
             dy_norm_old = dy_norm
         return converged, k + 1, y, d
 
-    def step(self) -> Optional[str]:
+    def step(self) -> _BdfStep:
         t, D, order = self.t, self.D, self.order
-        min_step = 10 * (math.nextafter(t, math.inf) - t)
+        min_step = self._min_step()
         if self.h_abs > self.max_step:
             h_abs = self.max_step
             _change_D(D, order, self.max_step / self.h_abs)
@@ -650,9 +663,7 @@ class _BDF:
         J, LU = self.J, self.LU
         current_jac = False
         while True:
-            if not h_abs >= min_step:  # a NaN step size fails too
-                self.status = "failed"
-                return "Required step size is less than spacing between numbers."
+            self._check_step(h_abs, min_step)
             t_new = t + h_abs
             if t_new > self.t_bound:
                 t_new = self.t_bound
@@ -722,14 +733,8 @@ class _BDF:
             self.n_equal_steps = 0
             self.LU = None
 
-        if t_new >= self.t_bound:
-            self.status = "finished"
-        return None
-
-    def dense_output(self) -> _BdfStep:
         h = self.h_abs
-        order = self.order
-        return _BdfStep(self.t - h * np.arange(order), h * (1 + np.arange(order)), self.D[:order + 1].copy())
+        return _BdfStep(t_new - h * np.arange(order), h * (1 + np.arange(order)), D[:order + 1].copy())
 
 
 _DP_ORDERS = np.arange(1.0, 5.0)[:, None]  # d/ds of s^j is j s^(j-1)
@@ -740,43 +745,49 @@ class _DenseOutput:
     """Dense output of the accepted steps of either stepper, and its time derivative.
 
     Step ``i`` runs from ``t[i]`` to ``t[i + 1]``; ``steps[i]`` is that step's
-    polynomial: Shampine's matrix ``Q`` for RK45, a :class:`_BdfStep` (the
-    ``t_shift``, ``denom`` and ``D`` of scipy's ``BdfDenseOutput``) for BDF.  Points
-    are grouped as scipy's ``OdeSolution`` groups them: sorted, a point on a
-    step boundary belongs to the earlier step, and each step evaluates its
-    run of points with the operations of scipy's own step interpolant, so the
-    values have the same bits.  The matrix is column-major like scipy's, so
-    reductions over it (the einsum of :meth:`Trajectory._panel_integrals`)
-    also sum in the same order.
+    record: an :class:`_RkStep` for RK45, and for BDF a :class:`_BdfStep` or
+    any record with the ``t_shift``, ``denom`` and ``D`` of scipy's
+    ``BdfDenseOutput``.  A time outside ``[t[0], t[-1]]`` raises
+    :class:`OutOfRange`.  Points are grouped as scipy's ``OdeSolution``
+    groups them: sorted, a point on a step boundary belongs to the earlier
+    step, and each step evaluates its run of points with the operations of
+    scipy's own step interpolant, so the values have the same bits.  The
+    matrix is column-major like scipy's, so reductions over it (the einsum
+    of :meth:`Trajectory._panel_integrals`) also sum in the same order.
     """
 
     t: np.ndarray
-    y: np.ndarray
     steps: list
-    rk45: bool
 
     def __call__(self, t: np.ndarray, derivative: bool = False) -> np.ndarray:
+        if not (self.t[0] <= np.min(t) and np.max(t) <= self.t[-1]):
+            raise OutOfRange(f"t in [{np.min(t)}, {np.max(t)}] outside trajectory range [{self.t[0]}, {self.t[-1]}]")
+        first = self.steps[0]
+        if isinstance(first, _RkStep):
+            block, size = self._dormand_prince, len(first.y)
+        else:
+            block, size = self._bdf, first.D.shape[1]
         order = np.argsort(t)
         t_sorted = t[order]
         steps = np.clip(np.searchsorted(self.t, t_sorted, side="left") - 1, 0, len(self.steps) - 1)
         cuts = [0, *(np.flatnonzero(np.diff(steps)) + 1).tolist(), len(t)]
-        block = self._dormand_prince if self.rk45 else self._bdf
-        out = np.empty((self.y.shape[1], len(t)), order="F")  # the layout of scipy's ``ys[:, reverse]``
+        out = np.empty((size, len(t)), order="F")  # the layout of scipy's ``ys[:, reverse]``
         for a, b in zip(cuts[:-1], cuts[1:]):
             out[:, order[a:b]] = block(int(steps[a]), t_sorted[a:b], derivative)
         return out
 
     def _dormand_prince(self, i: int, t: np.ndarray, derivative: bool) -> np.ndarray:
-        """``h (Q @ [s, s^2, s^3, s^4]) + y_old``, or its derivative ``Q @ [1, 2s, 3s^2, 4s^3]``."""
+        """``h (Q @ [s, s^2, s^3, s^4]) + y``, or its derivative ``Q @ [1, 2s, 3s^2, 4s^3]``."""
+        y, Q = self.steps[i]
         h = self.t[i + 1] - self.t[i]
         p = np.empty((4, len(t)))  # s, s^2, s^3, s^4: the products scipy's cumprod forms, in the same order
         np.divide(t - self.t[i], h, out=p[0])
         for j in range(1, 4):
             np.multiply(p[j - 1], p[0], out=p[j])
         if derivative:
-            return np.dot(self.steps[i], _DP_ORDERS * np.vstack((np.ones(len(t)), p[:3])))
-        z = h * np.dot(self.steps[i], p)
-        z += self.y[i][:, None]
+            return np.dot(Q, _DP_ORDERS * np.vstack((np.ones(len(t)), p[:3])))
+        z = h * np.dot(Q, p)
+        z += y[:, None]
         return z
 
     def _bdf(self, i: int, t: np.ndarray, derivative: bool) -> np.ndarray:
@@ -829,55 +840,53 @@ def integrate(
     dim = sys.dimension
     fun, jac = augmented_field(sys, flux)
     z0 = np.concatenate([y0.vector(), np.zeros(NUM_BASE_ACC + len(flux))])
-    rk45 = cfg.method == "rk45"
-    if rk45:
-        solver = _DormandPrince(fun, y0.t, z0, t_end, cfg.rel_tol, cfg.abs_tol, cfg.max_step)
+    if cfg.method == "rk45":
+        stepper = _DormandPrince(fun, y0.t, z0, t_end, cfg.rel_tol, cfg.abs_tol, cfg.max_step)
     else:
-        solver = _BDF(fun, jac, y0.t, z0, t_end, cfg.rel_tol, cfg.abs_tol, cfg.max_step)
+        stepper = _BDF(fun, jac, y0.t, z0, t_end, cfg.rel_tol, cfg.abs_tol, cfg.max_step)
 
     floor = cfg.floor
     ts = [y0.t]
     rows = [z0]
-    segments = []
+    records = []
     pre_clamp_min = float(np.min(z0[:dim]))
-    while solver.status == "running":
-        if len(segments) == MAX_STEPS:
+    while stepper.t < stepper.t_bound:
+        if len(records) == MAX_STEPS:
             raise StepBudgetExceeded(
-                f"{MAX_STEPS} accepted steps reached t={solver.t}, short of t_end={t_end}"
+                f"{MAX_STEPS} accepted steps reached t={stepper.t}, short of t_end={t_end}"
             )
-        message = solver.step()
-        if solver.status == "failed":
-            raise StepSizeUnderflow(f"step size underflow near t={solver.t}: {message}")
-        segments.append(solver.dense_output())
-        ts.append(solver.t)
-        rows.append(solver.y)  # neither stepper writes an accepted y again
-        worst = float(solver.y[:dim].min())
+        records.append(stepper.step())
+        ts.append(stepper.t)
+        rows.append(stepper.y)  # no stepper writes an accepted y again
+        worst = float(stepper.y[:dim].min())
         pre_clamp_min = min(pre_clamp_min, worst)
         if worst < floor:
             raise NegativityViolation(
-                f"component fell to {worst} (< floor {floor}) at t={solver.t}; tighten tolerances"
+                f"component fell to {worst} (< floor {floor}) at t={stepper.t}; tighten tolerances"
             )
 
     t = np.asarray(ts)
-    Z = np.asarray(rows)
+    samples = np.asarray(rows)
+    phase = samples[:, :dim]
+    phase[phase < 0.0] = 0.0  # in place; -0.0 stays
     return Trajectory(
         sys=sys,
         cfg=cfg,
         t=t,
-        phase=np.where(Z[:, :dim] < 0.0, 0.0, Z[:, :dim]),
-        accumulators=Z[:, dim:].copy(),
+        phase=phase,
+        accumulators=samples[:, dim:],
         flux_orders=flux,
         pre_clamp_min=pre_clamp_min,
         stats=IntegratorStats(
-            steps=len(segments),
-            nfev=solver.nfev,
-            njev=solver.njev,
-            nlu=solver.nlu,
-            rejected=solver.rejected,
+            steps=len(records),
+            nfev=stepper.nfev,
+            njev=stepper.njev,
+            nlu=stepper.nlu,
+            rejected=stepper.rejected,
             h_min=float(np.min(np.diff(t))),
             h_max=float(np.max(np.diff(t))),
         ),
-        _sol=_DenseOutput(t, Z, segments, rk45),
+        _sol=_DenseOutput(t, records),
     )
 
 

@@ -54,6 +54,26 @@ def test_doubles_whose_rounding_interval_ends_are_exact_decimals():
     same_text(with_neighbours(np.concatenate(binary + decimal)).reshape(-1, 6))
 
 
+def test_large_doubles_with_rounding_interval_ends_divisible_by_5_to_the_q():
+    # every double m2 * 2^(e2 + 2) with q = 20 (e2 = 70..73) or q = 21 (e2 = 74..76) whose 4 m2, 4 m2 - 2
+    # or 4 m2 + 2 is a multiple of 5^q: the only inputs of Ryū's large-value trailing-zero tests at those q
+    lo, hi = 2 ** 52, 2 ** 53
+    for q, e2s in ((20, range(70, 74)), (21, range(74, 77))):
+        p = 5 ** q
+        residues = (0, 2 * pow(4, -1, p) % p, -2 * pow(4, -1, p) % p)
+        m2 = np.array([m for r in residues for m in range(lo + (r - lo) % p, hi, p)], dtype=float)
+        assert len(m2) == (141 if q == 20 else 29)
+        same_text(np.concatenate([np.ldexp(m2, e2 + 2) for e2 in e2s]))
+
+
+def test_doubles_of_the_small_q_branch():
+    # e2 = -4..-1, the doubles of [2^50, 2^54), where Ryū's q <= 1 marks every product exact: seeded odd and
+    # even mantissas and the powers of two
+    m2 = np.random.default_rng(19).integers(2 ** 52, 2 ** 53, size=20_000)
+    m2 = np.concatenate([m2 | 1, m2 & ~1, [2 ** 52]]).astype(float)
+    same_text(np.concatenate([np.ldexp(m2, e2 + 2) for e2 in range(-4, 0)]).reshape(-1, 4))
+
+
 def test_zeros_infinities_and_nan():
     same_text(np.array([[0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan]]))
 

@@ -108,6 +108,48 @@ def test_dense_eval_out_of_range():
         dense_eval(traj, 1.1)
 
 
+@pytest.mark.parametrize("method", ["rk45", "bdf"])
+def test_every_dense_read_rejects_the_same_times(method):
+    # values, point values and derivatives: a time outside [t_start, t_end] raises, in any position of the request
+    traj = decay_trajectory(IntegratorConfig(method=method))
+    inside = [0.5, 0.0, 1.0]
+    for reader in (traj.dense_matrix, traj.dense_derivative):
+        assert reader(np.array(inside)).shape == (traj.sys.dimension + NUM_BASE_ACC, 3)
+    for t in (-5.0, math.nextafter(0.0, -1.0), math.nextafter(1.0, 2.0), 3.0, math.nan):
+        with pytest.raises(OutOfRange):
+            traj.dense_vector(t)
+        for reader in (traj.dense_matrix, traj.dense_derivative):
+            with pytest.raises(OutOfRange):
+                reader(np.array(inside + [t]))
+            with pytest.raises(OutOfRange):
+                reader(np.array([t] + inside))
+
+
+@pytest.mark.parametrize("method", ["rk45", "bdf"])
+def test_trajectory_keeps_one_sample_matrix(method):
+    # phase and accumulators are the column blocks of one (steps + 1) x size matrix; with the step
+    # records set aside, a trajectory retains that matrix and no second full copy of the rows
+    import tracemalloc
+
+    n = 1024
+    sys_, y0 = power_law_system(n, gamma=0.5), decaying_state(n)
+    cfg = IntegratorConfig(method=method, rel_tol=1e-6, abs_tol=1e-9)
+    integrate(sys_, y0, 2.0, cfg, flux_orders=(1,))  # fills the system's caches outside the count
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        traj = integrate(sys_, y0, 2.0, cfg, flux_orders=(1,))
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    samples = traj.phase.base
+    size = sys_.dimension + NUM_BASE_ACC + 1
+    assert samples is not None and traj.accumulators.base is samples
+    assert samples.shape == (traj.stats.steps + 1, size) and samples.dtype == np.float64
+    records = sum(np.asarray(a).nbytes for step in traj._sol.steps for a in step)
+    assert retained - records < 1.25 * samples.nbytes
+
+
 @pytest.mark.parametrize("field", ["r", "x0", "p"])
 def test_integrate_ends_in_one_error_on_overflow(field):
     # a value that leaves double precision raises at once, with no numpy warning and no StepSizeUnderflow
@@ -539,7 +581,7 @@ def test_bdf_dense_output_matches_scipy(n, gamma, rel_tol, abs_tol):
 
     cfg = IntegratorConfig(method="bdf", rel_tol=rel_tol, abs_tol=abs_tol)
     _, ts, rows, segments = scipy_bdf(power_law_system(n, gamma=gamma), decaying_state(n), 5.0, cfg, (1,))
-    mine = integrator._DenseOutput(ts, rows, segments, rk45=False)
+    mine = integrator._DenseOutput(ts, segments)
     reference = OdeSolution(ts, segments)
     grid = np.sort(np.concatenate([np.linspace(0.0, 5.0, 201), ts]))  # sample times too
     for points in (grid, np.random.default_rng(3).permutation(grid)):
@@ -642,8 +684,8 @@ def test_rk45_step_size_underflow_as_scipy():
 def test_rk45_nan_field_fails_the_step():
     # a NaN step size fails at once; scipy's RK45 keeps shrinking it without end
     solver = integrator._DormandPrince(lambda t, y: np.full_like(y, np.nan), 0.0, np.ones(3), 1.0, 1e-6, 1e-9, math.inf)
-    assert solver.step() is not None
-    assert solver.status == "failed"
+    with pytest.raises(StepSizeUnderflow, match="near t=0.0"):
+        solver.step()
 
 
 @pytest.mark.parametrize("method", ["rk45", "bdf"])
