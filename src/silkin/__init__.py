@@ -40,14 +40,12 @@ from .moments import (
     quartz_balance_residual,
 )
 from .analysis import (
-    ContinuityRow,
     ConvergenceReport,
     DegenerateDenominator,
     EquilibriumResult,
     NoBracket,
     NoConvergence,
     TruncationRungError,
-    continuity_study,
     convergence_study,
     differential_form_check,
     find_equilibrium,

@@ -1,7 +1,7 @@
-"""Numerical experiments on the truncated family: convergence, uniqueness,
-semigroup and continuity probes, weighted-cone invariance, and equilibria.
+"""Numerical experiments on the truncated family: convergence, uniqueness and
+semigroup probes, the differential form of a run, and equilibria.
 
-Each experiment owns its runs; rungs of a ladder and perturbation runs are
+Each experiment owns its runs; rungs of a ladder and the legs of a probe are
 independent and may be executed concurrently by a caller.  Comparisons across
 truncation orders use dense output on a shared time grid, because step
 sequences differ between runs while the quantities of interest are
@@ -30,7 +30,6 @@ from .truncation import TruncatedSystem
 __all__ = [
     "ConvergenceReport",
     "EquilibriumResult",
-    "ContinuityRow",
     "TruncationRungError",
     "NoBracket",
     "NoConvergence",
@@ -38,7 +37,6 @@ __all__ = [
     "convergence_study",
     "uniqueness_probe",
     "semigroup_residual",
-    "continuity_study",
     "find_equilibrium",
     "differential_form_check",
 ]
@@ -77,8 +75,8 @@ def _on_grid(traj: Trajectory) -> np.ndarray:
     return traj.dense_matrix(grid)[: traj.sys.dimension]
 
 
-def _gap(za: np.ndarray, zb: np.ndarray, mu: float = 1.0) -> float:
-    """Sup over the grid of the ``mu``-weighted-norm distance between two phase blocks.
+def _gap(za: np.ndarray, zb: np.ndarray) -> float:
+    """Sup over the grid of the total-matter-norm distance between two phase blocks.
 
     ``za``/``zb`` are ``(dim, G)`` with possibly different dims; the shorter
     cohort list is padded with zeros (its cohorts above its own order are
@@ -88,7 +86,7 @@ def _gap(za: np.ndarray, zb: np.ndarray, mu: float = 1.0) -> float:
         za, zb = zb, za
     diff = zb.copy()
     diff[: za.shape[0]] -= za
-    return float(np.max(weighted_norm(diff[0], diff[1:], mu)))
+    return float(np.max(weighted_norm(diff[0], diff[1:])))
 
 
 @dataclass(frozen=True)
@@ -180,39 +178,6 @@ def semigroup_residual(
     mid = integrate(sys, y0, y0.t + s, cfg).final_state if y0.t + s > y0.t else y0
     two_leg = integrate(sys, mid, mid.t + t, cfg).final_state if mid.t + t > mid.t else mid
     return weighted_norm(direct.x - two_leg.x, direct.M - two_leg.M, mu)
-
-
-@dataclass(frozen=True)
-class ContinuityRow:
-    """One perturbation: initial gap vs. worst downstream gap (both weighted norms)."""
-
-    input_gap: float
-    output_gap: float
-    ratio: float
-
-
-def continuity_study(
-    sys: TruncatedSystem,
-    y0: State,
-    perturbations: Sequence[State],
-    t_end: float,
-    cfg: Optional[IntegratorConfig] = None,
-) -> List[ContinuityRow]:
-    """Continuity-in-initial-data table.
-
-    Output gaps are reported per perturbation; no rate constant is fitted,
-    only the gap pairs (the underlying property is continuity, not a
-    Lipschitz bound).
-    """
-    mu = 1.0 + sys.rates.gamma
-    base = _on_grid(integrate(sys, y0, t_end, cfg))
-    rows = []
-    for pert in perturbations:
-        in_gap = weighted_norm(pert.x - y0.x, pert.M - y0.M, mu)
-        out_gap = _gap(base, _on_grid(integrate(sys, pert, t_end, cfg)), mu)
-        ratio = out_gap / in_gap if in_gap > 0.0 else 0.0
-        rows.append(ContinuityRow(input_gap=in_gap, output_gap=out_gap, ratio=ratio))
-    return rows
 
 
 @dataclass(frozen=True)

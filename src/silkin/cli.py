@@ -38,7 +38,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -86,6 +86,12 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+
+NORM_SLACK = 1e-6
+"""How far the total-matter norm and each weighted cohort may exceed their linear budget."""
+
+DRIFT_TOL_FLOOR = 1e-14
+"""Tolerance the equilibrium drift run keeps when ``equilibrium.tol`` is below it (0 included)."""
 
 
 class ConfigError(ValueError):
@@ -377,8 +383,7 @@ def _write_trajectory(config: RunConfig, traj: Trajectory, out: Path) -> dict:
     cohorts = min(config.output_m_out, rates.n + 1)
     header = ["t", "x", "M_total", "X_total", "U_total", "Q", "P"] + [f"M_{i}" for i in range(cohorts)]
 
-    snaps = [compute_moments(row[0], row[1:], rates) for row in traj.phase]
-    moments = np.array([[s.m_total, s.x_total, s.u_total, s.Q, s.P] for s in snaps])
+    moments = np.array([compute_moments(row[0], row[1:], rates) for row in traj.phase])
     _write_csv(out / "trajectory.csv", header, traj.t, traj.phase[:, 0], moments, traj.phase[:, 1:cohorts + 1])
     artifacts = {"trajectory_csv": "trajectory.csv"}
     if config.output_wide_csv:
@@ -388,31 +393,25 @@ def _write_trajectory(config: RunConfig, traj: Trajectory, out: Path) -> dict:
     return artifacts
 
 
-def _norm_bound_checks(traj: Trajectory, slack: float = 1e-6) -> List[dict]:
+def _norm_bound_checks(traj: Trajectory) -> List[dict]:
     params = traj.sys.params
-    n = traj.sys.n
-    w1 = np.arange(n + 1) + 1.0
+    w1 = np.arange(traj.sys.n + 1) + 1.0
     norms = traj.phase[:, 0] + traj.phase[:, 1:] @ w1
     budget = norms[0] + (params.r + params.alpha) * (traj.t - traj.t_start)
     cohort_peaks = np.max(traj.phase[:, 1:] * w1, axis=1)
+    floor = float(traj.cfg.floor)
+    cone_ok = traj.pre_clamp_min >= floor and float(np.min(traj.phase)) >= 0.0
     return [
-        _check(
-            "cone_nonnegative",
-            "integrate",
-            float(traj.pre_clamp_min),
-            float(traj.cfg.floor),
-            traj.pre_clamp_min >= traj.cfg.floor and float(np.min(traj.phase)) >= 0.0,
-            comparison=">=",
-        ),
-        _bound_check("norm_growth_bound", "norm_mu", float(np.max(norms - budget)), slack),
-        _bound_check("cohort_bound", "norm_mu", float(np.max(cohort_peaks - budget)), slack),
+        _check("cone_nonnegative", "integrate", float(traj.pre_clamp_min), floor, cone_ok, comparison=">="),
+        _bound_check("norm_growth_bound", "norm_mu", float(np.max(norms - budget)), NORM_SLACK),
+        _bound_check("cohort_bound", "norm_mu", float(np.max(cohort_peaks - budget)), NORM_SLACK),
     ]
 
 
-def _integrated_run(config: RunConfig, out: Path, balances: Sequence[Callable]):
-    """Integrate ``run.n``, write the trajectory, and check the norm bounds and the given balances."""
+def _integrated_run(config: RunConfig, out: Path, balances: Sequence[Callable], flux_orders: Tuple[int, ...]):
+    """Integrate ``run.n`` with the fluxes ``flux_orders``; write the trajectory; check the norms and ``balances``."""
     sys_, y0 = _build_system(config)
-    traj = integrate(sys_, y0, config.t_end, config.integrator, flux_orders=(1,))
+    traj = integrate(sys_, y0, config.t_end, config.integrator, flux_orders=flux_orders)
     artifacts = _write_trajectory(config, traj, out)
     checks = _norm_bound_checks(traj)
     times = np.linspace(traj.t_start, traj.t_end, config.verify_sample_times + 1)[1:]
@@ -429,13 +428,13 @@ def _integrated_run(config: RunConfig, out: Path, balances: Sequence[Callable]):
 
 
 def _cmd_simulate(config: RunConfig, out: Path):
-    _, checks, artifacts, meta = _integrated_run(config, out, [mass_balance_residual])
+    _, checks, artifacts, meta = _integrated_run(config, out, [mass_balance_residual], ())
     return checks, artifacts, meta
 
 
 def _cmd_verify(config: RunConfig, out: Path):
     balances = [mass_balance_residual, quartz_balance_residual, macrophage_balance_residual]
-    traj, checks, artifacts, meta = _integrated_run(config, out, balances)
+    traj, checks, artifacts, meta = _integrated_run(config, out, balances, (1,))  # F_1 for the tail identity
     rates = traj.sys.rates
     tol = config.verify_residual_tol
 
@@ -505,7 +504,10 @@ def _cmd_equilibrium(config: RunConfig, out: Path):
         _bound_check("equilibrium_residual", "find_equilibrium", result.residual, config.equilibrium_tol)
     ]
     eq_state = State(t=0.0, x=result.x_star, M=result.M_star)
-    drifted = integrate(sys_, eq_state, 1.0, config.integrator).final_state
+    # The drift's error scales with the run's tolerances, so they are no looser than equilibrium.tol.
+    tol, cfg = max(config.equilibrium_tol, DRIFT_TOL_FLOOR), config.integrator
+    cfg = replace(cfg, rel_tol=min(cfg.rel_tol, tol), abs_tol=min(cfg.abs_tol, tol))
+    drifted = integrate(sys_, eq_state, 1.0, cfg).final_state
     drift = weighted_norm(drifted.x - eq_state.x, drifted.M - eq_state.M, 1.0)
     drift_tol = max(10.0 * config.equilibrium_tol, 1e-8)
     checks.append(_bound_check("equilibrium_fixed_point", "integrate", drift, drift_tol))

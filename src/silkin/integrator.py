@@ -47,7 +47,8 @@ dense output is the scipy ``BdfDenseOutput`` data ``t_shift``, ``denom`` and
 
 Both steppers share one shell (``_Stepper``): the field, the tolerances with
 scipy's ``rtol`` floor, the first field call and Hairer, Norsett & Wanner's
-starting step, and the ``nfev`` and ``rejected`` counts.  Unlike scipy's
+starting step, the clip of each step's first try to ``[min_step, max_step]``,
+and the ``nfev`` and ``rejected`` counts.  Unlike scipy's
 ``OdeSolver`` a stepper has no status: ``step()`` takes one accepted step and
 returns its dense-output record (the start row and ``Q`` for RK45, a
 ``_BdfStep`` for BDF), or raises :class:`StepSizeUnderflow` when the step
@@ -372,9 +373,11 @@ class _Stepper:
     estimator's order (4 for RK45, 1 for BDF).
 
     A subclass's ``step()`` takes one accepted step toward ``t_bound`` and
-    returns that step's dense-output record.  A step size below ten ulps of
-    ``t``, or NaN, raises :class:`StepSizeUnderflow`.  Each accepted step
-    makes a new ``y``; none is written again.
+    returns that step's dense-output record.  It first tries ``h_abs``
+    clipped to ``[min_step, max_step]`` (:meth:`_first_h_abs`), and a
+    stepper with a step history adapts it in :meth:`_rescale`.  A step
+    size below ten ulps of ``t``, or NaN, raises :class:`StepSizeUnderflow`.
+    Each accepted step makes a new ``y``; none is written again.
     """
 
     njev = 0
@@ -413,6 +416,20 @@ class _Stepper:
         """Ten ulps of ``t``, scipy's shortest step."""
         return 10 * (math.nextafter(self.t, math.inf) - self.t)
 
+    def _first_h_abs(self, min_step: float) -> float:
+        """The step size a step tries first: ``h_abs`` clipped to ``[min_step, max_step]``, history rescaled."""
+        if self.h_abs > self.max_step:
+            h_abs = self.max_step
+        elif self.h_abs < min_step:
+            h_abs = min_step
+        else:
+            return self.h_abs
+        self._rescale(h_abs / self.h_abs)
+        return h_abs
+
+    def _rescale(self, factor: float) -> None:
+        """Adapt the step history to a step size ``factor`` times as long (RK45 keeps none)."""
+
     def _check_step(self, h_abs: float, min_step: float) -> None:
         if not h_abs >= min_step:  # a NaN step size fails too, where scipy's RK45 would loop forever
             raise StepSizeUnderflow(
@@ -445,12 +462,7 @@ class _DormandPrince(_Stepper):
     def step(self) -> _RkStep:
         t, y, K, fun = self.t, self.y, self.K, self.fun
         min_step = self._min_step()
-        if self.h_abs > self.max_step:
-            h_abs = self.max_step
-        elif self.h_abs < min_step:
-            h_abs = min_step
-        else:
-            h_abs = self.h_abs
+        h_abs = self._first_h_abs(min_step)
 
         step_rejected = False
         while True:
@@ -580,12 +592,6 @@ def _compute_R(order: int, factor: float) -> np.ndarray:
     return np.cumprod(M, axis=0)
 
 
-def _change_D(D: np.ndarray, order: int, factor: float) -> None:
-    """scipy's ``change_D``: rescale the differences array in place when the step size changes."""
-    RU = _compute_R(order, factor).dot(_compute_R(order, 1))
-    D[:order + 1] = np.dot(RU.T, D[:order + 1])
-
-
 class _BdfStep(NamedTuple):
     """One BDF step's polynomial: the data of scipy's ``BdfDenseOutput``."""
 
@@ -610,13 +616,19 @@ class _BDF(_Stepper):
         self.jac = jac
         self.J = jac(self.t, y0)
         self.njev = 1
-        self.nlu = 0
         self.D = D = np.empty((_BDF_MAX_ORDER + 3, len(y0)))
         D[0] = y0
         D[1] = self.f * self.h_abs
         self.order = 1
         self.n_equal_steps = 0
         self.LU = None
+
+    def _rescale(self, factor: float) -> None:
+        """scipy's ``change_D``: rescale the differences array in place, and count equal steps anew."""
+        order = self.order
+        RU = _compute_R(order, factor).dot(_compute_R(order, 1))
+        self.D[:order + 1] = np.dot(RU.T, self.D[:order + 1])
+        self.n_equal_steps = 0
 
     def _newton(self, t_new: float, y_predict: np.ndarray, c: float, psi: np.ndarray, LU: _NewtonFactor,
                 scale: np.ndarray):
@@ -648,16 +660,7 @@ class _BDF(_Stepper):
     def step(self) -> _BdfStep:
         t, D, order = self.t, self.D, self.order
         min_step = self._min_step()
-        if self.h_abs > self.max_step:
-            h_abs = self.max_step
-            _change_D(D, order, self.max_step / self.h_abs)
-            self.n_equal_steps = 0
-        elif self.h_abs < min_step:
-            h_abs = min_step
-            _change_D(D, order, min_step / self.h_abs)
-            self.n_equal_steps = 0
-        else:
-            h_abs = self.h_abs
+        h_abs = self._first_h_abs(min_step)
 
         alpha = _BDF_ALPHA[order]
         J, LU = self.J, self.LU
@@ -667,8 +670,7 @@ class _BDF(_Stepper):
             t_new = t + h_abs
             if t_new > self.t_bound:
                 t_new = self.t_bound
-                _change_D(D, order, abs(t_new - t) / h_abs)
-                self.n_equal_steps = 0
+                self._rescale(abs(t_new - t) / h_abs)
                 LU = None
             h = t_new - t
             h_abs = abs(h)
@@ -691,8 +693,7 @@ class _BDF(_Stepper):
 
             if not converged:
                 h_abs *= 0.5
-                _change_D(D, order, 0.5)
-                self.n_equal_steps = 0
+                self._rescale(0.5)
                 LU = None
                 self.rejected += 1
                 continue
@@ -703,8 +704,7 @@ class _BDF(_Stepper):
             if error_norm > 1:
                 factor = max(_MIN_FACTOR, safety * error_norm ** (-1 / (order + 1)))
                 h_abs *= factor
-                _change_D(D, order, factor)
-                self.n_equal_steps = 0
+                self._rescale(factor)
                 self.rejected += 1
             else:
                 break
@@ -729,8 +729,7 @@ class _BDF(_Stepper):
             self.order = order = order + int(np.argmax(factors)) - 1
             factor = min(_MAX_FACTOR, safety * np.max(factors))
             self.h_abs *= factor
-            _change_D(D, order, factor)
-            self.n_equal_steps = 0
+            self._rescale(factor)
             self.LU = None
 
         h = self.h_abs

@@ -305,7 +305,7 @@ class WeightsCheck:
     C_min: float
 
 
-def validate_weights(w: MomentWeights, rates: Optional[RateTable]) -> WeightsCheck:
+def validate_weights(w: MomentWeights, rates: RateTable) -> WeightsCheck:
     """Check a weight sequence against a rate table.
 
     ``delta_ok`` holds iff the claimed ``delta`` is positive and every
@@ -316,12 +316,10 @@ def validate_weights(w: MomentWeights, rates: Optional[RateTable]) -> WeightsChe
     g = w.g
     if np.any(g < 0.0):
         raise ValueError("weights must be >= 0")
-    if rates is not None and len(g) != rates.n + 1:
+    if len(g) != rates.n + 1:
         raise ValueError(f"expected {rates.n + 1} weights, got {len(g)}")
     increments = np.diff(g)
     delta_ok = bool(w.delta > 0.0 and np.all(increments >= w.delta))
-    if rates is None:
-        return WeightsCheck(delta_ok=delta_ok, C_min=math.nan)
     numer = increments * rates.k[:-1]
     denom = g[:-1]
     ratios = np.zeros_like(numer)
@@ -374,5 +372,6 @@ class InitialData:
             out[:] = self.b * np.asarray(self.rho, dtype=float) ** np.arange(n + 1)
         return out
 
-    def state(self, n: int, t: float = 0.0) -> State:
-        return State(t=t, x=self.x0, M=self.realize(n))
+    def state(self, n: int) -> State:
+        """The data projected onto cohorts ``0..n``, at time 0."""
+        return State(t=0.0, x=self.x0, M=self.realize(n))

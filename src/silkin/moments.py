@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -54,9 +54,11 @@ class InvalidWeights(ValueError):
     """Weights do not satisfy the hypotheses the exponential envelope needs."""
 
 
-@dataclass(frozen=True)
-class MomentSnapshot:
-    """Moments of one phase row: totals plus the weighted release/removal sums."""
+class MomentSnapshot(NamedTuple):
+    """Moments of one phase row: totals plus the weighted release/removal sums.
+
+    The fields are in the trajectory CSV's column order, so snapshots stack into its moment columns.
+    """
 
     m_total: float
     x_total: float

@@ -33,8 +33,8 @@ from silkin import (
     norm_mu,
     realize_coefficients,
     semigroup_residual,
-    uniqueness_probe,
 )
+from silkin.analysis import _gap, _on_grid
 
 from oracles import central_jacobian, decoupled_solution
 
@@ -232,10 +232,11 @@ def test_criterion_5_truncation_convergence():
 
 
 def test_criterion_6_uniqueness_probe(run_matrix):
+    # uniqueness_probe's gap, with the matrix's CFG_A run (F_1 co-integrated) read instead of a second one
     runs, _ = run_matrix
     worst = 0.0
     for run in runs:
-        gap = uniqueness_probe(run.sys, run.y0, T_END, CFG_A, CFG_B)
+        gap = _gap(_on_grid(run.traj), _on_grid(integrate(run.sys, run.y0, T_END, CFG_B)))
         worst = max(worst, gap)
     ok = worst < 1e-6
     _report(6, ok, f"worst sup-gap between stepping configs {worst:.2e} (< 1e-6)")

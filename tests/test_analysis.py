@@ -16,7 +16,6 @@ from silkin import (
     State,
     TruncatedSystem,
     TruncationRungError,
-    continuity_study,
     convergence_study,
     differential_form_check,
     find_equilibrium,
@@ -166,41 +165,6 @@ def test_semigroup_rejects_negative_times():
     sys_ = power_law_system(6, gamma=0.0)
     with pytest.raises(ValueError):
         semigroup_residual(sys_, decaying_state(6), -1.0, 1.0)
-
-
-def test_continuity_zero_perturbation():
-    sys_ = power_law_system(8, gamma=0.5)
-    y0 = decaying_state(8)
-    rows = continuity_study(sys_, y0, [y0], 2.0)
-    assert rows[0].input_gap == 0.0
-    assert rows[0].output_gap == 0.0
-
-
-def test_continuity_linear_scaling_decoupled():
-    sys_ = TruncatedSystem(ModelParams(0.0, 0.0), constant_rates(6, p=0.5, q=0.5))
-    y0 = decaying_state(6, x0=1.0)
-    base = np.full(7, 0.4) * 0.5 ** np.arange(7)
-    perts = [
-        State(t=0.0, x=y0.x, M=y0.M + base * 0.5 ** j)
-        for j in range(4)
-    ]
-    rows = continuity_study(sys_, y0, perts, 2.0)
-    gaps = [row.output_gap for row in rows]
-    assert all(g2 < g1 for g1, g2 in zip(gaps, gaps[1:]))
-    for a, b in zip(rows, rows[1:]):
-        assert b.output_gap / a.output_gap == pytest.approx(0.5, rel=1e-6)
-
-
-def test_continuity_coupled_monotone():
-    sys_ = power_law_system(12, gamma=1.0)
-    y0 = decaying_state(12, rho=0.5)
-    bump = np.full(13, 0.3) * 0.5 ** np.arange(13)
-    perts = [State(t=0.0, x=y0.x + 0.1 * 0.5 ** j, M=y0.M + bump * 0.5 ** j) for j in range(4)]
-    rows = continuity_study(sys_, y0, perts, 2.0)
-    gaps = [row.output_gap for row in rows]
-    ins = [row.input_gap for row in rows]
-    assert all(b < a for a, b in zip(ins, ins[1:]))
-    assert all(b < a for a, b in zip(gaps, gaps[1:]))
 
 
 def test_invariance_zero_state():

@@ -179,6 +179,21 @@ def test_verify_builds_only_the_initial_state(tmp_path, monkeypatch):
     assert built == [0.0]
 
 
+@pytest.mark.parametrize("command,flux_orders", [("simulate", ()), ("verify", (1,))])
+def test_only_verify_co_integrates_a_flux(tmp_path, monkeypatch, command, flux_orders):
+    # the state carries only what a check reads: F_1 for verify's tail identity, no flux for simulate
+    requested = []
+
+    def recording(sys_, y0, t_end, cfg=None, flux_orders=()):
+        requested.append(tuple(flux_orders))
+        return integrator.integrate(sys_, y0, t_end, cfg, flux_orders=flux_orders)
+
+    monkeypatch.setattr(cli, "integrate", recording)
+    cfg = write_config(tmp_path / "run.yaml", coupled_doc())
+    assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == cli.EXIT_OK
+    assert requested == [flux_orders]
+
+
 @pytest.mark.parametrize(
     "command,config",
     [

@@ -681,6 +681,32 @@ def test_rk45_step_size_underflow_as_scipy():
         integrate(sys_, y0, 2e16, cfg)
 
 
+def test_bdf_step_size_underflow_as_scipy():
+    # at t = 1e16 the starting step is shorter than ten ulps (20 time units), so the first try is that
+    # minimum, with the differences rescaled to it; Newton fails there at a loss rate of 50, and half of it is too short
+    from scipy.integrate import BDF
+
+    sys_ = power_law_system(4, gamma=0.5, p_amp=50.0)
+    y0 = decaying_state(4, t=1e16)
+    cfg = IntegratorConfig(method="bdf")
+    fun, jac = augmented_field(sys_, ())
+    z0 = np.concatenate([y0.vector(), np.zeros(NUM_BASE_ACC)])
+
+    def dense(t, y):
+        return dense_jacobian(jac(t, y), len(z0))
+
+    solver = BDF(fun, y0.t, z0, 2e16, rtol=cfg.rel_tol, atol=cfg.abs_tol, jac=dense)
+    while solver.status == "running":
+        solver.step()
+    assert solver.status == "failed"
+    stepper = integrator._BDF(fun, jac, y0.t, z0, 2e16, cfg.rel_tol, cfg.abs_tol, cfg.max_step)
+    with pytest.raises(StepSizeUnderflow, match="near t=1e"):
+        stepper.step()
+    assert (stepper.nfev, stepper.njev, stepper.nlu) == (solver.nfev, solver.njev, solver.nlu)
+    with pytest.raises(StepSizeUnderflow, match="near t=1e"):
+        integrate(sys_, y0, 2e16, cfg)
+
+
 def test_rk45_nan_field_fails_the_step():
     # a NaN step size fails at once; scipy's RK45 keeps shrinking it without end
     solver = integrator._DormandPrince(lambda t, y: np.full_like(y, np.nan), 0.0, np.ones(3), 1.0, 1e-6, 1e-9, math.inf)
