@@ -18,11 +18,16 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "silkin"
 LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
 
 
+def is_docstring(node: ast.AST) -> bool:
+    """Whether ``node`` is a statement that is a bare string."""
+    return isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant) and isinstance(node.value.value, str)
+
+
 def code_lines(text: str) -> int:
     """The number of code lines of the Python source ``text``."""
     docstrings = set()
     for node in ast.walk(ast.parse(text)):
-        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant) and isinstance(node.value.value, str):
+        if is_docstring(node):
             docstrings.update(range(node.lineno, node.end_lineno + 1))
     code = set()
     for tok in tokenize.generate_tokens(io.StringIO(text).readline):

@@ -7,12 +7,11 @@ from .model import (
     MomentWeights,
     RateTable,
     State,
-    norm_mu,
     realize_coefficients,
     validate_weights,
     weighted_norm,
 )
-from .truncation import BandedBorderJacobian, TruncatedSystem, eval_jacobian, eval_rhs
+from .truncation import BandedBorderJacobian, TruncatedSystem, eval_jacobian
 from .integrator import (
     IntegrationError,
     IntegratorConfig,
@@ -23,7 +22,6 @@ from .integrator import (
     StepBudgetExceeded,
     StepSizeUnderflow,
     Trajectory,
-    dense_eval,
     integrate,
 )
 from .moments import (

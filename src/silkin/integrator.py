@@ -115,7 +115,6 @@ __all__ = [
     "IntegratorStats",
     "Trajectory",
     "integrate",
-    "dense_eval",
     "IntegrationError",
     "StepSizeUnderflow",
     "StepBudgetExceeded",
@@ -248,10 +247,6 @@ class Trajectory:
     def state(self, i: int) -> State:
         row = self.phase[i]
         return State(t=float(self.t[i]), x=float(row[0]), M=row[1:])
-
-    @property
-    def initial_state(self) -> State:
-        return self.state(0)
 
     @property
     def final_state(self) -> State:
@@ -888,8 +883,3 @@ def integrate(
         _sol=_DenseOutput(t, records),
     )
 
-
-def dense_eval(traj: Trajectory, t: float) -> State:
-    """Interpolated state at ``t``; a stored sample time returns that sample exactly."""
-    z = traj.at(t)
-    return State(t=float(t), x=float(z[0]), M=z[1:traj.sys.dimension])

@@ -32,7 +32,6 @@ __all__ = [
     "WeightsCheck",
     "InitialData",
     "realize_coefficients",
-    "norm_mu",
     "weighted_norm",
     "validate_weights",
 ]
@@ -240,13 +239,6 @@ def weighted_norm(x, M: np.ndarray, mu: float = 1.0):
     return norm if norm.ndim else float(norm)
 
 
-def norm_mu(s: State, mu: float = 1.0) -> float:
-    """Weighted norm of a state; ``mu = 1`` is the total-matter norm."""
-    if mu < 1.0:
-        raise ValueError(f"mu must be >= 1, got {mu}")
-    return weighted_norm(s.x, s.M, mu)
-
-
 @dataclass(frozen=True, eq=False)
 class MomentWeights:
     """A weight sequence ``g_0 .. g_n`` with its claimed increment bound and growth constant.
@@ -280,11 +272,9 @@ class MomentWeights:
         return cls(g=np.ones(n + 1), delta=0.0, C=0.0)
 
     @classmethod
-    def linear(cls, n: int, rates: Optional[RateTable] = None) -> "MomentWeights":
-        """Weights g_i = i.  Note g_0 = 0, so C is infinite whenever k_0 > 0."""
-        g = np.arange(n + 1, dtype=float)
-        C = validate_weights(cls(g=g, delta=1.0), rates).C_min if rates is not None else math.inf
-        return cls(g=g, delta=1.0, C=C)
+    def linear(cls, n: int) -> "MomentWeights":
+        """Weights g_i = i with ``C`` unclaimed (infinite): g_0 = 0, so no finite C holds once k_0 > 0."""
+        return cls(g=np.arange(n + 1, dtype=float), delta=1.0)
 
     @classmethod
     def power(cls, n: int, mu: float, rates: Optional[RateTable] = None) -> "MomentWeights":

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence, Union
+from typing import NamedTuple
 
 import numpy as np
 
@@ -124,19 +124,13 @@ def macrophage_balance_residual(traj: Trajectory, t: float) -> float:
     return _balance_residual(traj, t, "macrophage")
 
 
-WeightsLike = Union[MomentWeights, Sequence[float], np.ndarray]
+def _weight_vector(w: MomentWeights, n: int) -> np.ndarray:
+    if w.g.shape != (n + 1,):
+        raise ValueError(f"expected {n + 1} weights, got shape {w.g.shape}")
+    return w.g
 
 
-def _weight_vector(w: WeightsLike, n: int) -> np.ndarray:
-    g = np.asarray(w.g if isinstance(w, MomentWeights) else w, dtype=float)
-    if g.shape != (n + 1,):
-        raise ValueError(f"expected {n + 1} weights, got shape {g.shape}")
-    return g
-
-
-def moment_identity_residual(
-    traj: Trajectory, w: WeightsLike, m: int, t1: float, t2: float
-) -> float:
+def moment_identity_residual(traj: Trajectory, w: MomentWeights, m: int, t1: float, t2: float) -> float:
     """Defect of the integrated g-weighted tail balance over ``[t1, t2]``.
 
     For any real weights ``g`` and ``1 <= m <= n`` the exact truncated flow
@@ -186,7 +180,6 @@ class GronwallReport:
 
     ok: bool
     margin: float
-    max_lhs: float
     c1_used: float
     c1_apriori: float
     c1_fitted: float
@@ -266,7 +259,6 @@ def gronwall_check(traj: Trajectory, w: MomentWeights) -> GronwallReport:
     return GronwallReport(
         ok=ok,
         margin=float(np.min(_relative_margins(lhs, bounds))),
-        max_lhs=float(np.max(lhs)),
         c1_used=c1_used,
         c1_apriori=c1_apriori,
         c1_fitted=c1_fitted,

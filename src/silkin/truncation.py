@@ -24,14 +24,13 @@ identities read, and no others: every co-integrated slot enters the
 stepper's error norm and the BDF Newton solve.  The Jacobian is O(n) closed-form
 blocks (:class:`JacobianBlocks`): the border row and column of ``x``, the lower
 bidiagonal cohort block, the two accumulator rows over the cohorts and two
-entries per flux row.  :meth:`TruncatedSystem.rhs`,
-:func:`eval_rhs` and :func:`eval_jacobian` return the phase part of that one
-field; the Jacobian's entries are written once, in the field's ``jac``.
-:func:`eval_jacobian` is the only place that imports scipy: it assembles the
-phase blocks into a sparse matrix.
+entries per flux row.  :meth:`TruncatedSystem.rhs` and :func:`eval_jacobian`
+return the phase part of that one field; the Jacobian's entries are written
+once, in the field's ``jac``.  :func:`eval_jacobian` is the only place that
+imports scipy: it assembles the phase blocks into a sparse matrix.
 
-``eval_rhs`` and ``eval_jacobian`` are pure functions of their arguments and
-safe to call concurrently.
+``TruncatedSystem.rhs`` and ``eval_jacobian`` are pure functions of their
+arguments and safe to call concurrently.
 """
 from __future__ import annotations
 
@@ -51,7 +50,6 @@ __all__ = [
     "BandedBorderJacobian",
     "JacobianBlocks",
     "augmented_field",
-    "eval_rhs",
     "eval_jacobian",
 ]
 
@@ -91,18 +89,6 @@ class TruncatedSystem:
         pq = self.rates.p + self.rates.q
         pq.setflags(write=False)
         return pq
-
-    @cached_property
-    def i_times_p(self) -> np.ndarray:
-        ip = np.arange(self.n + 1, dtype=float) * self.rates.p
-        ip.setflags(write=False)
-        return ip
-
-    @cached_property
-    def i_times_q(self) -> np.ndarray:
-        iq = np.arange(self.n + 1, dtype=float) * self.rates.q
-        iq.setflags(write=False)
-        return iq
 
     @cached_property
     def _phase_field(self):
@@ -147,8 +133,9 @@ def augmented_field(sys: TruncatedSystem, flux_orders: Sequence[int] = ()) -> Tu
     loss = sys.loss
     loss_0 = float(loss[0])
     loss_tail = loss[1:]
-    ip = sys.i_times_p
-    iq = sys.i_times_q
+    i = np.arange(sys.n + 1, dtype=float)
+    ip = i * sys.rates.p
+    iq = i * sys.rates.q
     flux_idx = np.array([m - 1 for m in flux_orders], dtype=int)
     acc_rows = np.stack((loss, ip))
     acc_rows.setflags(write=False)
@@ -204,26 +191,12 @@ class BandedBorderJacobian:
 
     matrix: scipy.sparse.csc_matrix
 
-    @property
-    def dimension(self) -> int:
-        return self.matrix.shape[0]
-
-    def to_dense(self) -> np.ndarray:
-        return self.matrix.toarray()
-
     def to_sparse(self) -> scipy.sparse.csc_matrix:
         return self.matrix
 
 
-def eval_rhs(sys: TruncatedSystem, s: State) -> np.ndarray:
-    """Time derivative ``(dx/dt, dM_0/dt, ..., dM_n/dt)`` at a state."""
-    if s.n != sys.n:
-        raise ValueError(f"state carries cohorts 0..{s.n} but the system expects 0..{sys.n}")
-    return sys.rhs(s.vector())
-
-
 def eval_jacobian(sys: TruncatedSystem, s: State) -> BandedBorderJacobian:
-    """Jacobian of :func:`eval_rhs` with respect to ``(x, M_0 .. M_n)``.
+    """Jacobian of :meth:`TruncatedSystem.rhs` with respect to ``(x, M_0 .. M_n)``.
 
     The phase blocks of the augmented field's ``jac``, assembled by scipy
     from their ``(rows, cols)``.

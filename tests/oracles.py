@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 import mpmath
 
-from silkin import TruncatedSystem, State, eval_rhs
+from silkin import TruncatedSystem, State
 from silkin.truncation import ACC_QUARTZ_REMOVED, ACC_TOTAL_LOSS, NUM_BASE_ACC
 
 
@@ -102,7 +102,7 @@ def chain_equilibrium(n: int, x: float):
 
 
 def rhs_norm(sys: TruncatedSystem, x: float, M) -> float:
-    return float(np.max(np.abs(eval_rhs(sys, State(t=0.0, x=x, M=M)))))
+    return float(np.max(np.abs(sys.rhs(State(t=0.0, x=x, M=M).vector()))))
 
 
 def reference_augmented_rhs(sys: TruncatedSystem, flux_orders, z: np.ndarray) -> np.ndarray:
@@ -118,8 +118,8 @@ def reference_augmented_rhs(sys: TruncatedSystem, flux_orders, z: np.ndarray) ->
     alpha = sys.params.alpha
     k = sys.k_masked
     loss = sys.loss
-    ip = sys.i_times_p
-    iq = sys.i_times_q
+    ip = np.arange(sys.n + 1, dtype=float) * sys.rates.p
+    iq = np.arange(sys.n + 1, dtype=float) * sys.rates.q
     flux_idx = np.array([m - 1 for m in flux_orders], dtype=int)
 
     x = z[0]

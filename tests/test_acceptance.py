@@ -30,9 +30,9 @@ from silkin import (
     invariance_check,
     mass_balance_residual,
     moment_identity_residual,
-    norm_mu,
     realize_coefficients,
     semigroup_residual,
+    weighted_norm,
 )
 from silkin.analysis import _gap, _on_grid
 
@@ -104,7 +104,7 @@ def test_criterion_1_cone_and_norm_bound(run_matrix):
         cone_ok &= traj.pre_clamp_min >= traj.cfg.floor and float(np.min(traj.phase)) >= 0.0
         w = np.arange(run.n + 1) + 1.0
         norms = traj.phase[:, 0] + traj.phase[:, 1:] @ w
-        budget = norm_mu(run.y0, 1.0) + 0.7 * (traj.t - traj.t_start)
+        budget = weighted_norm(run.y0.x, run.y0.M) + 0.7 * (traj.t - traj.t_start)
         worst_excess = max(worst_excess, float(np.max(norms - budget)))
     ok = cone_ok and worst_excess <= 1e-6 and elapsed < 60.0
     _report(1, ok, f"{len(runs)} runs in {elapsed:.1f}s (< 60s), worst norm excess {worst_excess:.2e} (<= 1e-6)")
@@ -276,7 +276,7 @@ def test_criterion_8_jacobian_families():
         sys_ = TruncatedSystem(ModelParams(r=0.4, alpha=0.3), rates)
         for _ in range(100):
             s = random_state(rng, n)
-            J = eval_jacobian(sys_, s).to_dense()
+            J = eval_jacobian(sys_, s).to_sparse().toarray()
             J_fd = central_jacobian(sys_, s)
             scale = max(1.0, float(np.max(np.abs(J))))
             worst = max(worst, float(np.max(np.abs(J - J_fd))) / scale)

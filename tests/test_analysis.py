@@ -21,7 +21,6 @@ from silkin import (
     find_equilibrium,
     integrate,
     invariance_check,
-    norm_mu,
     semigroup_residual,
     uniqueness_probe,
     weighted_norm,
@@ -131,9 +130,10 @@ def test_uniqueness_coupled():
     sys_ = power_law_system(32, gamma=1.0)
     cfg_a = IntegratorConfig(rel_tol=1e-9, abs_tol=1e-12)
     cfg_b = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-13, max_step=0.2)
-    gap = uniqueness_probe(sys_, decaying_state(32, rho=0.5), 3.0, cfg_a, cfg_b)
+    s0 = decaying_state(32, rho=0.5)
+    gap = uniqueness_probe(sys_, s0, 3.0, cfg_a, cfg_b)
     budget = cfg_a.rel_tol + cfg_b.rel_tol
-    scale = norm_mu(decaying_state(32, rho=0.5), 1.0) + 0.7 * 3.0
+    scale = weighted_norm(s0.x, s0.M) + 0.7 * 3.0
     assert gap < 10.0 * budget * scale
 
 
@@ -183,7 +183,7 @@ def test_invariance_gamma_zero_matches_norm_bound():
     assert report.ok
     # the gamma=0 envelope dominates the linear-growth norm budget it implies
     supply = sys_.params.r + sys_.params.alpha
-    assert report.max_norm <= norm_mu(y0, 1.0) + supply * 3.0 + 1e-6
+    assert report.max_norm <= weighted_norm(y0.x, y0.M) + supply * 3.0 + 1e-6
 
 
 def test_invariance_power_law_half():

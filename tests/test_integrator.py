@@ -14,10 +14,9 @@ from silkin import (
     StepBudgetExceeded,
     StepSizeUnderflow,
     TruncatedSystem,
-    dense_eval,
     eval_jacobian,
     integrate,
-    norm_mu,
+    weighted_norm,
 )
 from silkin import integrator
 from silkin.truncation import NUM_BASE_ACC, augmented_field
@@ -45,10 +44,10 @@ def test_supply_only_linear_total_matter():
     sys_ = TruncatedSystem(ModelParams(r=0.8, alpha=0.5), constant_rates(6, k=1.3))
     y0 = decaying_state(6, x0=0.4, rho=0.5)
     traj = integrate(sys_, y0, 4.0)
-    u0 = norm_mu(y0, 1.0)
+    u0 = weighted_norm(y0.x, y0.M)
     for i in range(traj.num_samples):
         s = traj.state(i)
-        assert norm_mu(s, 1.0) == pytest.approx(u0 + 1.3 * (s.t - y0.t), abs=1e-11)
+        assert weighted_norm(s.x, s.M) == pytest.approx(u0 + 1.3 * (s.t - y0.t), abs=1e-11)
 
 
 def test_decoupled_closed_form_oracle():
@@ -63,17 +62,17 @@ def test_decoupled_closed_form_oracle():
     traj = integrate(sys_, y0, 5.0)
     for t in (0.5, 1.0, 2.5, 5.0):
         x_ref, M_ref = decoupled_solution(0.5, M0, p, q, 0.0, 0.25, t)
-        s = dense_eval(traj, t)
-        assert s.x == pytest.approx(x_ref, rel=1e-8, abs=1e-10)
-        np.testing.assert_allclose(s.M, M_ref, rtol=1e-8, atol=1e-12)
+        z = traj.at(t)
+        assert z[0] == pytest.approx(x_ref, rel=1e-8, abs=1e-10)
+        np.testing.assert_allclose(z[1:n + 2], M_ref, rtol=1e-8, atol=1e-12)
 
 
 def test_dense_eval_at_sample_time_is_exact():
     traj = decay_trajectory()
     mid = traj.num_samples // 2
-    s = dense_eval(traj, float(traj.t[mid]))
-    assert s.x == traj.phase[mid, 0]
-    assert np.array_equal(s.M, traj.phase[mid, 1:])
+    z = traj.at(float(traj.t[mid]))
+    assert z[0] == traj.phase[mid, 0]
+    assert np.array_equal(z[1:traj.sys.dimension], traj.phase[mid, 1:])
     # Trajectory.at, for both methods: the stored sample at every sample time, the dense output at any other
     for method in ("rk45", "bdf"):
         cfg = IntegratorConfig(method=method)
@@ -90,22 +89,22 @@ def test_dense_eval_constant_solution():
     y0 = State(t=0.0, x=0.75, M=[0.5, 0.25, 0.0, 0.125])
     traj = integrate(sys_, y0, 2.0)
     for t in np.linspace(0.0, 2.0, 9):
-        s = dense_eval(traj, float(t))
-        assert s.x == 0.75
-        assert np.array_equal(s.M, y0.M)
+        z = traj.at(float(t))
+        assert z[0] == 0.75
+        assert np.array_equal(z[1:5], y0.M)
 
 
 def test_dense_eval_decay_midpoint():
     traj = decay_trajectory()
-    assert dense_eval(traj, 0.5).M[0] == pytest.approx(E_HALF_INV, abs=1e-8)
+    assert traj.at(0.5)[1] == pytest.approx(E_HALF_INV, abs=1e-8)
 
 
 def test_dense_eval_out_of_range():
     traj = decay_trajectory()
     with pytest.raises(OutOfRange):
-        dense_eval(traj, -0.1)
+        traj.at(-0.1)
     with pytest.raises(OutOfRange):
-        dense_eval(traj, 1.1)
+        traj.at(1.1)
 
 
 @pytest.mark.parametrize("method", ["rk45", "bdf"])
@@ -175,13 +174,13 @@ def test_norm_growth_and_cohort_bounds(rng):
     sys_ = power_law_system(24, gamma=0.5)
     y0 = decaying_state(24, x0=1.2, rho=0.55)
     traj = integrate(sys_, y0, 5.0)
-    u0 = norm_mu(y0, 1.0)
+    u0 = weighted_norm(y0.x, y0.M)
     supply = sys_.params.r + sys_.params.alpha
     w = np.arange(25) + 1.0
     for i in range(traj.num_samples):
         s = traj.state(i)
         budget = u0 + supply * (s.t - y0.t)
-        assert norm_mu(s, 1.0) <= budget + 1e-6
+        assert weighted_norm(s.x, s.M) <= budget + 1e-6
         assert float(np.max(w * s.M)) <= budget + 1e-6
 
 
@@ -342,7 +341,7 @@ def test_augmented_jacobian_matches_finite_differences(rng):
             assert np.max(np.abs(J - J_fd)) < 1e-6 * max(1.0, float(np.max(np.abs(J))))
             # eval_jacobian is the leading phase block of the same matrix
             s = State(t=0.0, x=z[0], M=z[1:dim])
-            assert np.array_equal(eval_jacobian(sys_, s).to_dense(), J[:dim, :dim])
+            assert np.array_equal(eval_jacobian(sys_, s).to_sparse().toarray(), J[:dim, :dim])
         # stored entries grow linearly: x border row and column, bidiagonal
         # M block, two accumulator rows and two entries per flux row
         blocks = jac(0.0, z)
@@ -431,7 +430,7 @@ def test_restart_continues_time_axis():
     second = integrate(sys_, first.final_state, 3.0)
     assert second.t_start == 1.5
     assert second.t_end == 3.0
-    assert second.initial_state.t == 1.5
+    assert second.state(0).t == 1.5
 
 
 def scipy_rk45(sys_, y0, t_end, cfg, flux_orders, rows=None):

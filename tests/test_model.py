@@ -10,7 +10,6 @@ from silkin import (
     ModelParams,
     MomentWeights,
     State,
-    norm_mu,
     realize_coefficients,
     validate_weights,
     weighted_norm,
@@ -104,11 +103,9 @@ def test_rate_table_immutable():
 
 
 def test_norm_mu_examples():
-    assert norm_mu(State(t=0, x=1.0, M=[1.0, 1.0, 0.0]), 1.0) == 4.0
-    assert norm_mu(State(t=0, x=0.0, M=[0.0, 0.0, 0.0]), 3.0) == 0.0
-    assert norm_mu(State(t=0, x=0.0, M=[0.0, 1.0, 0.0]), 2.0) == 4.0
-    with pytest.raises(ValueError):
-        norm_mu(State(t=0, x=0.0, M=[0.0]), 0.5)
+    assert weighted_norm(1.0, [1.0, 1.0, 0.0], 1.0) == 4.0
+    assert weighted_norm(0.0, [0.0, 0.0, 0.0], 3.0) == 0.0
+    assert weighted_norm(0.0, [0.0, 1.0, 0.0], 2.0) == 4.0
 
 
 finite_vec = st.lists(st.floats(-20, 20, allow_nan=False), min_size=1, max_size=12)
@@ -138,13 +135,13 @@ def test_norm_monotone_in_mu_above_support_zero(x, M):
     # with the i=0 cohort removed every weight (i+1)^mu grows with mu
     M = np.asarray([0.0] + M[1:])
     s = State(t=0, x=x, M=M)
-    assert norm_mu(s, 1.0) <= norm_mu(s, 1.5) <= norm_mu(s, 2.0)
+    assert weighted_norm(s.x, s.M, 1.0) <= weighted_norm(s.x, s.M, 1.5) <= weighted_norm(s.x, s.M, 2.0)
 
 
 @given(x=st.floats(0, 5), M=st.lists(st.floats(0, 5), min_size=2, max_size=10))
 def test_norm_dominates_subvectors(x, M):
     s = State(t=0, x=x, M=np.asarray(M))
-    total = norm_mu(s, 1.0)
+    total = weighted_norm(s.x, s.M, 1.0)
     assert total >= abs(x)
     assert total >= weighted_norm(0.0, s.M, 1.0)
     assert total >= max((i + 1) * v for i, v in enumerate(M))
@@ -213,7 +210,7 @@ def test_weight_factories():
     rates = rates_from_arrays(4, [1] * 5, [0] * 5, [0] * 5)
     ones = MomentWeights.ones(4)
     assert np.array_equal(ones.g, np.ones(5)) and ones.delta == 0.0
-    lin = MomentWeights.linear(4, rates)
+    lin = MomentWeights.linear(4)
     assert np.array_equal(lin.g, np.arange(5.0)) and math.isinf(lin.C)
     pw = MomentWeights.power(4, 1.5, rates)
     assert pw.delta == pytest.approx(2.0 ** 1.5 - 1.0)

@@ -130,11 +130,13 @@ def test_moment_identity_at_top_cohort():
     assert abs(res) < 1e-9
 
 
-def test_moment_identity_accepts_raw_sequences():
+def test_moment_identity_holds_for_any_weight_sequence():
     sys_ = power_law_system(6, gamma=0.0)
     traj = integrate(sys_, decaying_state(6), 1.0, flux_orders=(2,))
-    res = moment_identity_residual(traj, np.arange(7.0) ** 2, 2, 0.0, 1.0)
+    res = moment_identity_residual(traj, MomentWeights(g=np.arange(7.0) ** 2), 2, 0.0, 1.0)
     assert abs(res) < 1e-8
+    with pytest.raises(ValueError):
+        moment_identity_residual(traj, MomentWeights.ones(5), 2, 0.0, 1.0)  # one weight short
 
 
 def test_moment_identity_missing_accumulator():
@@ -214,7 +216,6 @@ def test_gronwall_zero_cohorts():
     traj = integrate(sys_, State(t=0.0, x=0.0, M=np.zeros(5)), 1.0)
     report = gronwall_check(traj, MomentWeights.power(4, 1.0, sys_.rates))
     assert report.ok
-    assert report.max_lhs == 0.0
     assert report.margin == 1.0
 
 
@@ -243,15 +244,14 @@ def test_gronwall_rejects_invalid_weights():
     with pytest.raises(InvalidWeights):
         gronwall_check(traj, MomentWeights.ones(6))  # flat: no positive increment
     with pytest.raises(InvalidWeights):
-        gronwall_check(traj, MomentWeights.linear(6, sys_.rates))  # g_0 = 0, k_0 > 0
+        gronwall_check(traj, MomentWeights.linear(6))  # g_0 = 0, k_0 > 0
 
 
 def _weighted_series(traj, t_grid, which):
     rates = traj.sys.rates
-    from silkin import dense_eval
-
-    states = [dense_eval(traj, float(t)) for t in t_grid]
-    return np.array([getattr(compute_moments(s.x, s.M, rates), which) for s in states])
+    dim = traj.sys.dimension
+    rows = [traj.at(float(t)) for t in t_grid]
+    return np.array([getattr(compute_moments(z[0], z[1:dim], rates), which) for z in rows])
 
 
 def test_release_and_removal_moments_continuous():
@@ -268,19 +268,17 @@ def test_release_and_removal_moments_continuous():
 
 def test_total_moment_rates_match_finite_differences():
     # dM_total/dt = r - sum (p_i+q_i) M_i and dX_total/dt = alpha - sum i p_i M_i
-    from silkin import dense_eval
-
     sys_ = power_law_system(16, gamma=0.5)
     traj = integrate(sys_, decaying_state(16), 3.0)
     rates = sys_.rates
     i = np.arange(17, dtype=float)
     h = 1e-5
     for t in np.linspace(0.3, 2.7, 7):
-        sm = dense_eval(traj, float(t))
-        up, down = dense_eval(traj, float(t + h)), dense_eval(traj, float(t - h))
-        plus = compute_moments(up.x, up.M, rates)
-        minus = compute_moments(down.x, down.M, rates)
+        M = traj.at(float(t))[1:18]
+        up, down = traj.at(float(t + h)), traj.at(float(t - h))
+        plus = compute_moments(up[0], up[1:18], rates)
+        minus = compute_moments(down[0], down[1:18], rates)
         dm = (plus.m_total - minus.m_total) / (2.0 * h)
         dxm = (plus.x_total - minus.x_total) / (2.0 * h)
-        assert dm == pytest.approx(sys_.params.r - float(sys_.loss @ sm.M), abs=1e-5)
-        assert dxm == pytest.approx(sys_.params.alpha - float((i * rates.p) @ sm.M), abs=1e-5)
+        assert dm == pytest.approx(sys_.params.r - float(sys_.loss @ M), abs=1e-5)
+        assert dxm == pytest.approx(sys_.params.alpha - float((i * rates.p) @ M), abs=1e-5)

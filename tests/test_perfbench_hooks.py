@@ -1,4 +1,4 @@
-"""The benchmark's traced run wraps silkin's public names; a refactor must keep them."""
+"""The benchmark wraps silkin's public names and calls them with fixed arguments; a refactor must keep both."""
 from pathlib import Path
 
 import pytest
@@ -28,12 +28,22 @@ def test_traced_call_sites_exist(perfbench):
 
 
 def test_micro_rows_entry_points_exist(perfbench):
-    # perfbench/layers.micro_rows times exactly these two calls
-    from silkin import InitialData, eval_jacobian
+    _, layers = perfbench
+    rows = layers.micro_rows(True)
+    assert sorted(rows) == sorted(f"truncation.{kind}.n{n}" for kind in ("rhs_us", "jacobian_ms") for n in layers.MICRO_NS)
+    assert all(value > 0.0 for value, _ in rows.values())
+
+
+def test_benchmark_calls_run_at_smoke_size(perfbench):
+    # the calls the ensemble run and the decay rows make, with their arguments: a dropped parameter fails here, not in the benchmark
+    import numpy as np
+    import workloads
+    from silkin import State
 
     _, layers = perfbench
-    n = 4
-    sys_ = layers.acceptance_system(n, 0.5)
-    s = InitialData(x0=1.0, b=1.0, rho=0.5).state(n)
-    assert sys_.rhs(s.vector()).shape == (n + 2,)
-    assert eval_jacobian(sys_, s).to_sparse().shape == (n + 2, n + 2)
+    n, gamma = 4, 0.5
+    y0 = State(t=0.0, x=workloads.Ensemble.X0, M=0.65 * workloads.Ensemble.RHO ** np.arange(n + 1))
+    assert workloads._verified_run(workloads.acceptance_system(n, gamma), y0, gamma) == []
+    tally = workloads.Tally()
+    assert len(layers.decay_ladder(1, tally)) == 2 * len(layers.DECAY_RUNGS)
+    assert (tally.attempted, tally.failed) == (len(layers.DECAY_RUNGS), 0), tally.problems

@@ -7,7 +7,6 @@ from silkin import (
     State,
     TruncatedSystem,
     eval_jacobian,
-    eval_rhs,
 )
 from silkin.truncation import NUM_BASE_ACC, augmented_field
 
@@ -17,7 +16,7 @@ from oracles import central_jacobian, reference_augmented_rhs
 
 def test_rhs_zero_state_sources_only():
     sys_ = TruncatedSystem(ModelParams(r=2.0, alpha=3.0), constant_rates(4, k=1.0, p=1.0, q=1.0))
-    out = eval_rhs(sys_, State(t=0, x=0.0, M=np.zeros(5)))
+    out = sys_.rhs(State(t=0, x=0.0, M=np.zeros(5)).vector())
     assert out[0] == 3.0
     assert out[1] == 2.0
     assert np.array_equal(out[2:], np.zeros(4))
@@ -25,7 +24,7 @@ def test_rhs_zero_state_sources_only():
 
 def test_rhs_decoupled_sources():
     sys_ = TruncatedSystem(ModelParams(r=1.7, alpha=0.9), constant_rates(3))
-    out = eval_rhs(sys_, State(t=0, x=2.0, M=[1.0, 2.0, 3.0, 4.0]))
+    out = sys_.rhs(State(t=0, x=2.0, M=[1.0, 2.0, 3.0, 4.0]).vector())
     assert out[0] == 0.9
     assert out[1] == 1.7
     assert np.array_equal(out[2:], np.zeros(3))
@@ -35,7 +34,7 @@ def test_rhs_hand_evaluated_case():
     # n=2, k=(1,1,*), p=0, q=(0,1,1), r=alpha=0, state x=1, M=(1,1,1)
     rates = rates_from_arrays(2, [1.0, 1.0, 5.0], [0.0, 0.0, 0.0], [0.0, 1.0, 1.0])
     sys_ = TruncatedSystem(ModelParams(r=0.0, alpha=0.0), rates)
-    out = eval_rhs(sys_, State(t=0, x=1.0, M=[1.0, 1.0, 1.0]))
+    out = sys_.rhs(State(t=0, x=1.0, M=[1.0, 1.0, 1.0]).vector())
     assert out[1] == -1.0
     assert out[2] == -1.0
     assert out[3] == 0.0
@@ -48,15 +47,15 @@ def test_top_rate_is_masked():
     spiked = rates_from_arrays(2, [1.0, 1.0, 123.0], [0.1, 0.1, 0.1], [0.0, 1.0, 1.0])
     s = State(t=0, x=0.7, M=[0.5, 0.25, 0.125])
     params = ModelParams(r=0.3, alpha=0.2)
-    a = eval_rhs(TruncatedSystem(params, base), s)
-    b = eval_rhs(TruncatedSystem(params, spiked), s)
+    a = TruncatedSystem(params, base).rhs(s.vector())
+    b = TruncatedSystem(params, spiked).rhs(s.vector())
     assert np.array_equal(a, b)
 
 
 def test_rhs_rejects_dimension_mismatch():
     sys_ = TruncatedSystem(ModelParams(1.0, 1.0), constant_rates(4, k=1.0))
     with pytest.raises(ValueError):
-        eval_rhs(sys_, State(t=0, x=0.0, M=np.zeros(3)))
+        sys_.rhs(State(t=0, x=0.0, M=np.zeros(3)).vector())
     with pytest.raises(ValueError):
         sys_.rhs(np.zeros(3))
 
@@ -122,13 +121,13 @@ def test_augmented_field_bits_match_reference(n, flux, rng):
 
 def test_jacobian_zero_coefficients():
     sys_ = TruncatedSystem(ModelParams(0.0, 0.0), constant_rates(3))
-    J = eval_jacobian(sys_, State(t=0, x=1.0, M=[1.0, 1.0, 1.0, 1.0])).to_dense()
+    J = eval_jacobian(sys_, State(t=0, x=1.0, M=[1.0, 1.0, 1.0, 1.0])).to_sparse().toarray()
     assert np.array_equal(J, np.zeros((5, 5)))
 
 
 def test_jacobian_decay_only_diagonal():
     sys_ = TruncatedSystem(ModelParams(0.0, 0.0), constant_rates(3, p=0.4, q=0.6))
-    J = eval_jacobian(sys_, State(t=0, x=2.0, M=[1.0, 2.0, 3.0, 4.0])).to_dense()
+    J = eval_jacobian(sys_, State(t=0, x=2.0, M=[1.0, 2.0, 3.0, 4.0])).to_sparse().toarray()
     block = J[1:, 1:]
     assert np.array_equal(np.diag(block), -np.ones(4))
     assert np.array_equal(block - np.diag(np.diag(block)), np.zeros((4, 4)))
@@ -142,7 +141,7 @@ def test_jacobian_matches_finite_differences(rng):
     for _ in range(100):
         M = rng.uniform(0.0, 2.0, 13) * 0.6 ** np.arange(13)
         s = State(t=0.0, x=rng.uniform(0.0, 3.0), M=M)
-        J = eval_jacobian(sys_, s).to_dense()
+        J = eval_jacobian(sys_, s).to_sparse().toarray()
         J_fd = central_jacobian(sys_, s)
         scale = max(1.0, float(np.max(np.abs(J))))
         assert np.max(np.abs(J - J_fd)) / scale < 1e-6
@@ -151,9 +150,7 @@ def test_jacobian_matches_finite_differences(rng):
 def test_jacobian_structure():
     sys_ = power_law_system(6, gamma=1.0)
     s = State(t=0.0, x=1.5, M=np.linspace(1.0, 0.1, 7))
-    jac = eval_jacobian(sys_, s)
-    dense = jac.to_dense()
-    assert np.array_equal(jac.to_sparse().toarray(), dense)
+    dense = eval_jacobian(sys_, s).to_sparse().toarray()
     # M block is lower bidiagonal: anything above the diagonal or below the
     # first subdiagonal vanishes (outside the border row/column)
     for i in range(1, 8):
@@ -162,5 +159,5 @@ def test_jacobian_structure():
                 assert dense[i, j] == 0.0
     # the x row picks up -k_i x + i q_i with the top rate masked
     k = sys_.k_masked
-    iq = sys_.i_times_q
+    iq = np.arange(7, dtype=float) * sys_.rates.q
     assert np.allclose(dense[0, 1:], -k * s.x + iq, rtol=0, atol=0)
