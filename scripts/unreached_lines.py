@@ -84,7 +84,6 @@ def main() -> int:
     sys.path.insert(0, str(ROOT / "src"))
     sys.path.insert(1, str(ROOT / "perfbench"))
     sys.path.append(str(ROOT / "tests"))
-    os.environ.pop("SILKIN_OUT_DIR", None)  # it would redirect every CLI run's output
     prefix = str(SRC) + os.sep
     ran: dict = {}
 

@@ -78,12 +78,10 @@ def _on_grid(traj: Trajectory) -> np.ndarray:
 def _gap(za: np.ndarray, zb: np.ndarray) -> float:
     """Sup over the grid of the total-matter-norm distance between two phase blocks.
 
-    ``za``/``zb`` are ``(dim, G)`` with possibly different dims; the shorter
-    cohort list is padded with zeros (its cohorts above its own order are
-    identically zero by the truncation convention).
+    ``za``/``zb`` are ``(dim, G)``, the lower rung first: ``za`` has no more
+    rows than ``zb``, and its cohorts above its own order count as zero
+    (they are identically zero by the truncation convention).
     """
-    if za.shape[0] > zb.shape[0]:
-        za, zb = zb, za
     diff = zb.copy()
     diff[: za.shape[0]] -= za
     return float(np.max(weighted_norm(diff[0], diff[1:])))
@@ -229,6 +227,25 @@ def _equilibrium_at(sys: TruncatedSystem, x: float, residual: float, M: np.ndarr
     return EquilibriumResult(x_star=x, M_star=M, residual=residual, tail_mass=tail)
 
 
+def _search_end(sys: TruncatedSystem, f0: float, M0: np.ndarray) -> float:
+    """Upper end of the search: a supply/ingestion scale estimate, doubled until the x-rate is ``<= 0``.
+
+    ``f0`` and ``M0`` are the x-rate and the steady chain at ``x = 0``.
+    """
+    positive_k = sys.k_masked[sys.k_masked > 0.0]
+    if len(positive_k) == 0:
+        raise NoBracket("no ingestion (k = 0): the x residual never changes sign")
+    scale = max(float(np.sum(M0)), 1e-300)
+    hi = max(f0 / (float(np.min(positive_k)) * scale), 1.0)
+    for _ in range(80):
+        if _x_residual(sys, hi)[0] <= 0.0:
+            return hi
+        if math.isinf(2.0 * hi):
+            break
+        hi *= 2.0
+    raise NoBracket(f"residual stayed positive up to x={hi}")
+
+
 def find_equilibrium(
     sys: TruncatedSystem,
     x_bracket: Optional[Tuple[float, float]] = None,
@@ -243,42 +260,27 @@ def find_equilibrium(
     value of an end that is kept twice in a row (Dowell & Jarratt 1971).
     The first point, bracket ends included, at which the field's max-abs
     value is ``<= tol`` is returned, with that value as ``residual``.
-    Without an explicit bracket the upper end starts at a supply/ingestion
-    scale estimate and doubles until the x-rate changes sign.
+    Without an explicit bracket the lower end is 0 and the upper end is
+    searched for (:func:`_search_end`).  Steady states need not be unique:
+    a bracket selects the root inside it.
     """
+    lo, hi = 0.0, None
     if x_bracket is not None:
         lo, hi = float(x_bracket[0]), float(x_bracket[1])
         if not 0.0 <= lo < hi:
             raise ValueError(f"need 0 <= lo < hi, got ({lo}, {hi})")
-        f_lo, res_lo, M_lo = _x_residual(sys, lo)
-        f_hi, res_hi, M_hi = _x_residual(sys, hi)
-        if res_lo <= tol:
-            return _equilibrium_at(sys, lo, res_lo, M_lo)
-        if res_hi <= tol:
-            return _equilibrium_at(sys, hi, res_hi, M_hi)
-        if f_lo * f_hi > 0.0:
-            raise NoBracket(f"residual has the same sign at {lo} and {hi}")
-        if f_lo < 0.0:  # orient so that f(lo) >= 0 >= f(hi)
-            lo, hi, f_lo, f_hi, res_lo, res_hi = hi, lo, f_hi, f_lo, res_hi, res_lo
-    else:
-        lo = 0.0
-        f_lo, res_lo, M_lo = _x_residual(sys, lo)
-        if res_lo <= tol:
-            return _equilibrium_at(sys, lo, res_lo, M_lo)
-        positive_k = sys.k_masked[sys.k_masked > 0.0]
-        if len(positive_k) == 0:
-            raise NoBracket("no ingestion (k = 0): the x residual never changes sign")
-        scale = max(float(np.sum(M_lo)), 1e-300)
-        hi = max(f_lo / (float(np.min(positive_k)) * scale), 1.0)
-        for _ in range(80):
-            f_hi, res_hi, M_hi = _x_residual(sys, hi)
-            if f_hi <= 0.0 or math.isinf(2.0 * hi):
-                break
-            hi *= 2.0
-        if not f_hi <= 0.0:
-            raise NoBracket(f"residual stayed positive up to x={hi}")
-        if res_hi <= tol:
-            return _equilibrium_at(sys, hi, res_hi, M_hi)
+    f_lo, res_lo, M_lo = _x_residual(sys, lo)
+    if res_lo <= tol:
+        return _equilibrium_at(sys, lo, res_lo, M_lo)
+    if hi is None:
+        hi = _search_end(sys, f_lo, M_lo)
+    f_hi, res_hi, M_hi = _x_residual(sys, hi)
+    if res_hi <= tol:
+        return _equilibrium_at(sys, hi, res_hi, M_hi)
+    if f_lo * f_hi > 0.0:
+        raise NoBracket(f"residual has the same sign at {lo} and {hi}")
+    if f_lo < 0.0:  # orient so that f(lo) >= 0 >= f(hi)
+        lo, hi, f_lo, f_hi, res_lo, res_hi = hi, lo, f_hi, f_lo, res_hi, res_lo
 
     kept = 0  # +1 after hi was kept, -1 after lo was kept
     for _ in range(MAX_ITER):

@@ -12,22 +12,18 @@ Every summary check names the residual operation that produced it, so a
 failing line is traceable to one function.  The pipeline is deterministic:
 identical configs produce byte-identical CSV output.  Every CSV field is the
 ``repr`` of its value, made by :mod:`silkin.csvtext` from row blocks of the
-result arrays.  ``--seed`` is accepted and recorded but reserved; no core
-path draws random numbers.
-
-The output directory is ``--out``, overridden by the ``SILKIN_OUT_DIR``
-environment variable when set.
+result arrays.  The output directory is ``--out``.
 
 Configs are read by one declarative schema, ``_SCHEMA``: each YAML key has
-one :class:`Row` naming its reader, whether it is required, and whether
-``null`` stands for an absent key.  Unknown keys, non-finite numbers and
+one :class:`Row` naming its reader and whether it is required.  A key is
+given or left out; ``null`` is no key's value, and the subcommand is named
+only on the command line.  Unknown keys, ``null``, non-finite numbers and
 negative tolerances raise :class:`ConfigError` with the field path, and so
 does a coefficient family whose table is not finite, or cannot be allocated,
 at the run's own truncation order (the largest rung for ``converge``).  That
 table is realized once, as :attr:`RunConfig.rates`, and a run at that order
-reuses it.  An
-absent key takes the default of the dataclass that receives the value
-(:class:`RunConfig`, ``IntegratorConfig``, ``CoefficientFamily``,
+reuses it.  An absent key takes the default of the dataclass that receives
+the value (:class:`RunConfig`, ``IntegratorConfig``, ``CoefficientFamily``,
 ``InitialData``); the loader states none.  ``simulate`` and ``verify`` share
 one body that integrates, writes the trajectory and checks the balances.
 """
@@ -36,7 +32,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
@@ -79,7 +74,6 @@ from .truncation import TruncatedSystem
 __all__ = ["ConfigError", "RunConfig", "load_config", "run", "main"]
 
 SCHEMA_VERSION = 1
-OUT_DIR_ENV = "SILKIN_OUT_DIR"
 COMMANDS = ("simulate", "converge", "equilibrium", "verify", "semigroup")
 
 EXIT_OK = 0
@@ -106,11 +100,10 @@ Reader = Callable[[Any, str], Any]
 
 
 class Row(NamedTuple):
-    """How one YAML key is read: its reader, whether it must be given, whether ``null`` means absent."""
+    """How one YAML key is read: its reader and whether it must be given."""
 
     read: Reader
     required: bool = False
-    nullable: bool = False
 
 
 def _fields(node: Any, path: str, rows: Dict[Any, Row]) -> Dict[Any, Any]:
@@ -122,8 +115,7 @@ def _fields(node: Any, path: str, rows: Dict[Any, Row]) -> Dict[Any, Any]:
         where = f"{path}.{key}" if path else str(key)
         if key not in rows:
             raise ConfigError(where, "unknown field")
-        if value is not None or not rows[key].nullable:
-            values[key] = rows[key].read(value, where)
+        values[key] = rows[key].read(value, where)
     for key, row in rows.items():
         if row.required and key not in values:
             raise ConfigError(f"{path}.{key}" if path else key, "missing required field")
@@ -186,7 +178,6 @@ def _as_is(value: Any, path: str) -> Any:
 
 _boolean = _checked(_as_is, lambda v: isinstance(v, bool), "true or false")
 _text = _checked(_as_is, lambda v: isinstance(v, str), "a string")
-_command = _checked(_as_is, lambda v: v in COMMANDS, f"one of {', '.join(COMMANDS)}")
 _integer = _checked(_as_is, lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer")
 _count = _checked(_integer, lambda v: v >= 1, "a positive integer")
 _order = _checked(_integer, lambda v: v >= 2, "an integer >= 2")
@@ -211,7 +202,7 @@ _KIND = Row(_text, required=True)
 _FAMILY_ROWS = {
     "power_law": {"kind": _KIND, "amplitude": Row(_number, required=True), "exponent": Row(_number)},
     "constant": {"kind": _KIND, "amplitude": Row(_number, required=True)},
-    "table": {"kind": _KIND, "values": Row(_list(_number), required=True), "tail": Row(_text)},
+    "table": {"kind": _KIND, "values": Row(_list(_number), required=True)},
 }
 
 
@@ -240,24 +231,23 @@ _MODEL = {"r": Row(_number, required=True), "alpha": Row(_number, required=True)
 _RATES = {"k": Row(_family, required=True), "p": Row(_family, required=True), "q": Row(_family, required=True)}
 _INITIAL = {
     "x0": Row(_number),
-    "M": Row(_list(_number), nullable=True),
-    "decay": Row(_section({"b": Row(_number, required=True), "rho": Row(_number, required=True)}, dict), nullable=True),
+    "M": Row(_list(_number)),
+    "decay": Row(_section({"b": Row(_number, required=True), "rho": Row(_number, required=True)}, dict)),
 }
 _RUN = {
-    "n": Row(_order, nullable=True),
-    "n_ladder": Row(_ladder, nullable=True),
+    "n": Row(_order),
+    "n_ladder": Row(_ladder),
     "t_end": Row(_positive, required=True),
 }
 _INTEGRATOR = {
     "method": Row(_text),
     "rel_tol": Row(_number),
     "abs_tol": Row(_number),
-    "max_step": Row(_number, nullable=True),
-    "negativity_floor": Row(_number, nullable=True),
+    "max_step": Row(_number),
+    "negativity_floor": Row(_number),
 }
 _SCHEMA = {
     "schema_version": Row(_version),
-    "command": Row(_lands_on("command", _command), nullable=True),
     "model": Row(_lands_on("params", _section(_MODEL, ModelParams)), required=True),
     "rates": Row(_lands_on("families", _section(_RATES, lambda k, p, q: (k, p, q))), required=True),
     "initial": Row(_lands_on("initial", _section(_INITIAL, _initial)), required=True),
@@ -268,8 +258,8 @@ _SCHEMA = {
         _flat({"residual_tol": Row(_tolerance), "sample_times": Row(_count), "differential_tol": Row(_tolerance)})
     ),
     "semigroup": Row(_flat({"pairs": Row(_list(_pair)), "tol": Row(_tolerance)})),
-    "equilibrium": Row(_flat({"x_bracket": Row(_bracket, nullable=True), "tol": Row(_tolerance)})),
-    "converge": Row(_flat({"final_gap_tol": Row(_tolerance, nullable=True)})),
+    "equilibrium": Row(_flat({"x_bracket": Row(_bracket), "tol": Row(_tolerance)})),
+    "converge": Row(_flat({"final_gap_tol": Row(_tolerance)})),
 }
 
 
@@ -287,7 +277,6 @@ class RunConfig:
     t_end: float
     n: Optional[int] = None
     n_ladder: Optional[Tuple[int, ...]] = None
-    command: Optional[str] = None
     integrator: IntegratorConfig = field(default_factory=IntegratorConfig)
     output_m_out: int = 32
     output_wide_csv: bool = False
@@ -548,8 +537,6 @@ def _jsonable(value):
         value = value.item()
     if isinstance(value, float) and not math.isfinite(value):
         return repr(value)
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value]
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -557,20 +544,18 @@ def _jsonable(value):
     return value
 
 
-def run(command: str, config_path: str, out_dir: str, seed: Optional[int] = None) -> int:
+def run(command: str, config_path: str, out_dir: str) -> int:
     """Execute one subcommand; returns the process exit code."""
     if command not in COMMANDS:
         raise ConfigError("command", f"unknown command {command!r}")
     config = load_config(config_path)
-    if config.command is not None and config.command != command:
-        raise ConfigError("command", f"config is for {config.command!r}, invoked as {command!r}")
     needs_ladder = command == "converge"
     if needs_ladder and config.n_ladder is None:
         raise ConfigError("run.n_ladder", "converge needs a truncation ladder")
     if not needs_ladder and config.n is None:
         raise ConfigError("run.n", f"{command} needs a single truncation order n")
 
-    out = Path(os.environ.get(OUT_DIR_ENV) or out_dir)
+    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     checks, artifacts, meta = _DISPATCH[command](config, out)
@@ -578,7 +563,6 @@ def run(command: str, config_path: str, out_dir: str, seed: Optional[int] = None
     summary = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
-        "seed": seed,
         "config": _jsonable(config.raw),
         "checks": _jsonable(checks),
         "passed": passed,
@@ -606,14 +590,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="YAML experiment file")
-        p.add_argument("--out", default="out", help=f"output directory (env {OUT_DIR_ENV} overrides)")
-        p.add_argument("--seed", type=int, default=None, help="reserved; core paths are deterministic")
+        p.add_argument("--out", default="out", help="output directory")
     args = parser.parse_args(argv)
     try:
         # A value that leaves double precision (inputs near 1e308) aborts the run instead of
         # printing numpy warnings and carrying inf or nan on; scoped errstate calls still ignore it.
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            return run(args.command, args.config, args.out, seed=args.seed)
+            return run(args.command, args.config, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

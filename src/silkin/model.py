@@ -74,16 +74,15 @@ class CoefficientFamily:
     """A rule producing one nonnegative rate sequence of any requested length.
 
     ``power_law`` realizes ``a * (i+1)**exponent`` (the ``i+1`` base keeps the
-    i=0 entry nonzero, so empty macrophages can ingest), ``constant`` realizes
-    ``a`` for every i, and ``table`` copies an explicit sequence and extends it
-    past its length by the declared ``tail`` rule.
+    i=0 entry nonzero, so empty macrophages can ingest), ``constant`` is the
+    power law with exponent 0 (``a`` for every i), and ``table`` copies an
+    explicit sequence and extends it past its length by its last value.
     """
 
     kind: str
     amplitude: float = 0.0
     exponent: float = 0.0
     values: tuple = ()
-    tail: str = "constant"
 
     def __post_init__(self) -> None:
         if self.kind not in ("power_law", "constant", "table"):
@@ -93,14 +92,14 @@ class CoefficientFamily:
                 raise ValueError(f"amplitude must be finite and >= 0, got {self.amplitude}")
             if not (math.isfinite(self.exponent) and self.exponent >= 0.0):
                 raise ValueError(f"exponent must be finite and >= 0, got {self.exponent}")
+            if self.kind == "constant" and self.exponent != 0.0:
+                raise ValueError(f"a constant family has exponent 0, got {self.exponent}")
         else:
             if len(self.values) == 0:
                 raise ValueError("table family needs at least one value")
             vals = np.asarray(self.values, dtype=float)
             if not np.all(np.isfinite(vals)) or np.any(vals < 0.0):
                 raise ValueError("table values must be finite and >= 0")
-            if self.tail not in ("constant", "zero"):
-                raise ValueError(f"tail rule must be 'constant' or 'zero', got {self.tail!r}")
 
     @classmethod
     def power_law(cls, amplitude: float, exponent: float) -> "CoefficientFamily":
@@ -111,8 +110,8 @@ class CoefficientFamily:
         return cls(kind="constant", amplitude=amplitude)
 
     @classmethod
-    def table(cls, values: Sequence[float], tail: str = "constant") -> "CoefficientFamily":
-        return cls(kind="table", values=tuple(float(v) for v in values), tail=tail)
+    def table(cls, values: Sequence[float]) -> "CoefficientFamily":
+        return cls(kind="table", values=tuple(float(v) for v in values))
 
     @property
     def growth_exponent(self) -> float:
@@ -125,17 +124,11 @@ class CoefficientFamily:
         """Realize entries ``i = 0 .. n`` as a fresh float array."""
         if n < 0:
             raise ValueError(f"n must be >= 0, got {n}")
-        i = np.arange(n + 1, dtype=float)
-        if self.kind == "power_law":
-            return self.amplitude * (i + 1.0) ** self.exponent
-        if self.kind == "constant":
-            return np.full(n + 1, self.amplitude)
-        out = np.zeros(n + 1)
-        m = min(len(self.values), n + 1)
-        out[:m] = self.values[:m]
-        if m < n + 1 and self.tail == "constant":
-            out[m:] = self.values[-1]
-        return out
+        if self.kind == "table":
+            out = np.full(n + 1, self.values[-1])
+            out[: len(self.values)] = self.values[: n + 1]
+            return out
+        return self.amplitude * (np.arange(n + 1, dtype=float) + 1.0) ** self.exponent
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,19 +234,18 @@ def weighted_norm(x, M: np.ndarray, mu: float = 1.0):
 
 @dataclass(frozen=True, eq=False)
 class MomentWeights:
-    """A weight sequence ``g_0 .. g_n`` with its claimed increment bound and growth constant.
+    """A weight sequence ``g_0 .. g_n`` with its claimed growth constant.
 
-    ``delta`` claims ``g_{i+1} - g_i >= delta`` and ``C`` claims
-    ``(g_{i+1} - g_i) * k_i <= C * g_i`` against some rate table.  The claims
-    are *not* enforced here: :func:`validate_weights` checks them against a
-    concrete table.  The exponential-envelope checks require ``delta`` and
-    derive ``C`` from the run's own table; they do not read the stored
-    ``C``.  The exact moment identities hold for any real weight sequence
-    (so flat weights with ``delta = 0`` are legitimate inputs there).
+    ``C`` claims ``(g_{i+1} - g_i) * k_i <= C * g_i`` against some rate
+    table.  The claim is *not* enforced here: :func:`validate_weights` checks
+    it against a concrete table.  The exponential-envelope checks require
+    increasing weights (``delta > 0``) and derive ``C`` from the run's own
+    table; they do not read the stored ``C``.  The exact moment identities
+    hold for any real weight sequence (so flat weights, ``delta = 0``, are
+    legitimate inputs there).
     """
 
     g: np.ndarray
-    delta: float = 0.0
     C: float = math.inf
 
     def __post_init__(self) -> None:
@@ -261,31 +253,32 @@ class MomentWeights:
         if len(g) < 2:
             raise ValueError("need at least two weights")
         object.__setattr__(self, "g", g)
-        if not (math.isfinite(self.delta) and self.delta >= 0.0):
-            raise ValueError(f"delta must be finite and >= 0, got {self.delta}")
         if math.isnan(self.C) or self.C < 0.0:
             raise ValueError(f"C must be >= 0 (inf allowed), got {self.C}")
+
+    @property
+    def delta(self) -> float:
+        """The smallest increment ``min_i (g_{i+1} - g_i)``."""
+        return float(np.min(np.diff(self.g)))
 
     @classmethod
     def ones(cls, n: int) -> "MomentWeights":
         """Flat weights g_i = 1 (telescoping identity; no positive increment)."""
-        return cls(g=np.ones(n + 1), delta=0.0, C=0.0)
+        return cls(g=np.ones(n + 1), C=0.0)
 
     @classmethod
     def linear(cls, n: int) -> "MomentWeights":
         """Weights g_i = i with ``C`` unclaimed (infinite): g_0 = 0, so no finite C holds once k_0 > 0."""
-        return cls(g=np.arange(n + 1, dtype=float), delta=1.0)
+        return cls(g=np.arange(n + 1, dtype=float))
 
     @classmethod
     def power(cls, n: int, mu: float, rates: Optional[RateTable] = None) -> "MomentWeights":
-        """Weights g_i = (i+1)^mu with the tightest delta, and C from ``rates`` if given."""
+        """Weights g_i = (i+1)^mu, with C from ``rates`` if given."""
         if mu < 1.0:
             raise ValueError(f"mu must be >= 1, got {mu}")
-        g = (np.arange(n + 1, dtype=float) + 1.0) ** mu
-        delta = float(np.min(np.diff(g)))
-        w = cls(g=g, delta=delta)
+        w = cls(g=(np.arange(n + 1, dtype=float) + 1.0) ** mu)
         if rates is not None:
-            w = cls(g=g, delta=delta, C=validate_weights(w, rates).C_min)
+            w = cls(g=w.g, C=validate_weights(w, rates).C_min)
         return w
 
 
@@ -298,10 +291,10 @@ class WeightsCheck:
 def validate_weights(w: MomentWeights, rates: RateTable) -> WeightsCheck:
     """Check a weight sequence against a rate table.
 
-    ``delta_ok`` holds iff the claimed ``delta`` is positive and every
-    increment meets it.  ``C_min`` is the smallest constant such that
-    ``(g_{i+1} - g_i) k_i <= C_min * g_i`` for all ``i < n`` (``0/0`` counts
-    as 0, a positive numerator over ``g_i = 0`` as infinity).
+    ``delta_ok`` holds iff every increment ``g_{i+1} - g_i`` is positive.
+    ``C_min`` is the smallest constant such that ``(g_{i+1} - g_i) k_i <=
+    C_min * g_i`` for all ``i < n`` (``0/0`` counts as 0, a positive
+    numerator over ``g_i = 0`` as infinity).
     """
     g = w.g
     if np.any(g < 0.0):
@@ -309,7 +302,7 @@ def validate_weights(w: MomentWeights, rates: RateTable) -> WeightsCheck:
     if len(g) != rates.n + 1:
         raise ValueError(f"expected {rates.n + 1} weights, got {len(g)}")
     increments = np.diff(g)
-    delta_ok = bool(w.delta > 0.0 and np.all(increments >= w.delta))
+    delta_ok = bool(np.all(increments > 0.0))
     numer = increments * rates.k[:-1]
     denom = g[:-1]
     ratios = np.zeros_like(numer)

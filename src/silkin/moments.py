@@ -214,9 +214,7 @@ def _envelope(traj: Trajectory, w: MomentWeights):
         raise InvalidWeights("weights must be nonnegative")
     chk = validate_weights(w, rates)
     if not chk.delta_ok:
-        raise InvalidWeights(
-            f"weight increments must all be >= delta > 0 (delta={w.delta})"
-        )
+        raise InvalidWeights(f"weight increments must all be > 0 (smallest {w.delta})")
     if not math.isfinite(chk.C_min):
         raise InvalidWeights("growth constant (g_{i+1}-g_i) k_i / g_i is unbounded")
     C = chk.C_min

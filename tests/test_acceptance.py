@@ -266,7 +266,7 @@ def test_criterion_8_jacobian_families():
         "gamma_half": CoefficientFamily.power_law(1.0, 0.5),
         "gamma1": CoefficientFamily.power_law(1.0, 1.0),
         "constant": CoefficientFamily.constant(0.8),
-        "table": CoefficientFamily.table([0.5, 1.5, 0.25, 2.0], tail="constant"),
+        "table": CoefficientFamily.table([0.5, 1.5, 0.25, 2.0]),
     }
     worst = 0.0
     for fam in families.values():

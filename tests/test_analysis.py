@@ -26,7 +26,7 @@ from silkin import (
     weighted_norm,
 )
 
-from conftest import constant_rates, decaying_state, power_law_system
+from conftest import constant_rates, decaying_state, power_law_system, rates_from_arrays
 from oracles import chain_equilibrium, rhs_norm
 
 
@@ -297,6 +297,22 @@ def test_equilibrium_explicit_bracket():
         find_equilibrium(sys_, x_bracket=(2.0, 4.0))
     with pytest.raises(ValueError):
         find_equilibrium(sys_, x_bracket=(-1.0, 2.0))
+
+
+def test_equilibrium_bracket_selects_one_of_two_roots():
+    # steady states are not unique: the search from x = 0 finds the lower root, and only an
+    # explicit bracket reaches the upper one, which is why equilibrium.x_bracket stays settable
+    n = 8
+    p = np.full(n + 1, 0.01)
+    p[1], p[n] = 5.0, 1e-4
+    q = np.full(n + 1, 0.01)
+    q[n] = 0.1
+    sys_ = TruncatedSystem(ModelParams(r=1.0, alpha=0.3), rates_from_arrays(n, np.ones(n + 1), p, q))
+    lower = find_equilibrium(sys_)
+    upper = find_equilibrium(sys_, x_bracket=(1.0, 100.0))
+    assert lower.x_star == pytest.approx(0.0085914, rel=1e-5)
+    assert upper.x_star == pytest.approx(12.8626, rel=1e-5)
+    assert lower.residual <= 1e-12 and upper.residual <= 1e-12
 
 
 def test_differential_form_constant_solution():

@@ -440,14 +440,27 @@ def _with(doc, path, value):
         # finite at n = 2, infinite at the run's n = 4 or at the ladder's top rung 8
         ("simulate", "rates.k", {"kind": "power_law", "amplitude": 5.0e307, "exponent": 1.0}),
         ("converge", "rates.q", {"kind": "power_law", "amplitude": 3.0e307, "exponent": 1.0}),
+        # a second spelling of what the command line or an absent key already says
+        ("verify", "command", "verify"),
+        ("simulate", "rates.q.tail", "zero"),
+        ("simulate", "initial.M", None),
+        ("simulate", "initial.decay", None),
+        ("converge", "run.n", None),
+        ("simulate", "run.n_ladder", None),
+        ("simulate", "integrator.max_step", None),
+        ("simulate", "integrator.negativity_floor", None),
+        ("equilibrium", "equilibrium.x_bracket", None),
+        ("converge", "converge.final_gap_tol", None),
     ],
 )
 def test_config_error_rejected_fields(tmp_path, capsys, command, path, value):
-    # non-finite numbers, negative tolerances, non-mapping or null sections and unknown keys
-    # (a constant family takes no exponent) are config errors naming the field
+    # non-finite numbers, negative tolerances, null values, non-mapping sections and unknown keys
+    # (a constant family takes no exponent, a table no tail rule) are config errors naming the field
     doc = decay_doc()
     if command == "converge":
         doc["run"] = {"n_ladder": [4, 8], "t_end": 1.0}
+    if path.startswith("rates.q."):
+        doc["rates"]["q"] = {"kind": "table", "values": [0.4]}
     cfg = write_config(tmp_path / "bad.yaml", _with(doc, path, value))
     assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
@@ -492,20 +505,16 @@ def test_config_defaults_live_on_dataclasses(tmp_path):
             default = f.default if f.default_factory is dataclasses.MISSING else f.default_factory()
             assert getattr(config, f.name) == default, f.name
 
-    # null stands for an absent key wherever it is accepted
-    nulls = copy.deepcopy(doc)
-    nulls.update(
-        command=None,
-        integrator={"max_step": None, "negativity_floor": None},
-        equilibrium={"x_bracket": None},
-        converge={"final_gap_tol": None},
-    )
-    nulls["initial"]["decay"] = None
-    nulls["run"]["n_ladder"] = None
-    with_nulls = cli.load_config(write_config(tmp_path / "nulls.yaml", nulls))
-    assert dataclasses.replace(with_nulls, raw={}) == dataclasses.replace(config, raw={})
-    decay = _with(_with(copy.deepcopy(doc), "initial", {"decay": {"b": 1.0, "rho": 0.5}}), "initial.M", None)
+    decay = _with(copy.deepcopy(doc), "initial", {"decay": {"b": 1.0, "rho": 0.5}})
     assert cli.load_config(write_config(tmp_path / "decay.yaml", decay)).initial == InitialData(b=1.0, rho=0.5)
+
+
+def test_readme_config_reference_loads(tmp_path):
+    # the reference block in the README is a config the schema accepts, so the docs cannot drift from it
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("### Config reference (YAML)", 1)[1].split("```yaml\n", 1)[1].split("```", 1)[0]
+    config = cli.load_config(write_config(tmp_path / "reference.yaml", yaml.safe_load(block)))
+    assert config.n == 64 and config.rates.n == 64
 
 
 def test_write_csv_fields_are_exact_reprs(tmp_path):
@@ -595,20 +604,14 @@ def test_equilibrium_no_convergence_exit_code(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
-def test_out_dir_env_override(tmp_path, monkeypatch):
+def test_seed_is_not_an_option(tmp_path, capsys):
+    # no path draws random numbers, so there is no seed to set
     cfg = write_config(tmp_path / "run.yaml", decay_doc())
-    override = tmp_path / "env_out"
-    monkeypatch.setenv(cli.OUT_DIR_ENV, str(override))
-    assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "ignored")]) == 0
-    assert (override / "summary.json").exists()
-    assert not (tmp_path / "ignored").exists()
-
-
-def test_seed_recorded(tmp_path):
-    cfg = write_config(tmp_path / "run.yaml", decay_doc())
-    out = tmp_path / "out"
-    assert cli.main(["simulate", "--config", cfg, "--out", str(out), "--seed", "7"]) == 0
-    assert read_summary(out)["seed"] == 7
+    with pytest.raises(SystemExit) as info:
+        cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "out"), "--seed", "7"])
+    assert info.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_wide_csv_on_request(tmp_path):

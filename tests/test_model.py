@@ -50,7 +50,7 @@ def test_realize_power_law_sqrt():
 
 def test_realize_table_tail_rules():
     assert np.array_equal(CoefficientFamily.table([1.0, 2.0]).realize(4), [1, 2, 2, 2, 2])
-    assert np.array_equal(CoefficientFamily.table([1.0, 2.0], tail="zero").realize(4), [1, 2, 0, 0, 0])
+    assert np.array_equal(CoefficientFamily.table([1.0, 2.0, 0.0]).realize(4), [1, 2, 0, 0, 0])
     assert np.array_equal(CoefficientFamily.table([5.0, 6.0, 7.0]).realize(1), [5, 6])
 
 
@@ -171,7 +171,7 @@ def test_state_validation():
 
 def test_validate_weights_simple():
     rates = rates_from_arrays(3, [1, 1, 1, 1], [0] * 4, [0] * 4)
-    w = MomentWeights(g=np.arange(4) + 1.0, delta=1.0)
+    w = MomentWeights(g=np.arange(4) + 1.0)
     chk = validate_weights(w, rates)
     assert chk.delta_ok
     assert chk.C_min == 1.0
@@ -179,7 +179,7 @@ def test_validate_weights_simple():
 
 def test_validate_weights_flat_increments_fail():
     rates = rates_from_arrays(3, [1, 1, 1, 1], [0] * 4, [0] * 4)
-    chk = validate_weights(MomentWeights(g=np.ones(4), delta=1.0), rates)
+    chk = validate_weights(MomentWeights(g=np.ones(4)), rates)
     assert not chk.delta_ok
 
 
@@ -188,7 +188,7 @@ def test_validate_weights_growth_constant_derived():
     g = (np.arange(4) + 1.0) ** 2
     k = np.arange(4) + 1.0
     rates = rates_from_arrays(3, k, [0] * 4, [0] * 4)
-    chk = validate_weights(MomentWeights(g=g, delta=1.0), rates)
+    chk = validate_weights(MomentWeights(g=g), rates)
     expected = brute_force_growth_constant(g, k)
     assert expected == 3.0
     assert chk.C_min == pytest.approx(expected, rel=1e-15)
