@@ -6,7 +6,9 @@ a temporary directory; every CSV and ``summary.json`` it writes is hashed.
 A run whose summary records integrator statistics also gets a line
 ``steps=.. nfev=.. njev=.. nlu=..  <config>/integrator`` (``converge``: one
 line ``<config>/integrator/n=<rung>`` per rung), so a diff shows a changed
-step sequence, not only changed hashes.
+step sequence, not only changed hashes.  ``semigroup`` gets one line
+``runs=.. steps=..  semigroup/integrator``: how many integrations its pairs
+made and their accepted steps in total.
 ``verify_power_law`` runs a second time with ``integrator.method: bdf``
 (lines ``verify_power_law_bdf/...``), so the stiff path is covered too, and
 a third time under ``equilibrium`` (lines ``verify_power_law_equilibrium/...``):
@@ -28,13 +30,14 @@ import json
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import yaml
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from silkin import cli  # noqa: E402
+from silkin import analysis, cli  # noqa: E402
 
 # The subcommand each shipped config is written for (README, "Command line").
 COMMAND = {
@@ -62,8 +65,16 @@ STIFF_WIDE = {
 
 def digest(name: str, command: str, config: Path) -> int:
     """Run one config into a temporary directory and print the hash of each output."""
+    steps = []  # accepted steps of each integration the semigroup probe makes
+    integrate = analysis.integrate
+
+    def recording(*args, **kwargs):
+        traj = integrate(*args, **kwargs)
+        steps.append(traj.stats.steps)
+        return traj
+
     with tempfile.TemporaryDirectory() as tmp:
-        with contextlib.redirect_stdout(io.StringIO()):
+        with contextlib.redirect_stdout(io.StringIO()), mock.patch.object(analysis, "integrate", recording):
             code = cli.main([command, "--config", str(config), "--out", tmp])
         if code != cli.EXIT_OK:
             print(f"{name}: {command} exited {code}", file=sys.stderr)
@@ -78,6 +89,8 @@ def digest(name: str, command: str, config: Path) -> int:
             runs = [(f"{name}/integrator/n={n}", entry) for n, entry in zip(meta["n_ladder"], stats)]
         for label, entry in runs:
             print(" ".join(f"{key}={entry[key]}" for key in ("steps", "nfev", "njev", "nlu")) + f"  {label}")
+        if command == "semigroup":
+            print(f"runs={len(steps)} steps={sum(steps)}  {name}/integrator")
     return 0
 
 

@@ -163,19 +163,22 @@ def semigroup_residual(
 
     Compares integrating straight to ``t + s`` against integrating to ``s``
     and restarting for ``t``, in the ``(1 + gamma)``-weighted norm attached
-    to the ingestion family.  Degenerate legs (``t = 0`` or ``s = 0``) skip
-    the zero-length integration, and so do legs whose end time rounds to
-    their start time; those residuals are exactly zero.
+    to the ingestion family.  The solution map at time 0 is the identity, so
+    a pair with a zero-length leg (``t = 0``, ``s = 0``, or a leg whose end
+    time rounds to its start time) reports 0 without integrating.  When
+    ``y0.t != 0`` that includes a pair whose two routes would round to
+    different end times (``y0.t = 1``, ``s = 2**-53``, ``t = 2**-52``).
+    Any other pair makes three integrations.
     """
     if t < 0.0 or s < 0.0:
         raise ValueError("t and s must be >= 0")
-    mu = 1.0 + sys.rates.gamma
-    if y0.t + t + s == y0.t:
+    t_mid = y0.t + s
+    if t_mid == y0.t or t_mid + t == t_mid:
         return 0.0
     direct = integrate(sys, y0, y0.t + t + s, cfg).final_state
-    mid = integrate(sys, y0, y0.t + s, cfg).final_state if y0.t + s > y0.t else y0
-    two_leg = integrate(sys, mid, mid.t + t, cfg).final_state if mid.t + t > mid.t else mid
-    return weighted_norm(direct.x - two_leg.x, direct.M - two_leg.M, mu)
+    mid = integrate(sys, y0, t_mid, cfg).final_state
+    two_leg = integrate(sys, mid, t_mid + t, cfg).final_state
+    return weighted_norm(direct.x - two_leg.x, direct.M - two_leg.M, 1.0 + sys.rates.gamma)
 
 
 @dataclass(frozen=True)
@@ -216,14 +219,10 @@ def _x_residual(sys: TruncatedSystem, x: float) -> Tuple[float, float, np.ndarra
 
 
 def _equilibrium_at(sys: TruncatedSystem, x: float, residual: float, M: np.ndarray) -> EquilibriumResult:
-    k_raw = sys.rates.k[-1]
-    ext = k_raw * x + sys.loss[-1]
-    tail = math.inf
-    if ext > 0.0:
-        ratio = k_raw * x / ext
-        tail = M[-1] * ratio / (1.0 - ratio) if ratio < 1.0 else math.inf
-    elif k_raw * x * M[-1] == 0.0:
-        tail = 0.0
+    # _steady_chain has checked loss[-1] > 0, so the ratio's denominator is positive.
+    kx = sys.rates.k[-1] * x
+    ratio = kx / (kx + sys.loss[-1])
+    tail = M[-1] * ratio / (1.0 - ratio) if ratio < 1.0 else math.inf
     return EquilibriumResult(x_star=x, M_star=M, residual=residual, tail_mass=tail)
 
 

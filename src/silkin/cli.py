@@ -74,7 +74,6 @@ from .truncation import TruncatedSystem
 __all__ = ["ConfigError", "RunConfig", "load_config", "run", "main"]
 
 SCHEMA_VERSION = 1
-COMMANDS = ("simulate", "converge", "equilibrium", "verify", "semigroup")
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -384,16 +383,15 @@ def _write_trajectory(config: RunConfig, traj: Trajectory, out: Path) -> dict:
 
 def _norm_bound_checks(traj: Trajectory) -> List[dict]:
     params = traj.sys.params
-    w1 = np.arange(traj.sys.n + 1) + 1.0
-    norms = traj.phase[:, 0] + traj.phase[:, 1:] @ w1
+    norms = weighted_norm(traj.phase[:, 0], traj.phase[:, 1:].T)
     budget = norms[0] + (params.r + params.alpha) * (traj.t - traj.t_start)
-    cohort_peaks = np.max(traj.phase[:, 1:] * w1, axis=1)
+    cohort_peaks = np.max(traj.phase[:, 1:] * (np.arange(traj.sys.n + 1) + 1.0), axis=1)  # largest term of each norm
     floor = float(traj.cfg.floor)
     cone_ok = traj.pre_clamp_min >= floor and float(np.min(traj.phase)) >= 0.0
     return [
         _check("cone_nonnegative", "integrate", float(traj.pre_clamp_min), floor, cone_ok, comparison=">="),
-        _bound_check("norm_growth_bound", "norm_mu", float(np.max(norms - budget)), NORM_SLACK),
-        _bound_check("cohort_bound", "norm_mu", float(np.max(cohort_peaks - budget)), NORM_SLACK),
+        _bound_check("norm_growth_bound", "weighted_norm", float(np.max(norms - budget)), NORM_SLACK),
+        _bound_check("cohort_bound", "weighted_norm", float(np.max(cohort_peaks - budget)), NORM_SLACK),
     ]
 
 
@@ -546,7 +544,7 @@ def _jsonable(value):
 
 def run(command: str, config_path: str, out_dir: str) -> int:
     """Execute one subcommand; returns the process exit code."""
-    if command not in COMMANDS:
+    if command not in _DISPATCH:
         raise ConfigError("command", f"unknown command {command!r}")
     config = load_config(config_path)
     needs_ladder = command == "converge"
@@ -587,7 +585,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         description="Solver and verification battery for the truncated quartz/macrophage cohort model.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name in _DISPATCH:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="YAML experiment file")
         p.add_argument("--out", default="out", help="output directory")

@@ -29,7 +29,6 @@ __all__ = [
     "RateTable",
     "State",
     "MomentWeights",
-    "WeightsCheck",
     "InitialData",
     "realize_coefficients",
     "weighted_norm",
@@ -237,12 +236,13 @@ class MomentWeights:
     """A weight sequence ``g_0 .. g_n`` with its claimed growth constant.
 
     ``C`` claims ``(g_{i+1} - g_i) * k_i <= C * g_i`` against some rate
-    table.  The claim is *not* enforced here: :func:`validate_weights` checks
-    it against a concrete table.  The exponential-envelope checks require
-    increasing weights (``delta > 0``) and derive ``C`` from the run's own
-    table; they do not read the stored ``C``.  The exact moment identities
-    hold for any real weight sequence (so flat weights, ``delta = 0``, are
-    legitimate inputs there).
+    table.  The claim is *not* enforced here: :func:`validate_weights`
+    returns the smallest such constant for a concrete table.  The
+    exponential-envelope checks require increasing weights, tested as
+    ``delta > 0``, and derive ``C`` from the run's own table; they do not
+    read the stored ``C``.  The exact moment identities hold for any real
+    weight sequence (so flat weights, ``delta = 0``, are legitimate inputs
+    there).
     """
 
     g: np.ndarray
@@ -278,38 +278,31 @@ class MomentWeights:
             raise ValueError(f"mu must be >= 1, got {mu}")
         w = cls(g=(np.arange(n + 1, dtype=float) + 1.0) ** mu)
         if rates is not None:
-            w = cls(g=w.g, C=validate_weights(w, rates).C_min)
+            w = cls(g=w.g, C=validate_weights(w, rates))
         return w
 
 
-@dataclass(frozen=True)
-class WeightsCheck:
-    delta_ok: bool
-    C_min: float
+def validate_weights(w: MomentWeights, rates: RateTable) -> float:
+    """The growth constant of a weight sequence against a rate table.
 
-
-def validate_weights(w: MomentWeights, rates: RateTable) -> WeightsCheck:
-    """Check a weight sequence against a rate table.
-
-    ``delta_ok`` holds iff every increment ``g_{i+1} - g_i`` is positive.
-    ``C_min`` is the smallest constant such that ``(g_{i+1} - g_i) k_i <=
-    C_min * g_i`` for all ``i < n`` (``0/0`` counts as 0, a positive
-    numerator over ``g_i = 0`` as infinity).
+    Returns ``C_min``, the smallest constant such that ``(g_{i+1} - g_i) k_i
+    <= C_min * g_i`` for all ``i < n`` (``0/0`` counts as 0, a positive
+    numerator over ``g_i = 0`` as infinity).  Whether the weights increase
+    is ``w.delta > 0``.  Negative weights and a length other than ``n + 1``
+    raise ``ValueError``.
     """
     g = w.g
     if np.any(g < 0.0):
         raise ValueError("weights must be >= 0")
     if len(g) != rates.n + 1:
         raise ValueError(f"expected {rates.n + 1} weights, got {len(g)}")
-    increments = np.diff(g)
-    delta_ok = bool(np.all(increments > 0.0))
-    numer = increments * rates.k[:-1]
+    numer = np.diff(g) * rates.k[:-1]
     denom = g[:-1]
     ratios = np.zeros_like(numer)
     pos = denom > 0.0
     ratios[pos] = numer[pos] / denom[pos]
     ratios[~pos & (numer > 0.0)] = math.inf
-    return WeightsCheck(delta_ok=delta_ok, C_min=float(np.max(ratios)) if len(ratios) else 0.0)
+    return float(np.max(ratios))
 
 
 @dataclass(frozen=True)

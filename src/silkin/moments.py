@@ -212,12 +212,11 @@ def _envelope(traj: Trajectory, w: MomentWeights):
     g = _weight_vector(w, rates.n)
     if np.any(g < 0.0):
         raise InvalidWeights("weights must be nonnegative")
-    chk = validate_weights(w, rates)
-    if not chk.delta_ok:
+    if not w.delta > 0.0:
         raise InvalidWeights(f"weight increments must all be > 0 (smallest {w.delta})")
-    if not math.isfinite(chk.C_min):
+    C = validate_weights(w, rates)
+    if not math.isfinite(C):
         raise InvalidWeights("growth constant (g_{i+1}-g_i) k_i / g_i is unbounded")
-    C = chk.C_min
     params = traj.sys.params
     T = traj.duration
     c2 = weighted_norm(traj.phase[0, 0], traj.phase[0, 1:]) + (params.r + params.alpha) * T

@@ -21,6 +21,7 @@ from silkin import (
     find_equilibrium,
     integrate,
     invariance_check,
+    realize_coefficients,
     semigroup_residual,
     uniqueness_probe,
     weighted_norm,
@@ -208,6 +209,22 @@ def test_equilibrium_analytic_chain():
     np.testing.assert_allclose(result.M_star, oracle, rtol=1e-12)
     assert result.residual < 1e-13
     assert result.tail_mass < 1e-18
+
+
+@pytest.mark.parametrize(
+    "k,p,tail_mass",
+    [
+        (CoefficientFamily.constant(1.0), CoefficientFamily.constant(1.0), 0.0039846345629914294),
+        (CoefficientFamily.table([1.0] * 8 + [0.0]), CoefficientFamily.constant(1.0), 0.0),
+        (CoefficientFamily.table([1.0] * 8 + [1e20]), CoefficientFamily.table([1.0] * 8 + [1e-10]), math.inf),
+    ],
+    ids=["geometric", "no-ingestion-past-n", "ratio-rounds-to-one"],
+)
+def test_equilibrium_tail_mass(k, p, tail_mass):
+    # the cut-off tail M_n r / (1 - r), r = k_n x / (k_n x + p_n + q_n): geometric, empty, or unbounded
+    rates = realize_coefficients(k, p, CoefficientFamily.constant(0.0), 8)
+    result = find_equilibrium(TruncatedSystem(ModelParams(r=1.0, alpha=1.0), rates))
+    assert result.tail_mass == tail_mass
 
 
 def test_equilibrium_zero_supply():

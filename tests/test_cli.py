@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import yaml
 
-from silkin import CoefficientFamily, InitialData, IntegratorConfig, State, cli, compute_moments, integrator
+from silkin import CoefficientFamily, InitialData, IntegratorConfig, State, analysis, cli, compute_moments, integrator
 
 from oracles import repr_lines
 
@@ -312,6 +312,20 @@ def test_semigroup_pair_with_a_leg_that_rounds_away(tmp_path):
     assert read_summary(out)["metadata"]["pairs"] == [{"t": 1e-17, "s": 0.5, "residual": 0.0}]
 
 
+def test_semigroup_config_integrates_only_the_pairs_with_two_legs(tmp_path, monkeypatch):
+    # (0.5, 0.5) and (1, 2) make three runs each; (0, 3) and (3, 0) have a zero-length leg and make none
+    runs = []
+
+    def recording(sys_, y0, t_end, cfg=None, flux_orders=()):
+        runs.append((y0.t, t_end))
+        return integrator.integrate(sys_, y0, t_end, cfg, flux_orders=flux_orders)
+
+    monkeypatch.setattr(analysis, "integrate", recording)
+    config = str(ROOT / "configs" / "semigroup.yaml")
+    assert cli.main(["semigroup", "--config", config, "--out", str(tmp_path / "out")]) == cli.EXIT_OK
+    assert sorted(runs) == [(0.0, 0.5), (0.0, 1.0), (0.0, 2.0), (0.0, 3.0), (0.5, 1.0), (2.0, 3.0)]
+
+
 def test_config_error_missing_field(tmp_path, capsys):
     doc = decay_doc()
     del doc["model"]["r"]
@@ -326,13 +340,6 @@ def test_config_error_unknown_kind(tmp_path, capsys):
     cfg = write_config(tmp_path / "bad.yaml", doc)
     assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "rates.k" in capsys.readouterr().err
-
-
-def test_config_error_command_mismatch(tmp_path):
-    doc = decay_doc()
-    doc["command"] = "verify"
-    cfg = write_config(tmp_path / "bad.yaml", doc)
-    assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
 def test_config_error_needs_single_n_or_ladder(tmp_path):
@@ -442,6 +449,7 @@ def _with(doc, path, value):
         ("converge", "rates.q", {"kind": "power_law", "amplitude": 3.0e307, "exponent": 1.0}),
         # a second spelling of what the command line or an absent key already says
         ("verify", "command", "verify"),
+        ("simulate", "command", "verify"),
         ("simulate", "rates.q.tail", "zero"),
         ("simulate", "initial.M", None),
         ("simulate", "initial.decay", None),

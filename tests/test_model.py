@@ -172,15 +172,15 @@ def test_state_validation():
 def test_validate_weights_simple():
     rates = rates_from_arrays(3, [1, 1, 1, 1], [0] * 4, [0] * 4)
     w = MomentWeights(g=np.arange(4) + 1.0)
-    chk = validate_weights(w, rates)
-    assert chk.delta_ok
-    assert chk.C_min == 1.0
+    assert w.delta > 0.0
+    assert validate_weights(w, rates) == 1.0
 
 
 def test_validate_weights_flat_increments_fail():
     rates = rates_from_arrays(3, [1, 1, 1, 1], [0] * 4, [0] * 4)
-    chk = validate_weights(MomentWeights(g=np.ones(4)), rates)
-    assert not chk.delta_ok
+    w = MomentWeights(g=np.ones(4))
+    assert not w.delta > 0.0
+    assert validate_weights(w, rates) == 0.0  # zero increments claim no growth
 
 
 def test_validate_weights_growth_constant_derived():
@@ -188,16 +188,14 @@ def test_validate_weights_growth_constant_derived():
     g = (np.arange(4) + 1.0) ** 2
     k = np.arange(4) + 1.0
     rates = rates_from_arrays(3, k, [0] * 4, [0] * 4)
-    chk = validate_weights(MomentWeights(g=g), rates)
     expected = brute_force_growth_constant(g, k)
     assert expected == 3.0
-    assert chk.C_min == pytest.approx(expected, rel=1e-15)
+    assert validate_weights(MomentWeights(g=g), rates) == pytest.approx(expected, rel=1e-15)
 
 
 def test_validate_weights_zero_weight_with_flux_is_infinite():
     rates = rates_from_arrays(2, [1, 1, 1], [0] * 3, [0] * 3)
-    chk = validate_weights(MomentWeights.linear(2), rates)
-    assert math.isinf(chk.C_min)
+    assert math.isinf(validate_weights(MomentWeights.linear(2), rates))
 
 
 def test_validate_weights_rejects_negative():
