@@ -385,7 +385,11 @@ def _norm_bound_checks(traj: Trajectory) -> List[dict]:
     params = traj.sys.params
     norms = weighted_norm(traj.phase[:, 0], traj.phase[:, 1:].T)
     budget = norms[0] + (params.r + params.alpha) * (traj.t - traj.t_start)
-    cohort_peaks = np.max(traj.phase[:, 1:] * (np.arange(traj.sys.n + 1) + 1.0), axis=1)  # largest term of each norm
+    weights = np.arange(traj.sys.n + 1) + 1.0
+    rows = max(1, 2 ** 14 // len(weights))  # a row block at a time, so the weighted copy stays small
+    cohort_peaks = np.concatenate(  # largest term of each norm
+        [np.max(traj.phase[a:a + rows, 1:] * weights, axis=1) for a in range(0, len(traj.phase), rows)]
+    )
     floor = float(traj.cfg.floor)
     cone_ok = traj.pre_clamp_min >= floor and float(np.min(traj.phase)) >= 0.0
     return [

@@ -10,16 +10,25 @@ integer column is written as its digits, as ``repr`` writes a Python ``int``.
 The digits are those of Ryū (Adams, PLDI 2018), run on whole arrays in
 ``uint64``.  Ryū brackets the double by the decimal images of its rounding
 interval, scaled by a 126-bit power of five from a table, and drops decimal
-digits while the bracket still holds two candidates; the 55 x 126-bit
-products are summed from 32-bit limbs.  No per-value Python code and no
-bignum runs, so a subnormal costs what a value near 1 costs (CPython's
-``repr`` falls back to bignums below about 1e-50).
+digits while the bracket still holds two candidates.  The 55 x 126-bit
+product is summed once from 32-bit limbs, and the bracket's ends are that
+product plus or minus the power or twice it (Ryū's ``mulShiftAll64``).  No
+per-value Python code and no bignum runs, so a subnormal costs what a value
+near 1 costs (CPython's ``repr`` falls back to bignums below about 1e-50).
 
 Text is assembled by one gather: each value has a layout key (sign, digit
 count, and the decimal point position or the exponent's sign and width),
 the key's row of a table names the byte plane each character comes from
 (a digit, an exponent digit, a constant, or the separator), and the bytes
 past the value's length are dropped.  The tables are built on first use.
+
+A row's trailing run of +0.0 fields (in a truncated run, the cohorts past the
+mass front) costs no per-value work.  A row block is formatted only up to
+the last column of its last float part that is not +0.0 in some row (its
+first column at least), and each row's ``\\n`` is then replaced by one
+constant, ``,0.0,...,0.0\\n``, for the columns past that.  The test is on
+bit patterns, not on ``== 0``: ``-0.0`` prints ``-0.0``, so it is never
+part of a run, and neither is ``nan``.
 
 :func:`chunks` formats a table in row blocks of about :data:`BLOCK_VALUES`
 values, so a writer never holds the text, or Python numbers, of the whole
@@ -68,8 +77,8 @@ _WIDTH = 25  # the longest layout, "-1.2345678901234567e-308", and a separator
 
 
 @cache
-def _multipliers() -> np.ndarray:
-    """Both Ryū tables as four rows of 32-bit limbs, least significant first."""
+def _exponent_tables() -> Tuple[np.ndarray, ...]:
+    """Ryū's step 3 per biased exponent: ``q``, ``e10``, the shift ``s`` and the multiplier's low and high 64 bits."""
     values = []
     p = 1
     for _ in range(_INV_ROWS):
@@ -80,67 +89,84 @@ def _multipliers() -> np.ndarray:
         shift = p.bit_length() - 125
         values.append(p >> shift if shift >= 0 else p << -shift)
         p *= 5
-    limbs = np.frombuffer(b"".join(v.to_bytes(16, "little") for v in values), dtype="<u4")
-    return limbs.reshape(-1, 4).T.astype(_U64)
-
-
-def _template(form: int, k: int) -> list:
-    """The byte planes of the characters of one unsigned layout, in order."""
-    digits = list(range(k - 1, -1, -1))
-    if form == _INF:
-        return [_I, _N, _F]
-    if form == _NAN:
-        return [_N, _A, _N]
-    if form == _INT:
-        return digits
-    if form < _FIXED:
-        decpt = form - 3
-        if decpt <= 0:
-            return [_ZERO, _DOT] + [_ZERO] * -decpt + digits
-        if decpt < k:
-            return digits[:decpt] + [_DOT] + digits[decpt:]
-        return digits + [_ZERO] * (decpt - k) + [_DOT, _ZERO]
-    mantissa = digits[:1] + ([_DOT] + digits[1:] if k > 1 else [])
-    return mantissa + [_E, _PLUS if form >= _FIXED + 2 else _MINUS] + [_EXP + 2, _EXP + 1, _EXP][1 - form % 2:]
+    words = np.frombuffer(b"".join(v.to_bytes(16, "little") for v in values), dtype="<u8").reshape(-1, 2)
+    e2 = np.maximum(np.arange(2048), 1) - 1077
+    pos = e2 >= 0
+    q = np.where(pos, ((e2 * 78913) >> 18) - (e2 > 3), ((-e2 * 732923) >> 20) - (-e2 > 1))
+    i = -e2 - q
+    s = np.where(pos, q - e2 + _pow5_bits(q) + 124, q - _pow5_bits(i) + 125) - 64
+    rows = np.where(pos, q, _INV_ROWS + i)
+    return q, np.where(pos, q, q + e2), s.astype(_U64), words[rows, 0], words[rows, 1]
 
 
 @cache
 def _layouts() -> Tuple[np.ndarray, np.ndarray]:
     """Per layout key ``(form * 2 + neg) * 21 + k``: the plane of each byte, and which bytes are kept."""
-    keys = [(form, k) for form in range(_FORMS) for k in range(1, _DIGITS if form == _INT else 18)]
-    templates = [_template(form, k) for form, k in keys]  # a double has at most 17 digits
-    forms, ks = np.array(keys).T
+    k, j = np.arange(_DIGITS)[:, None], np.arange(_WIDTH)
     source = np.full((_FORMS, 2, _DIGITS, _WIDTH), _SEP, dtype=np.int32)
+    length = np.full((_FORMS, _DIGITS, 1), 3)  # inf and nan
+    # Fixed: the integer digits (or 0), the point, the fraction digits (or 0); place counts digits from the left.
+    decpt = np.arange(_FIXED)[:, None, None] - 3
+    dot = np.maximum(decpt, 1)
+    place = np.where(j < dot, j + np.minimum(decpt, 1) - 1, decpt + j - dot - 1)
+    source[:_FIXED, 0] = np.where(j == dot, _DOT, np.where((place >= 0) & (place < k), k - 1 - place, _ZERO))
+    length[:_FIXED] = dot + 1 + np.maximum(k - decpt, 1)
+    # Exponent: a digit, the point and the other digits if any, e, the sign, two or three exponent digits.
+    form = np.arange(_FIXED, _INT)[:, None, None]
+    mantissa, wide = k + (k > 1), 2 + form % 2
+    sign = np.where(form >= _FIXED + 2, _PLUS, _MINUS)
+    exponent = np.where(j == mantissa, _E, np.where(j == mantissa + 1, sign, _EXP + wide + mantissa + 1 - j))
+    source[_FIXED:_INT, 0] = np.where(j < mantissa, np.where(j == 0, k - 1, np.where(j == 1, _DOT, k - j)), exponent)
+    length[_FIXED:_INT] = mantissa + 2 + wide
+    source[_INT, 0], length[_INT] = k - 1 - j, k
+    source[_INF, 0, :, :3], source[_NAN, 0, :, :3] = [_I, _N, _F], [_N, _A, _N]
+    source[:, 0] = np.where(j < length, source[:, 0], _SEP)
     keep = np.zeros(source.shape, dtype=bool)
-    source[forms, 0, ks] = [t + [_SEP] * (_WIDTH - len(t)) for t in templates]
-    keep[forms, 0, ks] = np.arange(_WIDTH) <= np.array([len(t) for t in templates])[:, None]
+    keep[:, 0] = j <= length
     source[:, 1, :, 0], source[:, 1, :, 1:] = _MINUS, source[:, 0, :, :-1]  # a sign before the layout
     keep[:, 1, :, 0], keep[:, 1, :, 1:] = True, keep[:, 0, :, :-1]
     source[_NAN, 1], keep[_NAN, 1] = source[_NAN, 0], keep[_NAN, 0]  # nan has no sign
     return source.reshape(-1, _WIDTH), keep.reshape(-1, _WIDTH)
 
 
-def _mul_shift(m: np.ndarray, limbs: Tuple[np.ndarray, ...], s: np.ndarray) -> np.ndarray:
-    """``floor(m * mul / 2^(64 + s)) mod 2^64`` for ``m < 2^55``, ``mul`` the four limbs, ``0 < s < 64``."""
-    b0, b1 = m & _MASK32, m >> _U64(32)
-    l0, l1, l2, l3 = limbs
-    c = (b0 * l0) >> _U64(32)
+def _mul_shift_all(mv, mul_lo, mul_hi, s, mm_shift) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``floor(m * mul / 2^(64 + s)) mod 2^64`` for ``m = mv, mv + 2, mv - 1 - mm_shift``: ``vr, vp, vm``.
+
+    ``mv < 2^55``, ``mul = mul_hi * 2^64 + mul_lo < 2^126`` and ``0 < s < 64``.
+    The product is summed from 32-bit limbs.  As in Ryū's ``mulShiftAll64``,
+    ``mv * mul`` is formed once, as three 64-bit words, and ``vp`` and ``vm``
+    add ``2 mul`` to it or subtract ``mul`` or ``2 mul``, with carries.
+    """
+    b0, b1 = mv & _MASK32, mv >> _U64(32)
+    l0, l1, l2, l3 = mul_lo & _MASK32, mul_lo >> _U64(32), mul_hi & _MASK32, mul_hi >> _U64(32)
+    c = b0 * l0
+    lo = c & _MASK32
+    c >>= _U64(32)
     x, y = b0 * l1, b1 * l0
     c += (x & _MASK32) + (y & _MASK32)
+    lo |= c << _U64(32)
     c = (c >> _U64(32)) + (x >> _U64(32)) + (y >> _U64(32))
     x, y = b0 * l2, b1 * l1
     c += (x & _MASK32) + (y & _MASK32)
-    p2 = c & _MASK32
+    mid = c & _MASK32
     c = (c >> _U64(32)) + (x >> _U64(32)) + (y >> _U64(32))
     x, y = b0 * l3, b1 * l2
     c += (x & _MASK32) + (y & _MASK32)
-    p3 = c & _MASK32
+    mid |= c << _U64(32)
     c = (c >> _U64(32)) + (x >> _U64(32)) + (y >> _U64(32))
     x = b1 * l3
     c += x & _MASK32
-    p4 = c & _MASK32
-    c = (c >> _U64(32)) + (x >> _U64(32))
-    return (((p3 << _U64(32)) | p2) >> s) | (((c << _U64(32)) | p4) << (_U64(64) - s))
+    hi = (c & _MASK32) | (((c >> _U64(32)) + (x >> _U64(32))) << _U64(32))
+
+    up = _U64(64) - s
+    two_lo, two_hi = mul_lo << _U64(1), (mul_hi << _U64(1)) | (mul_lo >> _U64(63))
+    p_lo = lo + two_lo
+    p_mid = mid + two_hi + (p_lo < lo)
+    vp = (p_mid >> s) | ((hi + (p_mid < mid)) << up)
+    m_lo = lo - np.where(mm_shift, two_lo, mul_lo)
+    m_mid = mid - (np.where(mm_shift, two_hi, mul_hi) + (m_lo > lo))
+    vm = (m_mid >> s) | ((hi - (m_mid > mid)) << up)
+    return (mid >> s) | (hi << up), vp, vm
 
 
 def _pow5_bits(e: np.ndarray) -> np.ndarray:
@@ -177,25 +203,16 @@ def _shortest(bits: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
       ``vp - 1`` leave the digit loop at the same count.
     """
     mant = bits & _U64((1 << 52) - 1)
-    biased = (bits >> _U64(52)).astype(np.int64)
-    e2 = np.maximum(biased, 1) - 1077
+    biased = (bits >> _U64(52)).astype(np.intp)
     m2 = mant | (biased > 0).astype(_U64) << _U64(52)
     even = (m2 & _U64(1)) == 0
     mm_shift = (mant != 0) | (biased <= 1)
     mv = m2 << _U64(2)
 
     # Step 3: the interval's ends and midpoint as decimals, digits * 10^e10.
-    pos = e2 >= 0
-    q = np.where(pos, ((e2 * 78913) >> 18) - (e2 > 3), ((-e2 * 732923) >> 20) - (-e2 > 1))
-    i = -e2 - q
-    row = np.where(pos, q, _INV_ROWS + i)
-    s = np.where(pos, q - e2 + _pow5_bits(q) + 124, q - _pow5_bits(i) + 125) - 64
-    e10 = np.where(pos, q, q + e2)
-    limbs = tuple(np.take(limb, row) for limb in _multipliers())
-    s = s.astype(_U64)
-    vr = _mul_shift(mv, limbs, s)
-    vp = _mul_shift(mv + _U64(2), limbs, s)
-    vm = _mul_shift(mv - _U64(1) - mm_shift.astype(_U64), limbs, s)
+    pos = biased >= 1077  # e2 >= 0
+    q, e10, s, mul_lo, mul_hi = (np.take(table, biased) for table in _exponent_tables())
+    vr, vp, vm = _mul_shift_all(mv, mul_lo, mul_hi, s, mm_shift)
 
     # Which of the exact products end in q decimal zeros (the rounding interval's ends and ties).
     vr_tz = np.zeros(len(bits), dtype=bool)
@@ -213,12 +230,12 @@ def _shortest(bits: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     # Step 4: drop digits while the interval holds two candidates; then, where
     # the low end is exact, drop its trailing zeros too.
     removed = np.zeros(len(bits), dtype=np.int64)
-    live, qp, qm = np.arange(len(bits)), vp, vm
-    while live.size:
+    qp, qm = vp // _U64(10), vm // _U64(10)
+    go = qp > qm
+    while go.any():  # on whole arrays: once qp == qm it stays so, and go stays False
+        removed += go
         qp, qm = qp // _U64(10), qm // _U64(10)
         go = qp > qm
-        live, qp, qm = live[go], qp[go], qm[go]
-        removed[live] += 1
     live = np.flatnonzero(vm_tz)
     if live.size:
         vm_tz[live] = vm[live] % _POW10[removed[live]] == 0
@@ -237,7 +254,7 @@ def _shortest(bits: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     last = np.where(removed > 0, upto - out * _U64(10), _U64(0))
     live = np.flatnonzero(vr_tz)
     vr_tz[live] = vr[live] % below[live] == 0
-    last[vr_tz & (last == 5) & (out % _U64(2) == 0)] = 4
+    last[vr_tz & (last == 5) & ((out & _U64(1)) == 0)] = 4
     low = vm // _POW10[removed]  # the low end is a candidate only if it is exact (vm_tz, even mantissas only)
     out += (((out == low) & ~vm_tz) | (last >= 5)).astype(_U64)
     return out, e10 + removed
@@ -283,6 +300,12 @@ def lines(*parts) -> bytes:
     rows = len(parts[0])
     if rows == 0:
         return b""
+    zeros = 0  # the +0.0 fields that end every row
+    if parts[-1].dtype.kind not in "iu":
+        last = parts[-1].astype(np.float64, copy=False)
+        used = np.flatnonzero((last.view(_U64) != 0).any(axis=0))  # bits, so -0.0 and nan count
+        parts[-1] = last[:, :used[-1] + 1 if used.size else 1]  # one column at least, to end the row
+        zeros = last.shape[1] - parts[-1].shape[1]
     fields = []
     for is_int, group in groupby(parts, key=lambda p: p.dtype.kind in "iu"):
         block = np.hstack(list(group)).ravel()
@@ -293,14 +316,16 @@ def lines(*parts) -> bytes:
     planes = np.empty((_PLANES, n), dtype=np.uint8)
     for j in range(int(np.max(key % _DIGITS))):
         if j % 8 == 0:  # eight digits at a time in uint32
-            rest = (digits // _POW10[j] % _U64(10 ** 8)).astype(np.uint32)
+            low, digits = digits, digits // _U64(10 ** 8)
+            rest = (low - digits * _U64(10 ** 8)).astype(np.uint32)
         high = rest // np.uint32(10)
-        planes[j] = rest - high * np.uint32(10) + np.uint32(48)
-        rest = high
+        rest -= high * np.uint32(10)
+        planes[j], rest = rest, high
     exponent = exponent.astype(np.uint16)
-    planes[_EXP] = exponent % np.uint16(10) + np.uint16(48)
-    planes[_EXP + 1] = exponent // np.uint16(10) % np.uint16(10) + np.uint16(48)
-    planes[_EXP + 2] = exponent // np.uint16(100) + np.uint16(48)
+    for j in range(_EXP, _EXP + 3):
+        high = exponent // np.uint16(10)
+        planes[j], exponent = exponent - high * np.uint16(10), high
+    planes[:_EXP + 3] += np.uint8(48)  # digits to ASCII (planes past the block's digit count are never read)
     separators = planes[_SEP].reshape(rows, -1)
     separators[:] = ord(",")
     separators[:, -1] = ord("\n")
@@ -310,7 +335,10 @@ def lines(*parts) -> bytes:
     index = np.take(source, key, axis=0).astype(np.int32 if _PLANES * n < 2 ** 31 else np.int64, copy=False)
     index *= n
     index += np.arange(n, dtype=index.dtype)[:, None]
-    return planes.ravel().take(index[np.take(keep, key, axis=0)]).tobytes()
+    text = planes.ravel().take(index[np.take(keep, key, axis=0)]).tobytes()
+    if not zeros:
+        return text
+    return text.replace(b"\n", b",0.0" * zeros + b"\n")
 
 
 def chunks(*parts) -> Iterator[bytes]:

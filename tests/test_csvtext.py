@@ -7,15 +7,25 @@ from silkin import csvtext
 from oracles import repr_lines
 
 
+def repr_text(*parts):
+    """The repr join of the rows of ``parts``, side by side, as Python numbers."""
+    columns = [np.asarray(p).reshape(len(p), -1) for p in parts]
+    return repr_lines([sum((c[i].tolist() for c in columns), []) for i in range(len(columns[0]))])
+
+
 def same_text(*parts):
     """``csvtext.lines`` of ``parts`` equals the repr join of their rows as Python numbers."""
-    columns = [np.asarray(p).reshape(len(p), -1) for p in parts]
-    rows = [sum((c[i].tolist() for c in columns), []) for i in range(len(columns[0]))]
-    text, expected = csvtext.lines(*parts), repr_lines(rows)
+    text, expected = csvtext.lines(*parts), repr_text(*parts)
     if text != expected:
         got, want = text.decode().split("\n"), expected.decode().split("\n")
         bad = next((g, w) for g, w in zip(got, want) if g != w)
         pytest.fail(f"first differing line: {bad[0]!r} != {bad[1]!r}")
+
+
+def same_text_in_blocks(*parts):
+    """:func:`same_text`, and the row blocks of ``csvtext.chunks`` joined equal the same repr join."""
+    same_text(*parts)
+    assert b"".join(csvtext.chunks(*parts)) == repr_text(*parts)
 
 
 def with_neighbours(x):
@@ -103,3 +113,71 @@ def test_chunks_split_on_rows_into_blocks_of_bounded_size():
     assert b"".join(blocks) == csvtext.lines(t, x)
     same_text(t, x)
     assert list(csvtext.chunks(np.empty((0, 3)))) == []
+
+
+def test_rows_that_are_all_positive_zero():
+    zeros = np.zeros((5, 7))
+    same_text_in_blocks(zeros)
+    same_text_in_blocks(np.zeros(4))
+    same_text_in_blocks(np.linspace(0.0, 1.0, 5), zeros)
+
+
+def test_negative_zero_inside_and_at_the_end_of_a_zero_run():
+    rows = np.zeros((4, 6))
+    rows[:, 0] = 1.5
+    rows[0, 3] = rows[1, 5] = rows[2, 1] = -0.0
+    same_text_in_blocks(rows)
+    same_text_in_blocks(np.array([[0.0, -0.0], [-0.0, 0.0], [0.0, 0.0]]))
+
+
+def test_rows_of_one_block_with_different_zero_runs():
+    # row r keeps r // 2 leading values: the block formats four columns and ends each row with a run of
+    # five zeros, while the rows' own runs are 5 to 9 long
+    values = np.random.default_rng(5).standard_normal((10, 9))
+    values[np.arange(9) >= np.arange(10)[:, None] // 2] = 0.0
+    same_text_in_blocks(values)
+    same_text_in_blocks(values[::-1])
+
+
+def test_a_zero_run_over_the_whole_last_part():
+    zeros = np.zeros((3, 4))
+    same_text_in_blocks(np.arange(3), zeros)
+    same_text_in_blocks(np.array([[1, -20], [300, 0], [0, 5]]), zeros)
+    same_text_in_blocks(np.array([2.5, -0.0, 1e-300]), zeros)
+    same_text_in_blocks(np.arange(3), np.array([0.5, 0.0, 2.0]), zeros)
+
+
+def test_one_column_and_one_dimensional_last_parts():
+    same_text_in_blocks(np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 3.0]]), np.array([0.0, 2.0, 0.0]))
+    same_text_in_blocks(np.array([1.0, 0.0, -0.0]), np.array([[0.0], [4.0], [0.0]]))
+    same_text_in_blocks(np.array([0.0, 7.0, 0.0]))
+    same_text_in_blocks(np.array([[1.0, 2.0], [3.0, 0.0]]), np.zeros(2))
+
+
+def test_an_integer_last_part_keeps_its_zeros_as_integers():
+    same_text_in_blocks(np.array([0.0, 1.0]), np.array([[3, 0, 0], [0, 0, 0]]))
+
+
+def test_nan_and_inf_next_to_a_zero_run():
+    values = np.array([
+        [1.0, np.nan, 0.0, 0.0],
+        [np.inf, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0, -np.inf],
+        [0.0, np.nan, 0.0, 0.0],
+        [0.0, 0.0, 0.0, 0.0],
+    ])
+    same_text_in_blocks(values)
+    same_text_in_blocks(values[:, ::-1])
+
+
+def test_zero_runs_across_row_block_boundaries():
+    # a front that recedes row by row, as a truncated cohort chain's mass does: each row block formats
+    # up to its own last nonzero column and ends its rows with zero runs of a different length
+    columns = 50
+    rows = 3 * (csvtext.BLOCK_VALUES // (columns + 1)) + 5
+    front = np.linspace(columns, 0, rows).astype(int)
+    M = np.random.default_rng(9).random((rows, columns)) ** 40
+    M[np.arange(columns) >= front[:, None]] = 0.0
+    t = np.linspace(0.0, 2.0, rows)
+    assert len(list(csvtext.chunks(t, M))) == 4
+    same_text_in_blocks(t, M)
