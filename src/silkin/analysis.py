@@ -116,8 +116,8 @@ def convergence_study(
     rung, which is then not realized again.
     """
     ladder = tuple(int(n) for n in n_ladder)
-    if len(ladder) < 2 or any(b <= a for a, b in zip(ladder, ladder[1:])) or ladder[0] < 2:
-        raise ValueError(f"n_ladder must be strictly increasing with min >= 2, got {ladder}")
+    if len(ladder) < 2 or any(b <= a for a, b in zip(ladder, ladder[1:])):
+        raise ValueError(f"n_ladder must be strictly increasing, got {ladder}")
     if rates is not None and rates.n != ladder[-1]:
         raise ValueError(f"rates are at order {rates.n}, not at the top rung {ladder[-1]}")
     phases: List[np.ndarray] = []

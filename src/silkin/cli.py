@@ -319,10 +319,10 @@ def load_config(path: str) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = yaml.safe_load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(str(path), f"cannot read config: {exc}") from exc
-    except yaml.YAMLError as exc:
-        raise ConfigError(str(path), f"invalid YAML: {exc}") from exc
+    except yaml.YAMLError as exc:  # its message spans lines; stderr gets one
+        raise ConfigError(str(path), f"invalid YAML: {' '.join(str(exc).split())}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(str(path), "top level must be a mapping")
     values = {}
@@ -548,8 +548,6 @@ def _jsonable(value):
 
 def run(command: str, config_path: str, out_dir: str) -> int:
     """Execute one subcommand; returns the process exit code."""
-    if command not in _DISPATCH:
-        raise ConfigError("command", f"unknown command {command!r}")
     config = load_config(config_path)
     needs_ladder = command == "converge"
     if needs_ladder and config.n_ladder is None:

@@ -5,7 +5,9 @@ reads back to the same double, the nearer one of two such decimals and the
 even one of a tie; fixed notation for a decimal point position ``-4 < decpt
 <= 16`` (``0.0001``, ``1000000000000000.0``) and exponent notation outside
 it (``1e-05``, ``1e+16``, ``5e-324``); ``inf``, ``-inf`` and ``nan``.  An
-integer column is written as its digits, as ``repr`` writes a Python ``int``.
+integer column is written as its digits, as ``repr`` writes a Python ``int``;
+signed and unsigned parts are formatted apart, so a ``uint64`` above 2^63
+keeps its digits.
 
 The digits are those of Ryū (Adams, PLDI 2018), run on whole arrays in
 ``uint64``.  Ryū brackets the double by the decimal images of its rounding
@@ -279,8 +281,9 @@ def _float_fields(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _int_fields(v: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Digits and layout key of each integer in ``v``; the exponent is unused."""
-    digits = np.abs(v.astype(np.int64)).astype(_U64)  # |-2^63| wraps to -2^63, whose uint64 is 2^63
+    """Digits and layout key of each integer in ``v``, all signed or all unsigned; the exponent is unused."""
+    # |-2^63| wraps to -2^63, whose uint64 is 2^63
+    digits = v.astype(_U64) if v.dtype.kind == "u" else np.abs(v.astype(np.int64)).astype(_U64)
     k = np.maximum(np.searchsorted(_POW10, digits, side="right"), 1)
     return digits, np.zeros(len(v), dtype=np.int64), (_INT * 2 + (v < 0)) * _DIGITS + k
 
@@ -294,7 +297,10 @@ def lines(*parts) -> bytes:
     """The CSV lines of the rows of ``parts`` side by side, as ``",".join(map(repr, row)) + "\\n"`` writes them.
 
     Each part is a 1-D column or a 2-D array with the common row count; an
-    integer part is written as integers, any other part as float64.
+    integer part is written as integers, any other part as float64.  Adjacent
+    parts are formatted together when they are of one kind (signed, unsigned
+    or float), since stacking a signed with an unsigned 64-bit part gives
+    float64.
     """
     parts = [_columns(p) for p in parts]
     rows = len(parts[0])
@@ -307,9 +313,9 @@ def lines(*parts) -> bytes:
         parts[-1] = last[:, :used[-1] + 1 if used.size else 1]  # one column at least, to end the row
         zeros = last.shape[1] - parts[-1].shape[1]
     fields = []
-    for is_int, group in groupby(parts, key=lambda p: p.dtype.kind in "iu"):
+    for kind, group in groupby(parts, key=lambda p: p.dtype.kind if p.dtype.kind in "iu" else "f"):
         block = np.hstack(list(group)).ravel()
-        fields.append(_int_fields(block) if is_int else _float_fields(block.astype(np.float64, copy=False)))
+        fields.append(_float_fields(block.astype(np.float64, copy=False)) if kind == "f" else _int_fields(block))
     digits, exponent, key = (np.hstack([f[j].reshape(rows, -1) for f in fields]).ravel() for j in range(3))
     n = len(key)
 

@@ -170,10 +170,9 @@ def realize_coefficients(
     Role-specific growth constraints are enforced here: the phagocytosis
     exponent must lie in [0, 1] (the regime where the weighted norms control
     uniqueness), the removal rates ``p`` must be bounded, and the death rates
-    ``q`` may grow at any polynomial order.
+    ``q`` may grow at any polynomial order.  The order's own rule, ``n >= 2``,
+    is :class:`RateTable`'s, which raises its ``ValueError``.
     """
-    if n < 2:
-        raise ValueError(f"truncation order must be >= 2, got {n}")
     if family_k.kind == "power_law" and not (0.0 <= family_k.exponent <= 1.0):
         raise ValueError(f"k exponent must lie in [0, 1], got {family_k.exponent}")
     if family_p.kind == "power_law" and family_p.exponent != 0.0:

@@ -124,31 +124,26 @@ def macrophage_balance_residual(traj: Trajectory, t: float) -> float:
     return _balance_residual(traj, t, "macrophage")
 
 
-def _weight_vector(w: MomentWeights, n: int) -> np.ndarray:
-    if w.g.shape != (n + 1,):
-        raise ValueError(f"expected {n + 1} weights, got shape {w.g.shape}")
-    return w.g
-
-
 def moment_identity_residual(traj: Trajectory, w: MomentWeights, m: int, t1: float, t2: float) -> float:
     """Defect of the integrated g-weighted tail balance over ``[t1, t2]``.
 
-    For any real weights ``g`` and ``1 <= m <= n`` the exact truncated flow
-    satisfies
+    For any real weights ``g_0 .. g_n`` (another count raises ``ValueError``)
+    and ``1 <= m <= n`` the exact truncated flow satisfies
 
         sum_{i>=m} g_i M_i(t2) - sum_{i>=m} g_i M_i(t1)
           + int sum_{i>=m} g_i (p_i + q_i) M_i
           = g_m F_m-increment + int x sum_{m<=i<=n-1} (g_{i+1} - g_i) k_i M_i
 
     where the flux boundary term comes from the co-integrated accumulator
-    ``F_m`` (raises :class:`MissingAccumulator` when it was not requested).
+    ``F_m``.  An ``m`` whose flux :func:`integrate` was not asked for raises
+    :class:`MissingAccumulator`; ``integrate`` accepts only ``1 <= m <= n``.
     """
     rates = traj.sys.rates
     n = rates.n
-    if not 1 <= m <= n:
-        raise ValueError(f"m must lie in 1..{n}, got {m}")
     m_int, xm_int = traj.window_integrals(t1, t2)
-    g = _weight_vector(w, n)
+    g = w.g
+    if len(g) != n + 1:
+        raise ValueError(f"expected {n + 1} weights, got {len(g)}")
     dim = traj.sys.dimension
     flux = dim + traj.flux_slot(m)
     z1, z2 = traj.at(t1), traj.at(t2)
@@ -209,9 +204,7 @@ def _envelope(traj: Trajectory, w: MomentWeights):
     the weights.
     """
     rates = traj.sys.rates
-    g = _weight_vector(w, rates.n)
-    if np.any(g < 0.0):
-        raise InvalidWeights("weights must be nonnegative")
+    g = w.g
     if not w.delta > 0.0:
         raise InvalidWeights(f"weight increments must all be > 0 (smallest {w.delta})")
     C = validate_weights(w, rates)
@@ -232,6 +225,9 @@ def gronwall_check(traj: Trajectory, w: MomentWeights) -> GronwallReport:
     ``ok`` is a theorem-backed guarantee for valid weights: a failure flags
     an integrator or accumulator bug, not model behaviour.  ``margin`` is the
     worst relative slack ``(bound - lhs) / bound`` over the samples.
+    :class:`InvalidWeights` is raised for an increment that is not positive
+    and for a growth constant ``C`` that is not finite; negative weights and
+    a count other than ``n + 1`` raise :func:`validate_weights`' ``ValueError``.
     """
     rates = traj.sys.rates
     g, C, c2, c1_used, weighted = _envelope(traj, w)

@@ -353,6 +353,27 @@ def test_config_error_needs_single_n_or_ladder(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "content",
+    [
+        None,
+        b"model: [1",
+        b"model: {r: 0.4}\n# \xff\xfe\n",
+        b"- model\n- rates\n",
+        b"",
+        yaml.safe_dump({**decay_doc(), "run": {"n_ladder": [4, 8], "t_end": 1.0}}).encode(),
+    ],
+    ids=["missing_file", "yaml_syntax", "not_utf8", "top_level_list", "empty_file", "ladder_for_simulate"],
+)
+def test_every_bad_config_file_exits_2_with_one_stderr_line(tmp_path, capsys, content):
+    path = tmp_path / "bad.yaml"
+    if content is not None:
+        path.write_bytes(content)
+    assert cli.main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: "), err
+
+
+@pytest.mark.parametrize(
     "command,section,field,value",
     [("simulate", "output", "m_out", "abc"), ("verify", "verify", "sample_times", 0)],
 )
@@ -523,6 +544,17 @@ def test_readme_config_reference_loads(tmp_path):
     block = readme.split("### Config reference (YAML)", 1)[1].split("```yaml\n", 1)[1].split("```", 1)[0]
     config = cli.load_config(write_config(tmp_path / "reference.yaml", yaml.safe_load(block)))
     assert config.n == 64 and config.rates.n == 64
+
+
+def test_readme_library_sketch_prints_what_its_comments_say(capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library sketch", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    mass, identity, ok, x_star = capsys.readouterr().out.split()
+    assert abs(float(mass)) < 1e-9
+    assert abs(float(identity)) < 1e-6
+    assert ok == "True"
+    assert float(x_star) > 0.0
 
 
 def test_write_csv_fields_are_exact_reprs(tmp_path):

@@ -181,3 +181,20 @@ def test_zero_runs_across_row_block_boundaries():
     t = np.linspace(0.0, 2.0, rows)
     assert len(list(csvtext.chunks(t, M))) == 4
     same_text_in_blocks(t, M)
+
+
+UNSIGNED = np.array([0, 1, 9, 10, 2 ** 63 - 1, 2 ** 63, 10 ** 19, 2 ** 64 - 1], dtype=np.uint64)
+
+
+def test_unsigned_64_bit_integers_keep_their_digits():
+    # above 2^63 a cast to int64 wraps, and a uint64 stacked with an int64 becomes float64
+    signed = np.array([np.iinfo(np.int64).min, -1, 0, 7, 10 ** 18, -(10 ** 18), np.iinfo(np.int64).max, 5])
+    same_text_in_blocks(UNSIGNED)
+    same_text_in_blocks(UNSIGNED, signed)
+    same_text_in_blocks(signed, UNSIGNED, UNSIGNED.astype(np.uint8))
+    same_text_in_blocks(UNSIGNED, np.linspace(-1.0, 1e300, 8))
+    same_text_in_blocks(np.linspace(0.0, 1.0, 8), UNSIGNED, np.zeros((8, 3)))
+
+
+def test_zero_rows_make_no_text():
+    assert csvtext.lines(np.empty((0, 3)), np.empty(0, dtype=np.uint64)) == repr_lines([]) == b""

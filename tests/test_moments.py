@@ -149,7 +149,7 @@ def test_moment_identity_missing_accumulator():
 def test_moment_identity_window_and_order_validation():
     sys_ = power_law_system(6, gamma=0.0)
     traj = integrate(sys_, decaying_state(6), 1.0, flux_orders=(1,))
-    with pytest.raises(ValueError):
+    with pytest.raises(MissingAccumulator):
         moment_identity_residual(traj, MomentWeights.ones(6), 0, 0.0, 1.0)
     with pytest.raises(OutOfRange):
         moment_identity_residual(traj, MomentWeights.ones(6), 1, 0.5, 0.25)
@@ -245,6 +245,15 @@ def test_gronwall_rejects_invalid_weights():
         gronwall_check(traj, MomentWeights.ones(6))  # flat: no positive increment
     with pytest.raises(InvalidWeights):
         gronwall_check(traj, MomentWeights.linear(6))  # g_0 = 0, k_0 > 0
+
+
+def test_gronwall_leaves_negative_weights_to_validate_weights():
+    # increasing, so the increment rule holds; the sign rule is validate_weights', a plain ValueError
+    sys_ = power_law_system(6, gamma=0.5)
+    traj = integrate(sys_, decaying_state(6), 1.0)
+    with pytest.raises(ValueError, match="^weights must be >= 0$") as err:
+        gronwall_check(traj, MomentWeights(g=np.arange(7.0) - 10.0))
+    assert type(err.value) is ValueError
 
 
 def _weighted_series(traj, t_grid, which):
