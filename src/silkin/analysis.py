@@ -20,7 +20,6 @@ from .model import (
     CoefficientFamily,
     InitialData,
     ModelParams,
-    RateTable,
     State,
     realize_coefficients,
     weighted_norm,
@@ -105,27 +104,22 @@ def convergence_study(
     n_ladder: Sequence[int],
     t_end: float,
     cfg: Optional[IntegratorConfig] = None,
-    rates: Optional[RateTable] = None,
 ) -> ConvergenceReport:
     """Integrate every rung from the projected initial data and report gaps.
 
     ``gaps[j]`` is ``sup_t`` of the total-matter-norm distance between rungs
     ``j`` and ``j+1`` on a shared dense grid, ``x_gaps[j]`` the same for the
     free-quartz component alone, and ``stats[j]`` rung ``j``'s integrator
-    statistics.  ``rates``, when given, is the families' table at the top
-    rung, which is then not realized again.
+    statistics.  Each rung realizes the families at its own order.
     """
     ladder = tuple(int(n) for n in n_ladder)
     if len(ladder) < 2 or any(b <= a for a, b in zip(ladder, ladder[1:])):
         raise ValueError(f"n_ladder must be strictly increasing, got {ladder}")
-    if rates is not None and rates.n != ladder[-1]:
-        raise ValueError(f"rates are at order {rates.n}, not at the top rung {ladder[-1]}")
     phases: List[np.ndarray] = []
     stats: List[IntegratorStats] = []
     for n in ladder:
-        table = rates if n == ladder[-1] and rates is not None else realize_coefficients(*families, n)
         try:
-            traj = integrate(TruncatedSystem(params, table), initial_data.state(n), t_end, cfg)
+            traj = integrate(TruncatedSystem(params, realize_coefficients(*families, n)), initial_data.state(n), t_end, cfg)
         except IntegrationError as exc:
             raise TruncationRungError(n, str(exc)) from exc
         phases.append(_on_grid(traj))

@@ -127,7 +127,8 @@ class CoefficientFamily:
             out = np.full(n + 1, self.values[-1])
             out[: len(self.values)] = self.values[: n + 1]
             return out
-        return self.amplitude * (np.arange(n + 1, dtype=float) + 1.0) ** self.exponent
+        # i + 1 as a cumulative sum of ones: for a length near 2**63 arange returns no entries, where ones raises
+        return self.amplitude * np.cumsum(np.ones(n + 1)) ** self.exponent
 
 
 @dataclass(frozen=True, eq=False)

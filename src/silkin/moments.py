@@ -245,7 +245,8 @@ def gronwall_check(traj: Trajectory, w: MomentWeights) -> GronwallReport:
         else:
             boundary = rates.k[0] * g[1] * np.float64(c2 / C) ** 2 * T
         c1_apriori = boundary + float(lhs[0])
-        bounds = c1_used * np.exp(c2 * (traj.t - traj.t_start))
+        # a zero c1 is a zero term, also where exp(c2 (t - t0)) overflows: 0 * inf would be nan
+        bounds = c1_used * np.exp(c2 * (traj.t - traj.t_start)) if c1_used else np.zeros_like(traj.t)
         c1_fitted = float(np.max(lhs * np.exp(-c2 * (traj.t - traj.t_start))))
 
     ok = bool(np.all(lhs <= bounds))
@@ -280,7 +281,8 @@ def invariance_check(traj: Trajectory, gamma: float) -> InvarianceReport:
     g, _, c2, c1, _ = _envelope(traj, MomentWeights.power(traj.sys.n, 1.0 + gamma))
     norms = traj.phase[:, 0] + traj.phase[:, 1:] @ g
     with np.errstate(over="ignore"):
-        bounds = 2.0 * c2 + c1 * np.exp(c2 * (traj.t - traj.t_start))
+        # a zero c1 is a zero term, as in gronwall_check
+        bounds = 2.0 * c2 + (c1 * np.exp(c2 * (traj.t - traj.t_start)) if c1 else np.zeros_like(traj.t))
     ok = bool(np.all(norms <= bounds))
     margin = float(np.min(_relative_margins(norms, bounds)))
     return InvarianceReport(ok=ok, max_norm=float(np.max(norms)), margin=margin)

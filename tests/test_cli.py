@@ -205,8 +205,8 @@ def test_only_verify_co_integrates_a_flux(tmp_path, monkeypatch, command, flux_o
     ],
 )
 def test_each_family_is_realized_once_per_load(tmp_path, monkeypatch, command, config):
-    # the load keeps the rate table it checked, and a ladder's top rung reuses it; only the lower
-    # rungs realize the families again
+    # the load keeps the rate table it checked, and a run at one order reuses it; converge
+    # realizes the families again at each rung, so ladder.yaml makes 3 x (1 + 5) calls
     orders = []
     realize = CoefficientFamily.realize
 
@@ -218,7 +218,7 @@ def test_each_family_is_realized_once_per_load(tmp_path, monkeypatch, command, c
     rungs = len(cli.load_config(path).n_ladder or ())
     monkeypatch.setattr(CoefficientFamily, "realize", counting)
     assert cli.main([command, "--config", path, "--out", str(tmp_path / "out")]) == cli.EXIT_OK
-    assert len(orders) == 3 * max(1, rungs)
+    assert len(orders) == 3 * (1 + rungs)
 
 
 def test_jsonable_writes_numpy_and_python_non_finite_values_alike():
@@ -706,6 +706,43 @@ def test_step_budget_ends_a_huge_t_end(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("numerical abort: StepBudgetExceeded: 1000 accepted steps reached t=")
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("t_end", [710.0, 5000.0])
+def test_verify_envelopes_hold_where_their_exponential_overflows(tmp_path, t_end):
+    # k_0 = 0 and no cohort above 0 filled at the start make the envelope constant c1 zero,
+    # and past c2 t = 709 its exponential overflows: the bound term is zero, not 0 * inf
+    doc = yaml.safe_load((ROOT / "configs" / "decay_oracle.yaml").read_text(encoding="utf-8"))
+    doc["run"]["t_end"] = t_end
+    cfg = write_config(tmp_path / "long.yaml", doc)
+    out = tmp_path / "out"
+    assert cli.main(["verify", "--config", cfg, "--out", str(out)]) == cli.EXIT_OK
+    checks = {c["name"]: c for c in read_summary(out)["checks"]}
+    assert len(checks) == 12 and all(c["passed"] for c in checks.values())
+    assert checks["gronwall_envelope"]["value"] == 1.0
+    assert checks["invariance_envelope"]["value"] == 0.5
+
+
+@pytest.mark.parametrize("under", ["", "sub"], ids=["existing_file", "path_under_a_file"])
+def test_unusable_out_exits_2_with_one_stderr_line(tmp_path, capsys, under):
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory", encoding="utf-8")
+    out = str(blocker / under) if under else str(blocker)
+    cfg = str(ROOT / "configs" / "decay_oracle.yaml")
+    assert cli.main(["simulate", "--config", cfg, "--out", out]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: --out: cannot make the output directory: "), err
+    assert blocker.read_text(encoding="utf-8") == "not a directory"
+
+
+@pytest.mark.parametrize("n", [2 ** 63 - 1, 2 ** 63 - 2])
+def test_order_whose_length_arange_cannot_count_blames_run_n(tmp_path, capsys, n):
+    # numpy's arange returns no entries for n + 1 near 2**63; realize raises instead of handing back 0 of them
+    doc = coupled_doc(n=n)
+    cfg = write_config(tmp_path / "big.yaml", doc)
+    assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"config error: run.n: truncation order {n} is too large: "), err
 
 
 SCIPY_PROBE = """

@@ -70,13 +70,6 @@ RULES = [
         lambda: convergence_study(ModelParams(0.0, 0.0), FAMILIES, InitialData(M=(1.0,)), (1, 4), 1.0),
         "truncation order must be >= 2, got 1",
     ),
-    (
-        "convergence_study.rates",
-        lambda: convergence_study(
-            ModelParams(0.0, 0.0), FAMILIES, InitialData(M=(1.0,)), (4, 8), 1.0, rates=constant_rates(6)
-        ),
-        "rates are at order 6, not at the top rung 8",
-    ),
 ]
 
 

@@ -219,6 +219,17 @@ def test_gronwall_zero_cohorts():
     assert report.margin == 1.0
 
 
+def test_envelopes_with_a_zero_constant_hold_past_exponential_overflow():
+    # k_0 = 0 and only M_0 filled make c1 = 0; c2 (t - t0) = 800 overflows exp, and the bound term stays 0
+    sys_ = TruncatedSystem(ModelParams(0.0, 0.0), constant_rates(4, p=0.6, q=0.4))
+    traj = integrate(sys_, State(t=0.0, x=0.0, M=np.array([1.0, 0.0, 0.0, 0.0, 0.0])), 800.0)
+    gron = gronwall_check(traj, MomentWeights.power(4, 1.0, sys_.rates))
+    assert gron.c1_used == 0.0 and gron.c2 * traj.duration > 709.0
+    assert gron.ok and gron.margin == 1.0
+    inv = invariance_check(traj, 0.0)
+    assert inv.ok and inv.margin == 0.5
+
+
 def test_gronwall_decoupled_decay():
     sys_ = TruncatedSystem(ModelParams(0.0, 0.0), constant_rates(6, p=0.5, q=0.5))
     traj = integrate(sys_, decaying_state(6, x0=0.0, rho=0.5), 3.0)
