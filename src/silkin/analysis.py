@@ -90,7 +90,6 @@ def _gap(za: np.ndarray, zb: np.ndarray) -> float:
 class ConvergenceReport:
     """Sup-norm gaps between consecutive rungs of a truncation ladder."""
 
-    n_ladder: Tuple[int, ...]
     gaps: np.ndarray
     x_gaps: np.ndarray
     decreasing: bool
@@ -127,7 +126,6 @@ def convergence_study(
     pairs = list(zip(phases, phases[1:]))
     gaps_arr = np.array([_gap(za, zb) for za, zb in pairs])
     return ConvergenceReport(
-        n_ladder=ladder,
         gaps=gaps_arr,
         x_gaps=np.array([float(np.max(np.abs(zb[0] - za[0]))) for za, zb in pairs]),
         decreasing=bool(np.all(np.diff(gaps_arr) < 0.0)),

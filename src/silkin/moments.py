@@ -14,7 +14,9 @@ accumulators or the integrator, never "model error".
 
 Everything here reads phase rows ``(x, M_0 .. M_n)`` from :meth:`Trajectory.at`
 and :attr:`Trajectory.phase` and builds no ``State``; the envelope forms its
-sample sums ``sum_{i>=1} g_i M_i`` once, for both checks that use it.
+sample sums ``sum_{i>=1} g_i M_i`` and its bound curve once, for both checks
+that use it, and one verdict turns a left-hand side and its bound into
+``(ok, margin)``.
 
 Time integrals of g-weighted cohort sums are dot products of the weights
 with the trajectory's cached integrals: ``int M_i`` and ``int x M_i`` are
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Tuple
 
 import numpy as np
 
@@ -182,26 +184,28 @@ class GronwallReport:
     growth_constant: float
 
 
-def _relative_margins(lhs: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    """(bound - lhs) / bound with the degenerate cases pinned.
+def _verdict(lhs: np.ndarray, bounds: np.ndarray) -> Tuple[bool, float]:
+    """``(ok, margin)``: the worst relative slack ``(bound - lhs) / bound`` and whether it is ``>= 0``.
 
     A zero bound is satisfied only by a nonpositive left-hand side; an
     infinite bound (the envelope constant overflowed, which valid weights
     only reach with an astronomically safe margin) counts as fully slack.
+    A nan margin (a nan left-hand side, or ``lhs = bound = inf``) fails.
     """
     with np.errstate(invalid="ignore", divide="ignore"):
         rel = np.where(bounds > 0.0, (bounds - lhs) / bounds, np.where(lhs <= 0.0, 1.0, -math.inf))
-    return np.where(np.isinf(bounds) & np.isfinite(lhs), 1.0, rel)
+    margin = float(np.min(np.where(np.isinf(bounds) & np.isfinite(lhs), 1.0, rel)))
+    return margin >= 0.0, margin
 
 
 def _envelope(traj: Trajectory, w: MomentWeights):
-    """Weights, growth constant ``C``, exponent ``c2``, constant ``c1`` and sample sums ``sum_{i>=1} g_i M_i``.
+    """Weights, growth constant ``C``, exponent ``c2``, constant ``c1``, sums ``sum_{i>=1} g_i M_i`` and bound curve.
 
     The left-hand side ``sum_{i>=1} g_i M_i(t) + int_{t0}^t sum_{i>=1}
     g_i (p_i + q_i) M_i`` is, by the weighted balance and Gronwall's lemma,
-    dominated by ``c1 * exp(c2 (t - t0))`` with ``c2 = ||y0||_1 + (r+alpha) T``
-    once ``c1`` absorbs the boundary-flux bound and the growth constant of
-    the weights.
+    dominated by the bound curve ``c1 * exp(c2 (t - t0))`` at the samples,
+    with ``c2 = ||y0||_1 + (r+alpha) T`` once ``c1`` absorbs the
+    boundary-flux bound and the growth constant of the weights.
     """
     rates = traj.sys.rates
     g = w.g
@@ -216,7 +220,9 @@ def _envelope(traj: Trajectory, w: MomentWeights):
     weighted = traj.phase[:, 2:] @ g[1:]
     with np.errstate(over="ignore"):
         c1 = (float(weighted[0]) + rates.k[0] * g[1] * c2 * c2 * T) * math.exp(min(max(C - 1.0, 0.0) * c2 * T, 700.0))
-    return g, C, c2, c1, weighted
+        # a zero c1 is a zero term, also where exp(c2 (t - t0)) overflows: 0 * inf would be nan
+        curve = c1 * np.exp(c2 * (traj.t - traj.t_start)) if c1 else np.zeros_like(traj.t)
+    return g, C, c2, c1, weighted, curve
 
 
 def gronwall_check(traj: Trajectory, w: MomentWeights) -> GronwallReport:
@@ -230,7 +236,7 @@ def gronwall_check(traj: Trajectory, w: MomentWeights) -> GronwallReport:
     a count other than ``n + 1`` raise :func:`validate_weights`' ``ValueError``.
     """
     rates = traj.sys.rates
-    g, C, c2, c1_used, weighted = _envelope(traj, w)
+    g, C, c2, c1_used, weighted, bounds = _envelope(traj, w)
     T = traj.duration
     loss_coef = np.zeros(rates.n + 1)
     loss_coef[1:] = g[1:] * traj.sys.loss[1:]
@@ -245,14 +251,12 @@ def gronwall_check(traj: Trajectory, w: MomentWeights) -> GronwallReport:
         else:
             boundary = rates.k[0] * g[1] * np.float64(c2 / C) ** 2 * T
         c1_apriori = boundary + float(lhs[0])
-        # a zero c1 is a zero term, also where exp(c2 (t - t0)) overflows: 0 * inf would be nan
-        bounds = c1_used * np.exp(c2 * (traj.t - traj.t_start)) if c1_used else np.zeros_like(traj.t)
         c1_fitted = float(np.max(lhs * np.exp(-c2 * (traj.t - traj.t_start))))
 
-    ok = bool(np.all(lhs <= bounds))
+    ok, margin = _verdict(lhs, bounds)
     return GronwallReport(
         ok=ok,
-        margin=float(np.min(_relative_margins(lhs, bounds))),
+        margin=margin,
         c1_used=c1_used,
         c1_apriori=c1_apriori,
         c1_fitted=c1_fitted,
@@ -278,11 +282,8 @@ def invariance_check(traj: Trajectory, gamma: float) -> InvarianceReport:
     """
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
-    g, _, c2, c1, _ = _envelope(traj, MomentWeights.power(traj.sys.n, 1.0 + gamma))
+    g, _, c2, _, _, curve = _envelope(traj, MomentWeights.power(traj.sys.n, 1.0 + gamma))
     norms = traj.phase[:, 0] + traj.phase[:, 1:] @ g
     with np.errstate(over="ignore"):
-        # a zero c1 is a zero term, as in gronwall_check
-        bounds = 2.0 * c2 + (c1 * np.exp(c2 * (traj.t - traj.t_start)) if c1 else np.zeros_like(traj.t))
-    ok = bool(np.all(norms <= bounds))
-    margin = float(np.min(_relative_margins(norms, bounds)))
+        ok, margin = _verdict(norms, 2.0 * c2 + curve)
     return InvarianceReport(ok=ok, max_norm=float(np.max(norms)), margin=margin)

@@ -374,16 +374,20 @@ def test_every_bad_config_file_exits_2_with_one_stderr_line(tmp_path, capsys, co
 
 
 @pytest.mark.parametrize(
-    "command,section,field,value",
-    [("simulate", "output", "m_out", "abc"), ("verify", "verify", "sample_times", 0)],
+    "command,section,field,value,expected",
+    [
+        ("simulate", "output", "m_out", "abc", "expected an integer"),
+        ("simulate", "output", "m_out", 0, "expected a positive integer"),
+    ],
+    ids=["simulate-output-m_out-abc", "simulate-output-m_out-0"],
 )
-def test_config_error_positive_integers(tmp_path, capsys, command, section, field, value):
+def test_config_error_positive_integers(tmp_path, capsys, command, section, field, value, expected):
     doc = decay_doc()
     doc[section] = {field: value}
     cfg = write_config(tmp_path / "bad.yaml", doc)
     assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
-    assert f"{section}.{field}" in err
+    assert f"{section}.{field}: {expected}, got {value!r}" in err
     assert len(err.strip().splitlines()) == 1
 
 
@@ -733,6 +737,20 @@ def test_unusable_out_exits_2_with_one_stderr_line(tmp_path, capsys, under):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error: --out: cannot make the output directory: "), err
     assert blocker.read_text(encoding="utf-8") == "not a directory"
+
+
+@pytest.mark.parametrize("command,artifact", [("simulate", "trajectory.csv"), ("semigroup", "summary.json")])
+def test_unwritable_artifact_exits_2_with_one_stderr_line(tmp_path, capsys, command, artifact):
+    # the artifact's name is taken by a directory: the run ends with its exit code, not a traceback
+    out = tmp_path / "out"
+    (out / artifact).mkdir(parents=True)
+    doc = decay_doc()
+    doc["semigroup"] = {"pairs": [[0.5, 0.5]]}  # one pair: the semigroup run integrates three times, not six
+    cfg = write_config(tmp_path / "cfg.yaml", doc)
+    assert cli.main([command, "--config", cfg, "--out", str(out)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"config error: --out: cannot write {artifact}: "), err
+    assert (out / artifact).is_dir()
 
 
 @pytest.mark.parametrize("n", [2 ** 63 - 1, 2 ** 63 - 2])

@@ -230,6 +230,26 @@ def test_envelopes_with_a_zero_constant_hold_past_exponential_overflow():
     assert inv.ok and inv.margin == 0.5
 
 
+@pytest.mark.parametrize(
+    "lhs,bound,ok,margin",
+    [
+        (0.5, 2.0, True, 0.75),
+        (3.0, 2.0, False, -0.5),
+        (0.0, 0.0, True, 1.0),
+        (1e-300, 0.0, False, -math.inf),
+        (1e300, math.inf, True, 1.0),
+        (math.inf, math.inf, False, math.nan),
+        (math.nan, 2.0, False, math.nan),
+    ],
+    ids=["below", "above", "zero_bound_met", "zero_bound_broken", "infinite_bound", "both_infinite", "nan_lhs"],
+)
+def test_verdict_degenerate_cases(lhs, bound, ok, margin):
+    # the sample with the worst slack decides; the first sample is always comfortably inside
+    got_ok, got_margin = moments._verdict(np.array([0.0, lhs]), np.array([1.0, bound]))
+    assert got_ok is ok
+    assert got_margin == margin or (math.isnan(margin) and math.isnan(got_margin))
+
+
 def test_gronwall_decoupled_decay():
     sys_ = TruncatedSystem(ModelParams(0.0, 0.0), constant_rates(6, p=0.5, q=0.5))
     traj = integrate(sys_, decaying_state(6, x0=0.0, rho=0.5), 3.0)
