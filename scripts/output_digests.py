@@ -16,6 +16,11 @@ its root is not exact in floating point, so a changed root finder shows.
 ``stiff_wide_4096`` is a BDF ``simulate`` at n = 4096 with ``wide_csv: true``
 on a config built here, so the wide CSV, whose values reach down to
 subnormals, is hashed too.
+Every trajectory a command integrates (through ``analysis`` or the CLI's own
+``integrate``) gets a line ``dense=.. derivative=..  <config>/dense``: the
+sha256 of its ``dense_matrix`` and ``dense_derivative`` at 201 evenly spaced
+times and its sample times, so a change to the dense output shows even
+where no written byte reads it.
 Run it from two checkouts and ``diff`` the outputs to show that a change
 keeps every output byte:
 
@@ -32,6 +37,7 @@ import tempfile
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import yaml
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -63,18 +69,32 @@ STIFF_WIDE = {
 }
 
 
+def dense_line(traj) -> str:
+    """The hashes of ``traj``'s dense values and derivatives at 201 evenly spaced times and its sample times."""
+    times = np.sort(np.concatenate((np.linspace(traj.t_start, traj.t_end, 201), traj.t)))
+    values = hashlib.sha256(traj.dense_matrix(times).tobytes()).hexdigest()
+    derivatives = hashlib.sha256(traj.dense_derivative(times).tobytes()).hexdigest()
+    return f"dense={values} derivative={derivatives}"
+
+
 def digest(name: str, command: str, config: Path) -> int:
     """Run one config into a temporary directory and print the hash of each output."""
-    steps = []  # accepted steps of each integration the semigroup probe makes
+    steps = []  # accepted steps of each integration, which the semigroup probe reports
+    dense = []  # a dense_line for each integration
     integrate = analysis.integrate
 
     def recording(*args, **kwargs):
         traj = integrate(*args, **kwargs)
         steps.append(traj.stats.steps)
+        dense.append(dense_line(traj))
         return traj
 
     with tempfile.TemporaryDirectory() as tmp:
-        with contextlib.redirect_stdout(io.StringIO()), mock.patch.object(analysis, "integrate", recording):
+        with (
+            contextlib.redirect_stdout(io.StringIO()),
+            mock.patch.object(analysis, "integrate", recording),
+            mock.patch.object(cli, "integrate", recording),
+        ):
             code = cli.main([command, "--config", str(config), "--out", tmp])
         if code != cli.EXIT_OK:
             print(f"{name}: {command} exited {code}", file=sys.stderr)
@@ -91,6 +111,8 @@ def digest(name: str, command: str, config: Path) -> int:
             print(" ".join(f"{key}={entry[key]}" for key in ("steps", "nfev", "njev", "nlu")) + f"  {label}")
         if command == "semigroup":
             print(f"runs={len(steps)} steps={sum(steps)}  {name}/integrator")
+        for line in dense:
+            print(f"{line}  {name}/dense")
     return 0
 
 

@@ -24,6 +24,11 @@ difference keeps the bits:
   are sliced once per run, not at every stage.
 - ``y + (K.T @ a) * h`` is formed in place as ``(K.T @ a) * h + y``, and
   IEEE addition is commutative.
+- Each of a step's six field calls writes its row of ``K`` in place
+  (``fun(t, z, out)``, see :func:`~silkin.truncation.augmented_field`),
+  where scipy copies a new array into it.  The stage argument, the error and
+  its scale are work rows written in place, and the last row of ``K`` (the
+  field at the new ``y``) is copied to the first once per step.
 
 The one departure is a NaN step size, which fails the step as an underflow;
 scipy keeps shrinking it and never returns.
@@ -42,8 +47,8 @@ products, and one row product per accumulator.  The bidiagonal solve is the
 recurrence ``w_i = a_i w_{i-1} + b_i / d_i``, run as a log-depth scan (Kogge &
 Stone 1973) whose level products are formed once per factorisation: two
 vector operations per level and no Python loop over the cohorts.  Each step's
-dense output is the scipy ``BdfDenseOutput`` data ``t_shift``, ``denom`` and
-``D``.
+dense output is the scipy ``BdfDenseOutput`` data ``t_shift``, ``denom``,
+``D`` and ``order``.
 
 Both steppers share one shell (``_Stepper``): the field, the tolerances with
 scipy's ``rtol`` floor, the first field call and Hairer, Norsett & Wanner's
@@ -74,16 +79,25 @@ There is one dense evaluator for both methods, built from the accepted steps:
 :meth:`Trajectory.dense_matrix` reads its values and
 :meth:`Trajectory.dense_derivative` the exact time derivative of the same
 step polynomials (Enright 1989; Shampine 2005), so the continuous extension's
-defect ``u' - f(u)`` needs no difference quotient.  A point read
-(:meth:`Trajectory.dense_vector`) is a one-column call of it, and keeps the
-bits of scipy's scalar evaluation: numpy sends the ``(4, 1)`` power block to
-the same BLAS matrix-vector product as a 1-D power vector.  Several points in
-one step go through a matrix-matrix product instead, whose last bits can
-differ from the point-by-point values, so a caller that needs those values
-reads one point at a time.  :meth:`Trajectory.at` states the sample rule
-once: a stored sample time returns that sample, any other time the dense
-output.  Every read rejects a time outside the run with :class:`OutOfRange`;
-the dense output is never extrapolated.
+defect ``u' - f(u)`` needs no difference quotient.  A read groups its points
+by step and the steps by shape (how many points fall in the step, and the
+order of its polynomial), and evaluates each group with one stacked
+``np.matmul`` and elementwise operations, so its numpy calls grow with the
+number of shapes, not of steps.  For each step the stacked product makes the
+BLAS call scipy's per-step ``np.dot`` makes, on operands of the same layout,
+so the values keep scipy's bits.  A point read
+(:meth:`Trajectory.dense_vector`) is a one-column call of it that skips the
+sort, and keeps the bits of scipy's scalar evaluation: numpy sends the
+``(4, 1)`` power block to the same BLAS matrix-vector product as a 1-D power
+vector.  Several points in one step go through a matrix-matrix product
+instead, whose last bits can differ from the point-by-point values, so a
+caller that needs those values reads one point at a time.  A group's stacked
+blocks are cut into slices of at most a quarter of :data:`_CHUNK_FLOATS`.
+:meth:`Trajectory.at` states the sample rule once: a stored sample time
+returns that sample, any other time the dense output.  A read takes a
+one-dimensional array of times, and no times give a ``(size, 0)`` block.
+Every read rejects a time outside the run with :class:`OutOfRange`; the
+dense output is never extrapolated.
 
 :func:`integrate` runs with numpy's overflow, invalid and divide errors
 raised, so an input that leaves double precision ends in one
@@ -124,7 +138,7 @@ __all__ = [
 ]
 
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(6)
-_CHUNK_FLOATS = 2 ** 18  # one quadrature chunk's dense matrix stays near 2 MB
+_CHUNK_FLOATS = 2 ** 18  # a quadrature chunk's dense matrix and its read's stacked blocks stay near 2 MB
 
 MAX_STEPS = 20_000
 """Accepted steps one integration may take: 12x the longest run of the tests or the benchmark (1 601 steps)."""
@@ -290,7 +304,9 @@ class Trajectory:
     def step_integrals(self) -> Tuple[np.ndarray, np.ndarray]:
         """``int M_i`` and ``int x M_i`` over each accepted step, each ``(steps, n + 1)``."""
         steps = self.num_samples - 1
-        chunk = max(1, _CHUNK_FLOATS // (len(_GAUSS_X) * (self.phase.shape[1] + self.accumulators.shape[1])))
+        # A chunk's dense matrix (six columns a step) takes three quarters of _CHUNK_FLOATS, and the
+        # dense output's stacked blocks for it at most the last quarter.
+        chunk = max(1, 3 * _CHUNK_FLOATS // (4 * len(_GAUSS_X) * (self.phase.shape[1] + self.accumulators.shape[1])))
         m_int, xm_int = np.empty((steps, self.sys.n + 1)), np.empty((steps, self.sys.n + 1))
         for j in range(0, steps, chunk):
             k = min(j + chunk, steps)
@@ -437,6 +453,7 @@ class _RkStep(NamedTuple):
 
     y: np.ndarray
     Q: np.ndarray
+    order = 4  # Shampine's interpolant is quartic; ``order`` is the name scipy's BdfDenseOutput gives the degree
 
 
 class _DormandPrince(_Stepper):
@@ -448,17 +465,23 @@ class _DormandPrince(_Stepper):
     def __init__(self, fun, t0: float, y0: np.ndarray, t_bound: float, rtol: float, atol: float, max_step: float):
         super().__init__(fun, t0, y0, t_bound, rtol, atol, max_step, 4)
         self.K = K = np.empty((len(_DP_C) + 1, len(y0)))
-        # Views of K and of the tableau, made once: stage s reads K[:s].T and _DP_A[s, :s].
-        self._stages = [(s, K[:s].T, _DP_A[s, :s], float(_DP_C[s])) for s in range(1, len(_DP_C))]
+        K[-1] = self.f
+        self.f = K[-1]  # FSAL: the field at (t, y); a step copies it to K[0] before its attempts rewrite it
+        # Views of K and of the tableau, made once: stage s reads K[:s].T and _DP_A[s, :s] and writes K[s].
+        self._stages = [(K[s], K[:s].T, _DP_A[s, :s], float(_DP_C[s])) for s in range(1, len(_DP_C))]
         self._K_solution = K[:-1].T
         self._K_all = K.T
+        # Work rows, written in place at every attempt: a stage's argument, the error, its scale and |y_new|.
+        self._dy, self._error, self._scale, self._abs_new = np.empty((4, len(y0)))
         self._abs_y = np.abs(y0)
 
     def step(self) -> _RkStep:
         t, y, K, fun = self.t, self.y, self.K, self.fun
+        dy, error, scale = self._dy, self._error, self._scale
         min_step = self._min_step()
         h_abs = self._first_h_abs(min_step)
 
+        K[0] = self.f
         step_rejected = False
         while True:
             self._check_step(h_abs, min_step)
@@ -467,24 +490,22 @@ class _DormandPrince(_Stepper):
             h_abs = abs(h)
 
             # y + (K[:s].T @ a) * h, written as ((K[:s].T @ a) * h) + y: the same bits with fewer temporaries.
-            K[0] = self.f
-            for s, K_s, a, c in self._stages:
-                dy = K_s.dot(a)
+            for K_row, K_s, a, c in self._stages:
+                K_s.dot(a, out=dy)
                 dy *= h
                 dy += y
-                K[s] = fun(t + c * h, dy)
+                fun(t + c * h, dy, K_row)
             y_new = self._K_solution.dot(_DP_B)
             y_new *= h
             y_new += y
-            f_new = fun(t + h, y_new)
-            K[-1] = f_new
+            fun(t + h, y_new, K[-1])
             self.nfev += len(_DP_C)  # five stages and f_new
 
-            abs_new = np.abs(y_new)
-            scale = np.maximum(self._abs_y, abs_new)
+            abs_new = np.abs(y_new, out=self._abs_new)
+            np.maximum(self._abs_y, abs_new, out=scale)
             scale *= self.rtol
             scale += self.atol
-            error = self._K_all.dot(_DP_E)
+            self._K_all.dot(_DP_E, out=error)
             error *= h
             error /= scale
             error_norm = _rms(error)
@@ -498,7 +519,8 @@ class _DormandPrince(_Stepper):
             step_rejected = True
             self.rejected += 1
 
-        self.t, self.y, self.f, self.h_abs, self._abs_y = t_new, y_new, f_new, h_abs, abs_new
+        self.t, self.y, self.h_abs = t_new, y_new, h_abs
+        self._abs_y, self._abs_new = abs_new, self._abs_y
         return _RkStep(y, self._K_all.dot(_DP_P))
 
 
@@ -593,6 +615,7 @@ class _BdfStep(NamedTuple):
     t_shift: np.ndarray
     denom: np.ndarray
     D: np.ndarray
+    order: int
 
 
 class _BDF(_Stepper):
@@ -728,10 +751,15 @@ class _BDF(_Stepper):
             self.LU = None
 
         h = self.h_abs
-        return _BdfStep(t_new - h * np.arange(order), h * (1 + np.arange(order)), D[:order + 1].copy())
+        return _BdfStep(t_new - h * np.arange(order), h * (1 + np.arange(order)), D[:order + 1].copy(), order)
 
 
 _DP_ORDERS = np.arange(1.0, 5.0)[:, None]  # d/ds of s^j is j s^(j-1)
+
+
+def _stacked(arrays: list) -> np.ndarray:
+    """The arrays stacked along a new first axis; a single array is viewed, not copied."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
 
 @dataclass(frozen=True, eq=False)
@@ -740,67 +768,105 @@ class _DenseOutput:
 
     Step ``i`` runs from ``t[i]`` to ``t[i + 1]``; ``steps[i]`` is that step's
     record: an :class:`_RkStep` for RK45, and for BDF a :class:`_BdfStep` or
-    any record with the ``t_shift``, ``denom`` and ``D`` of scipy's
-    ``BdfDenseOutput``.  A time outside ``[t[0], t[-1]]`` raises
-    :class:`OutOfRange`.  Points are grouped as scipy's ``OdeSolution``
-    groups them: sorted, a point on a step boundary belongs to the earlier
-    step, and each step evaluates its run of points with the operations of
-    scipy's own step interpolant, so the values have the same bits.  The
-    matrix is column-major like scipy's, so reductions over it (the einsum
-    of :meth:`Trajectory._panel_integrals`) also sum in the same order.
+    any record with the ``order``, ``t_shift``, ``denom`` and ``D`` of
+    scipy's ``BdfDenseOutput``.  A time outside ``[t[0], t[-1]]`` raises
+    :class:`OutOfRange`.  Points are assigned to steps as scipy's
+    ``OdeSolution`` assigns them: sorted, a point on a step boundary belongs
+    to the earlier step.  Steps with the same shape (the number of points
+    read in the step and the ``order`` of the step's polynomial) form a
+    group, and a group is evaluated at once: its step records are stacked,
+    and one ``np.matmul`` makes every step's product with the operands and
+    the BLAS call of scipy's per-step ``np.dot``, followed by the same
+    elementwise operations.  So the values have scipy's bits.  A group is
+    cut into slices whose stacked blocks stay within a quarter of
+    :data:`_CHUNK_FLOATS`.  A point read takes its step without sorting.
+    The matrix is column-major like scipy's, so reductions over it (the
+    einsum of :meth:`Trajectory._panel_integrals`) also sum in the same
+    order.
     """
 
     t: np.ndarray
     steps: list
 
+    @cached_property
+    def _orders(self) -> np.ndarray:
+        """Each step record's ``order``: the degree of its polynomial."""
+        return np.array([record.order for record in self.steps])
+
     def __call__(self, t: np.ndarray, derivative: bool = False) -> np.ndarray:
-        if not (self.t[0] <= np.min(t) and np.max(t) <= self.t[-1]):
-            raise OutOfRange(f"t in [{np.min(t)}, {np.max(t)}] outside trajectory range [{self.t[0]}, {self.t[-1]}]")
+        if t.ndim != 1:
+            raise ValueError(f"times must be one-dimensional, got shape {t.shape}")
         first = self.steps[0]
         if isinstance(first, _RkStep):
             block, size = self._dormand_prince, len(first.y)
         else:
             block, size = self._bdf, first.D.shape[1]
-        order = np.argsort(t)
-        t_sorted = t[order]
-        steps = np.clip(np.searchsorted(self.t, t_sorted, side="left") - 1, 0, len(self.steps) - 1)
-        cuts = [0, *(np.flatnonzero(np.diff(steps)) + 1).tolist(), len(t)]
+        if len(t) == 1:  # a point read: no sort and no groups
+            order, t_sorted = None, t
+        else:
+            order = np.argsort(t)
+            t_sorted = t[order]
+        if len(t) and not (self.t[0] <= t_sorted[0] and t_sorted[-1] <= self.t[-1]):
+            raise OutOfRange(
+                f"t in [{t_sorted[0]}, {t_sorted[-1]}] outside trajectory range [{self.t[0]}, {self.t[-1]}]"
+            )
+        steps = np.searchsorted(self.t[1:], t_sorted)  # the first step ending at or after each time
+        if order is None:
+            return block(steps, t[None], derivative)[0]
+        starts = np.flatnonzero(np.diff(steps, prepend=-1))  # each step's first point
+        counts = np.diff(starts, append=len(t))
+        orders = self._orders[steps[starts]]
+        shapes = counts * (_BDF_MAX_ORDER + 1) + orders  # one key per (count, order): every order is below 6
         out = np.empty((size, len(t)), order="F")  # the layout of scipy's ``ys[:, reverse]``
-        for a, b in zip(cuts[:-1], cuts[1:]):
-            out[:, order[a:b]] = block(int(steps[a]), t_sorted[a:b], derivative)
+        rows = out.T
+        for shape in set(shapes.tolist()):
+            m, degree = divmod(shape, _BDF_MAX_ORDER + 1)
+            points = starts[shapes == shape][:, None] + np.arange(m)
+            per = max(1, _CHUNK_FLOATS // 4 // ((degree + 1 + m) * size))  # steps whose records and product fit
+            for a in range(0, len(points), per):
+                cut = points[a:a + per]
+                rows[order[cut]] = block(steps[cut[:, 0]], t_sorted[cut], derivative).transpose(0, 2, 1)
         return out
 
-    def _dormand_prince(self, i: int, t: np.ndarray, derivative: bool) -> np.ndarray:
-        """``h (Q @ [s, s^2, s^3, s^4]) + y``, or its derivative ``Q @ [1, 2s, 3s^2, 4s^3]``."""
-        y, Q = self.steps[i]
-        h = self.t[i + 1] - self.t[i]
-        p = np.empty((4, len(t)))  # s, s^2, s^3, s^4: the products scipy's cumprod forms, in the same order
-        np.divide(t - self.t[i], h, out=p[0])
+    def _dormand_prince(self, i: np.ndarray, t: np.ndarray, derivative: bool) -> np.ndarray:
+        """Steps ``i`` at times ``t``, a row each: ``h (Q @ [s, s^2, s^3, s^4]) + y``, or ``Q @ [1, 2s, 3s^2, 4s^3]``."""
+        records = [self.steps[j] for j in i]
+        t0 = self.t[i][:, None]
+        h = self.t[i + 1][:, None] - t0
+        p = np.empty((len(i), 4, t.shape[1]))  # s, s^2, s^3, s^4: the products scipy's cumprod forms, in order
+        s = np.subtract(t, t0, out=p[:, 0])
+        s /= h
         for j in range(1, 4):
-            np.multiply(p[j - 1], p[0], out=p[j])
+            np.multiply(p[:, j - 1], s, out=p[:, j])
+        Q = _stacked([record.Q for record in records])
         if derivative:
-            return np.dot(Q, _DP_ORDERS * np.vstack((np.ones(len(t)), p[:3])))
-        z = h * np.dot(Q, p)
-        z += y[:, None]
+            return np.matmul(Q, _DP_ORDERS * np.concatenate((np.ones_like(p[:, :1]), p[:, :3]), axis=1))
+        z = np.matmul(Q, p)
+        z *= h[:, :, None]
+        z += _stacked([record.y for record in records])[:, :, None]
         return z
 
-    def _bdf(self, i: int, t: np.ndarray, derivative: bool) -> np.ndarray:
-        """``D[1:].T @ p + D[0]`` with ``p = cumprod((t - t_shift) / denom)``, or its derivative ``D[1:].T @ p'``.
+    def _bdf(self, i: np.ndarray, t: np.ndarray, derivative: bool) -> np.ndarray:
+        """Steps ``i`` at times ``t``: ``D[1:].T @ p + D[0]``, ``p = cumprod((t - t_shift) / denom)``, or ``D[1:].T @ p'``.
 
         ``p'`` is formed in units of ``1 / denom[0]`` and the product is divided
         by ``denom[0]`` last, so a subnormal step takes no reciprocal.
         """
-        t_shift, denom, D = self.steps[i].t_shift, self.steps[i].denom, self.steps[i].D
-        x = (t - t_shift[:, None]) / denom[:, None]
-        p = np.cumprod(x, axis=0)
+        records = [self.steps[j] for j in i]
+        t_shift = _stacked([record.t_shift for record in records])[:, :, None]
+        denom = _stacked([record.denom for record in records])[:, :, None]
+        D = _stacked([record.D for record in records])
+        x = (t[:, None] - t_shift) / denom
+        p = np.cumprod(x, axis=1)
+        D_T = D[:, 1:].transpose(0, 2, 1)
         if derivative:  # the product rule: q_0 = 1, q_j = q_{j-1} x_j + p_{j-1} denom_0 / denom_j, p' = q / denom_0
             q = np.empty_like(p)
-            q[0] = 1.0
-            for j in range(1, len(denom)):
-                q[j] = q[j - 1] * x[j] + p[j - 1] * (denom[0] / denom[j])
-            return np.dot(D[1:].T, q) / denom[0]
-        z = np.dot(D[1:].T, p)
-        z += D[0, :, None]
+            q[:, 0] = 1.0
+            for j in range(1, denom.shape[1]):
+                q[:, j] = q[:, j - 1] * x[:, j] + p[:, j - 1] * (denom[:, 0] / denom[:, j])
+            return np.matmul(D_T, q) / denom[:, :1]
+        z = np.matmul(D_T, p)
+        z += D[:, 0, :, None]
         return z
 
 
@@ -824,6 +890,8 @@ def integrate(
     cfg = cfg or IntegratorConfig()
     if y0.n != sys.n:
         raise ValueError(f"initial state carries cohorts 0..{y0.n} but the system expects 0..{sys.n}")
+    if not math.isfinite(t_end):  # an infinite end would be refused only after MAX_STEPS steps
+        raise ValueError(f"t_end must be finite, got {t_end}")
     if not t_end > y0.t:
         raise ValueError(f"t_end must exceed the initial time {y0.t}, got {t_end}")
     flux = tuple(dict.fromkeys(int(m) for m in flux_orders))

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -125,14 +125,18 @@ def augmented_field(sys: TruncatedSystem, flux_orders: Sequence[int] = ()) -> Tu
 
     Both take ``(t, z)`` as the steppers call them; ``jac`` returns
     :class:`JacobianBlocks`.  The coefficient arrays are bound here, once.
+    ``rhs(t, z, out)`` writes every slot of the row ``out`` (the length of
+    ``z``, not overlapping it) and returns ``out``; its temporaries are two
+    scratch rows of this field, so calls with ``out`` must not overlap in
+    time.  Without ``out`` it returns a new row and shares nothing with
+    another call.  Both forms make the same floating-point operations in the
+    same order.
     """
     dim = sys.dimension
     r = sys.params.r
     alpha = sys.params.alpha
     k = sys.k_masked
     loss = sys.loss
-    loss_0 = float(loss[0])
-    loss_tail = loss[1:]
     i = np.arange(sys.n + 1, dtype=float)
     ip = i * sys.rates.p
     iq = i * sys.rates.q
@@ -140,19 +144,28 @@ def augmented_field(sys: TruncatedSystem, flux_orders: Sequence[int] = ()) -> Tu
     acc_rows = np.stack((loss, ip))
     acc_rows.setflags(write=False)
     add = np.add.reduce
+    # The out form's temporaries: ``[r, x k_0 M_0, .., x k_n M_n]``, so that the inflow of cohort i is entry
+    # i and its ingestion entry i + 1, and the losses (p + q) M.
+    inflows = np.empty(dim)
+    inflows[0] = r
+    scratch = inflows[:-1], inflows[1:], np.empty(dim - 1)
 
-    def rhs(t: float, z: np.ndarray) -> np.ndarray:
+    def rhs(t: float, z: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         # Every slot of ``out`` is written below; the operations and their order are fixed
         # (tests/oracles.py::reference_augmented_rhs pins the bits).
+        if out is None:
+            out, inflows, lost = np.empty_like(z), np.empty(dim), np.empty(dim - 1)
+            inflows[0] = r
+            inflow, flow = inflows[:-1], inflows[1:]
+        else:
+            inflow, flow, lost = scratch
         x = z[0]
         M = z[1:dim]
-        flow = x * k
+        np.multiply(k, x, out=flow)
         flow *= M
-        out = np.empty_like(z)
-        out[1] = r - flow[0] - loss_0 * M[0]
-        tail = out[2:dim]
-        np.subtract(flow[:-1], flow[1:], out=tail)
-        tail -= loss_tail * M[1:]
+        cohorts = out[1:dim]
+        np.subtract(inflow, flow, out=cohorts)
+        cohorts -= np.multiply(loss, M, out=lost)
         out[0] = alpha - add(flow) + iq.dot(M)
         if len(z) == dim:  # phase state only, as TruncatedSystem.rhs passes it
             return out

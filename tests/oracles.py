@@ -139,6 +139,67 @@ def reference_augmented_rhs(sys: TruncatedSystem, flux_orders, z: np.ndarray) ->
     return out
 
 
+class ReferenceDenseOutput:
+    """The dense output as first written, kept to pin the bits of ``integrator._DenseOutput``.
+
+    It evaluates a read one step at a time: each step's run of sorted points
+    gets its own ``np.dot`` and elementwise operations, as scipy's
+    ``OdeSolution`` and its step interpolants do.  The library stacks the
+    steps of one shape into one ``np.matmul``; the two agree bit for bit.
+    ``steps`` are the library's step records (``(y, Q)`` for RK45, records
+    with ``t_shift``, ``denom`` and ``D`` for BDF), and it is called as the
+    library's evaluator is: ``(t, derivative=False)``.
+    """
+
+    _ORDERS = np.arange(1.0, 5.0)[:, None]
+
+    def __init__(self, t: np.ndarray, steps):
+        self.t = t
+        self.steps = steps
+
+    def __call__(self, t: np.ndarray, derivative: bool = False) -> np.ndarray:
+        first = self.steps[0]
+        if hasattr(first, "Q"):
+            block, size = self._dormand_prince, len(first.y)
+        else:
+            block, size = self._bdf, first.D.shape[1]
+        order = np.argsort(t)
+        t_sorted = t[order]
+        steps = np.clip(np.searchsorted(self.t, t_sorted, side="left") - 1, 0, len(self.steps) - 1)
+        cuts = [0, *(np.flatnonzero(np.diff(steps)) + 1).tolist(), len(t)]
+        out = np.empty((size, len(t)), order="F")
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            out[:, order[a:b]] = block(int(steps[a]), t_sorted[a:b], derivative)
+        return out
+
+    def _dormand_prince(self, i, t, derivative):
+        y, Q = self.steps[i]
+        h = self.t[i + 1] - self.t[i]
+        p = np.empty((4, len(t)))
+        np.divide(t - self.t[i], h, out=p[0])
+        for j in range(1, 4):
+            np.multiply(p[j - 1], p[0], out=p[j])
+        if derivative:
+            return np.dot(Q, self._ORDERS * np.vstack((np.ones(len(t)), p[:3])))
+        z = h * np.dot(Q, p)
+        z += y[:, None]
+        return z
+
+    def _bdf(self, i, t, derivative):
+        t_shift, denom, D = self.steps[i].t_shift, self.steps[i].denom, self.steps[i].D
+        x = (t - t_shift[:, None]) / denom[:, None]
+        p = np.cumprod(x, axis=0)
+        if derivative:
+            q = np.empty_like(p)
+            q[0] = 1.0
+            for j in range(1, len(denom)):
+                q[j] = q[j - 1] * x[j] + p[j - 1] * (denom[0] / denom[j])
+            return np.dot(D[1:].T, q) / denom[0]
+        z = np.dot(D[1:].T, p)
+        z += D[0, :, None]
+        return z
+
+
 def dense_jacobian(J, size: int) -> np.ndarray:
     """The augmented Jacobian as a dense ``(size, size)`` matrix, each block placed entry by entry.
 

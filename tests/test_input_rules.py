@@ -59,6 +59,11 @@ RULES = [
     ("MomentWeights.power", lambda: MomentWeights.power(4, 0.5), "mu must be >= 1, got 0.5"),
     ("validate_weights.count", lambda: validate_weights(MomentWeights.ones(3), constant_rates(4)), "expected 5 weights, got 4"),
     ("IntegratorConfig.max_step", lambda: IntegratorConfig(max_step=0.0), "max_step must be positive"),
+    (
+        "integrate.t_end",
+        lambda: integrate(power_law_system(4, gamma=0.5), decaying_state(4), math.inf),
+        "t_end must be finite, got inf",
+    ),
     ("invariance_check.gamma", lambda: invariance_check(_short_run(), 1.5), "gamma must lie in [0, 1], got 1.5"),
     (
         "eval_jacobian.n",

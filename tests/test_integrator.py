@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -22,7 +23,7 @@ from silkin import integrator
 from silkin.truncation import NUM_BASE_ACC, augmented_field
 
 from conftest import constant_rates, decaying_state, power_law_system, rates_from_arrays
-from oracles import decoupled_solution, dense_jacobian
+from oracles import ReferenceDenseOutput, decoupled_solution, dense_jacobian
 
 E_INV = 0.36787944117144233  # exp(-1)
 E_HALF_INV = 0.6065306597126334  # exp(-0.5)
@@ -724,3 +725,49 @@ def test_step_budget_stops_both_methods(monkeypatch, method):
     monkeypatch.setattr(integrator, "MAX_STEPS", steps - 1)
     with pytest.raises(StepBudgetExceeded, match=f"^{steps - 1} accepted steps reached t="):
         integrate(sys_, decaying_state(8), 2.0, cfg)
+
+
+@pytest.mark.parametrize("method", ["rk45", "bdf"])
+def test_dense_reads_of_no_times_and_of_misshapen_times(method):
+    # no times give a (size, 0) block; times that are not one-dimensional are refused by their shape
+    traj = decay_trajectory(IntegratorConfig(method=method))
+    size = traj.sys.dimension + NUM_BASE_ACC
+    for reader in (traj.dense_matrix, traj.dense_derivative):
+        assert reader(np.array([])).shape == (size, 0)
+        for times, shape in ((np.array([[0.5], [0.7]]), "(2, 1)"), (np.array(0.5), "()")):
+            with pytest.raises(ValueError, match=f"^times must be one-dimensional, got shape {re.escape(shape)}$") as err:
+                reader(times)
+            assert type(err.value) is ValueError
+        with pytest.raises(OutOfRange):
+            reader(np.array([2.0]))
+
+
+def mixed_read(traj):
+    """Times that put 1, 2 and 6 points in a step, hit step boundaries and repeat a time, shuffled."""
+    t = traj.t
+    times = []
+    for i in range(len(t) - 1):
+        per_step = (1, 2, 6)[i % 3]
+        times.extend(t[i] + (t[i + 1] - t[i]) * np.arange(1, per_step + 1) / (per_step + 1))
+    times.extend(t[::3])  # boundaries, the start among them: each belongs to the step it ends
+    times.extend([t[-1], times[0], times[0]])
+    return np.random.default_rng(7).permutation(np.array(times))
+
+
+@pytest.mark.parametrize("method,n", [("rk45", 4), ("rk45", 256), ("bdf", 4), ("bdf", 32)])
+def test_grouped_dense_reads_match_the_per_step_reference(method, n):
+    # values, derivatives, point values and step integrals have the bits of one np.dot per step
+    cfg = IntegratorConfig(method=method, rel_tol=1e-10, abs_tol=1e-15)
+    traj = integrate(power_law_system(n, gamma=1.0), decaying_state(n), 5.0, cfg, flux_orders=(1,))
+    reference = dataclasses.replace(traj, _sol=ReferenceDenseOutput(traj.t, traj._sol.steps))
+    if method == "bdf":
+        assert {1, 3, 5} <= {len(step.denom) for step in traj._sol.steps}
+    times = mixed_read(traj)
+    for reader in ("dense_matrix", "dense_derivative"):
+        mine, ref = getattr(traj, reader)(times), getattr(reference, reader)(times)
+        assert mine.tobytes() == ref.tobytes()
+        assert mine.flags.f_contiguous == ref.flags.f_contiguous
+    for t in (traj.t_start, float(traj.t[1]), float(times[0]), traj.t_end):
+        assert traj.dense_vector(t).tobytes() == reference.dense_vector(t).tobytes()
+    for mine, ref in zip(traj.step_integrals, reference.step_integrals, strict=True):
+        assert mine.tobytes() == ref.tobytes()

@@ -1,3 +1,6 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -117,6 +120,39 @@ def test_augmented_field_bits_match_reference(n, flux, rng):
         z = np.concatenate([phase, rng.uniform(0.0, 1.0, NUM_BASE_ACC + len(flux_orders))])
         assert fun(0.0, z).tobytes() == reference_augmented_rhs(sys_, flux_orders, z).tobytes()
         assert sys_.rhs(phase).tobytes() == reference_augmented_rhs(sys_, flux_orders, phase).tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 7, 80, 300])
+@pytest.mark.parametrize("flux", ["none", "first_and_top"])
+def test_augmented_field_out_form_bits_match_reference(n, flux, rng):
+    # rhs(t, z, out) writes every slot of out, returns out itself, and has the reference's bits
+    flux_orders = {"none": (), "first_and_top": (1, n)}[flux]
+    rates = rates_from_arrays(n, rng.uniform(0.0, 2.0, n + 1), rng.uniform(0.0, 1.0, n + 1), rng.uniform(0.0, 1.0, n + 1))
+    sys_ = TruncatedSystem(ModelParams(r=float(rng.uniform(0.0, 1.0)), alpha=float(rng.uniform(0.0, 1.0))), rates)
+    fun, _ = augmented_field(sys_, flux_orders)
+    dim = sys_.dimension
+    for _ in range(25):
+        phase = rng.uniform(0.0, 2.0, dim) * rng.choice([0.0, 1e-9, 1.0, 1e3], dim)
+        z = np.concatenate([phase, rng.uniform(0.0, 1.0, NUM_BASE_ACC + len(flux_orders))])
+        for state in (phase, z):
+            out = np.full_like(state, np.nan)
+            assert fun(0.0, state, out) is out
+            assert out.tobytes() == reference_augmented_rhs(sys_, flux_orders, state).tobytes()
+
+
+def test_phase_field_from_threads_matches_serial(rng):
+    # TruncatedSystem.rhs shares one field between callers: calls from several threads keep the serial bits
+    sys_ = power_law_system(20_000, gamma=0.5)
+    states = [rng.uniform(0.0, 2.0, sys_.dimension) * 0.9 ** np.arange(sys_.dimension) for _ in range(8)]
+    serial = [sys_.rhs(v).tobytes() for v in states]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            for _ in range(10):
+                assert list(pool.map(lambda v: sys_.rhs(v).tobytes(), states)) == serial
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_jacobian_zero_coefficients():
