@@ -16,7 +16,6 @@ from .integrator import (
     IntegrationError,
     IntegratorConfig,
     IntegratorStats,
-    MissingAccumulator,
     NegativityViolation,
     OutOfRange,
     StepBudgetExceeded,

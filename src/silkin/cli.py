@@ -406,10 +406,10 @@ def _norm_bound_checks(traj: Trajectory) -> List[dict]:
     ]
 
 
-def _integrated_run(config: RunConfig, out: Path, balances: Sequence[Callable], flux_orders: Tuple[int, ...]):
-    """Integrate ``run.n`` with the fluxes ``flux_orders``; write the trajectory; check the norms and ``balances``."""
+def _integrated_run(config: RunConfig, out: Path, balances: Sequence[Callable]):
+    """Integrate ``run.n``; write the trajectory; check the norms and ``balances``."""
     sys_, y0 = _build_system(config)
-    traj = integrate(sys_, y0, config.t_end, config.integrator, flux_orders=flux_orders)
+    traj = integrate(sys_, y0, config.t_end, config.integrator)
     artifacts = _write_trajectory(config, traj, out)
     checks = _norm_bound_checks(traj)
     times = np.linspace(traj.t_start, traj.t_end, BALANCE_TIMES + 1)[1:]
@@ -426,13 +426,13 @@ def _integrated_run(config: RunConfig, out: Path, balances: Sequence[Callable], 
 
 
 def _cmd_simulate(config: RunConfig, out: Path):
-    _, checks, artifacts, meta = _integrated_run(config, out, [mass_balance_residual], ())
+    _, checks, artifacts, meta = _integrated_run(config, out, [mass_balance_residual])
     return checks, artifacts, meta
 
 
 def _cmd_verify(config: RunConfig, out: Path):
     balances = [mass_balance_residual, quartz_balance_residual, macrophage_balance_residual]
-    traj, checks, artifacts, meta = _integrated_run(config, out, balances, (1,))  # F_1 for the tail identity
+    traj, checks, artifacts, meta = _integrated_run(config, out, balances)
     rates = traj.sys.rates
     tol = config.verify_residual_tol
 

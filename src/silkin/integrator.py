@@ -1,9 +1,9 @@
 """Adaptive integration of the truncated system with co-integrated balance accumulators.
 
 The integration state is that of :func:`silkin.truncation.augmented_field`:
-the phase, then the balance integrals A1 and A2 and the requested flux
-integrals F_m.  The same stepper and error control apply to all of them, so
-residual checks probe the model, not a quadrature scheme.
+the phase, then the balance integrals A1 and A2.  The same stepper and error
+control apply to all of them, so the balances probe the model, not a
+quadrature scheme.
 
 ``method="rk45"`` is the module's own explicit Dormand-Prince 5(4) stepper
 (Dormand & Prince 1980).  Its step control and dense output copy scipy's
@@ -122,7 +122,7 @@ from typing import NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .model import State
-from .truncation import NUM_BASE_ACC, JacobianBlocks, TruncatedSystem, augmented_field
+from .truncation import NUM_ACC, JacobianBlocks, TruncatedSystem, augmented_field
 
 __all__ = [
     "IntegratorConfig",
@@ -134,7 +134,6 @@ __all__ = [
     "StepBudgetExceeded",
     "NegativityViolation",
     "OutOfRange",
-    "MissingAccumulator",
 ]
 
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(6)
@@ -162,10 +161,6 @@ class NegativityViolation(IntegrationError):
 
 class OutOfRange(ValueError):
     """Requested time lies outside the trajectory's range."""
-
-
-class MissingAccumulator(KeyError):
-    """A flux integral was requested that was not co-integrated."""
 
 
 @dataclass(frozen=True)
@@ -237,7 +232,6 @@ class Trajectory:
     t: np.ndarray
     phase: np.ndarray
     accumulators: np.ndarray
-    flux_orders: Tuple[int, ...]
     pre_clamp_min: float
     stats: IntegratorStats
     _sol: _DenseOutput = field(repr=False)
@@ -327,16 +321,6 @@ class Trajectory:
         if len(partial):
             whole = [w + p.sum(axis=0) for w, p in zip(whole, self._panel_integrals(*partial.T))]
         return whole[0], whole[1]
-
-    def flux_slot(self, m: int) -> int:
-        """Index of F_m within the accumulator block."""
-        try:
-            return NUM_BASE_ACC + self.flux_orders.index(m)
-        except ValueError:
-            raise MissingAccumulator(
-                f"flux integral F_{m} was not requested at integration time "
-                f"(available: {list(self.flux_orders)})"
-            ) from None
 
 
 # Dormand-Prince 5(4): nodes, stage matrix, fifth-order weights, error weights
@@ -584,9 +568,7 @@ class _NewtonFactor:
         u_M = u[1:dim]
         np.multiply(self.v, u_x, out=u_M)
         np.subtract(w, u_M, out=u_M)
-        acc = dim + NUM_BASE_ACC
-        u[dim:acc] = b[dim:acc] + c * J.acc.dot(u_M)
-        u[acc:] = b[acc:] + c * (J.flux_x * u_x + J.flux_M * u_M[J.flux_cohorts])
+        u[dim:] = b[dim:] + c * J.acc.dot(u_M)
         return u
 
 
@@ -886,6 +868,12 @@ def integrate(
     :data:`MAX_STEPS` accepted steps do not reach ``t_end``, and
     ``FloatingPointError`` when a value leaves double precision (inputs near
     1e308) instead of carrying inf or nan on.
+
+    ``flux_orders`` is accepted and ignored.  It once named boundary-flux
+    integrals to co-integrate; the tail identity now reads that flux from the
+    step integrals.  The benchmark harness (``perfbench/workloads.py`` and
+    ``perfbench/layers.py``) still passes ``flux_orders=(1,)``, and the
+    keyword goes when those calls do.
     """
     cfg = cfg or IntegratorConfig()
     if y0.n != sys.n:
@@ -894,14 +882,10 @@ def integrate(
         raise ValueError(f"t_end must be finite, got {t_end}")
     if not t_end > y0.t:
         raise ValueError(f"t_end must exceed the initial time {y0.t}, got {t_end}")
-    flux = tuple(dict.fromkeys(int(m) for m in flux_orders))
-    for m in flux:
-        if not 1 <= m <= sys.n:
-            raise ValueError(f"flux order must lie in 1..{sys.n}, got {m}")
 
     dim = sys.dimension
-    fun, jac = augmented_field(sys, flux)
-    z0 = np.concatenate([y0.vector(), np.zeros(NUM_BASE_ACC + len(flux))])
+    fun, jac = augmented_field(sys)
+    z0 = np.concatenate([y0.vector(), np.zeros(NUM_ACC)])
     if cfg.method == "rk45":
         stepper = _DormandPrince(fun, y0.t, z0, t_end, cfg.rel_tol, cfg.abs_tol, cfg.max_step)
     else:
@@ -937,7 +921,6 @@ def integrate(
         t=t,
         phase=phase,
         accumulators=samples[:, dim:],
-        flux_orders=flux,
         pre_clamp_min=pre_clamp_min,
         stats=IntegratorStats(
             steps=len(records),

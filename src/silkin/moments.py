@@ -12,18 +12,19 @@ a computed trajectory yields a residual that vanishes to stepper precision.
 A persistent residual therefore flags a defect in the vector field, the
 accumulators or the integrator, never "model error".
 
-Everything here reads phase rows ``(x, M_0 .. M_n)`` from :meth:`Trajectory.at`
-and :attr:`Trajectory.phase` and builds no ``State``; the envelope forms its
-sample sums ``sum_{i>=1} g_i M_i`` and its bound curve once, for both checks
-that use it, and one verdict turns a left-hand side and its bound into
-``(ok, margin)``.
+The integration state is phase + A1 + A2: the phase rows ``(x, M_0 .. M_n)``
+and the two loss integrals the balances read.  Everything here reads them
+from :meth:`Trajectory.at` and :attr:`Trajectory.phase` and builds no
+``State``; the envelope forms its sample sums ``sum_{i>=1} g_i M_i`` and its
+bound curve once, for both checks that use it, and one verdict turns a
+left-hand side and its bound into ``(ok, margin)``.
 
 Time integrals of g-weighted cohort sums are dot products of the weights
 with the trajectory's cached integrals: ``int M_i`` and ``int x M_i`` are
 computed once per accepted step (:attr:`Trajectory.step_integrals`), and a
 window ``[t1, t2]`` sums its whole steps plus at most two partial ones
-(:meth:`Trajectory.window_integrals`).  The boundary flux integrals F_m come
-from their co-integrated accumulators.
+(:meth:`Trajectory.window_integrals`).  The tail identities' boundary flux
+``F_m = k_{m-1} int x M_{m-1}`` is one of them.
 """
 from __future__ import annotations
 
@@ -130,34 +131,34 @@ def moment_identity_residual(traj: Trajectory, w: MomentWeights, m: int, t1: flo
     """Defect of the integrated g-weighted tail balance over ``[t1, t2]``.
 
     For any real weights ``g_0 .. g_n`` (another count raises ``ValueError``)
-    and ``1 <= m <= n`` the exact truncated flow satisfies
+    and ``1 <= m <= n`` (another ``m`` raises ``ValueError``) the exact
+    truncated flow satisfies
 
         sum_{i>=m} g_i M_i(t2) - sum_{i>=m} g_i M_i(t1)
           + int sum_{i>=m} g_i (p_i + q_i) M_i
-          = g_m F_m-increment + int x sum_{m<=i<=n-1} (g_{i+1} - g_i) k_i M_i
+          = g_m k_{m-1} int x M_{m-1} + int x sum_{m<=i<=n-1} (g_{i+1} - g_i) k_i M_i
 
-    where the flux boundary term comes from the co-integrated accumulator
-    ``F_m``.  An ``m`` whose flux :func:`integrate` was not asked for raises
-    :class:`MissingAccumulator`; ``integrate`` accepts only ``1 <= m <= n``.
+    where the first term on the right is the boundary flux into the tail.
+    Every integral is read from :meth:`Trajectory.window_integrals`.
     """
     rates = traj.sys.rates
     n = rates.n
-    m_int, xm_int = traj.window_integrals(t1, t2)
     g = w.g
+    if not 1 <= m <= n:
+        raise ValueError(f"m must lie in 1..{n}, got {m}")
     if len(g) != n + 1:
         raise ValueError(f"expected {n + 1} weights, got {len(g)}")
+    m_int, xm_int = traj.window_integrals(t1, t2)
     dim = traj.sys.dimension
-    flux = dim + traj.flux_slot(m)
     z1, z2 = traj.at(t1), traj.at(t2)
 
     tail_loss = g[m:] * traj.sys.loss[m:]
     transfer_gain = (g[m + 1:] - g[m:n]) * rates.k[m:n]
-    flux_term = g[m] * (float(z2[flux]) - float(z1[flux]))
     return (
         float(g[m:] @ z2[1 + m:dim])
         - float(g[m:] @ z1[1 + m:dim])
         + float(tail_loss @ m_int[m:])
-        - flux_term
+        - float(g[m] * rates.k[m - 1] * xm_int[m - 1])
         - float(transfer_gain @ xm_int[m:n])
     )
 

@@ -18,16 +18,17 @@ extended with running integrals that the balance identities need:
     A1(t) = int_0^t sum_i (p_i + q_i) M_i        (total loss)
     A2(t) = int_0^t sum_i i p_i M_i              (quartz removed by the escalator)
 
-plus one flux integral F_m(t) = int_0^t x k_{m-1} M_{m-1} per requested
-cohort boundary ``m``.  These are the integrals the balance and tail
-identities read, and no others: every co-integrated slot enters the
-stepper's error norm and the BDF Newton solve.  The Jacobian is O(n) closed-form
-blocks (:class:`JacobianBlocks`): the border row and column of ``x``, the lower
-bidiagonal cohort block, the two accumulator rows over the cohorts and two
-entries per flux row.  :meth:`TruncatedSystem.rhs` and :func:`eval_jacobian`
-return the phase part of that one field; the Jacobian's entries are written
-once, in the field's ``jac``.  :func:`eval_jacobian` is the only place that
-imports scipy: it assembles the phase blocks into a sparse matrix.
+so the integration state is phase + A1 + A2.  These are the integrals the
+balances read, and no others: every co-integrated slot enters the stepper's
+error norm and the BDF Newton solve.  The tail identities' boundary flux is
+a Gauss quadrature of the dense output, like their other integrals.  The
+Jacobian is O(n) closed-form blocks (:class:`JacobianBlocks`): the border row
+and column of ``x``, the lower bidiagonal cohort block and the two
+accumulator rows over the cohorts.  :meth:`TruncatedSystem.rhs` and
+:func:`eval_jacobian` return the phase part of that one field; the Jacobian's
+entries are written once, in the field's ``jac``.  :func:`eval_jacobian` is
+the only place that imports scipy: it assembles the phase blocks into a
+sparse matrix.
 
 ``TruncatedSystem.rhs`` and ``eval_jacobian`` are pure functions of their
 arguments and safe to call concurrently.
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -56,7 +57,7 @@ __all__ = [
 # Accumulator slots appended after the phase components.
 ACC_TOTAL_LOSS = 0        # A1
 ACC_QUARTZ_REMOVED = 1    # A2
-NUM_BASE_ACC = 2
+NUM_ACC = 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,14 +115,11 @@ class JacobianBlocks(NamedTuple):
     col: np.ndarray      # d(dM/dt)/dx
     diag: np.ndarray     # diagonal of the M block
     sub: np.ndarray      # its subdiagonal
-    acc: np.ndarray      # dA/dM, one row per base accumulator
-    flux_x: np.ndarray   # dF_m/dx
-    flux_M: np.ndarray   # dF_m/dM_{m-1}
-    flux_cohorts: np.ndarray  # m - 1 for each flux row
+    acc: np.ndarray      # dA/dM, one row per accumulator
 
 
-def augmented_field(sys: TruncatedSystem, flux_orders: Sequence[int] = ()) -> Tuple[Callable, Callable]:
-    """``(rhs, jac)`` of the field on ``(x, M_0 .. M_n, A1, A2, F_m ..)``.
+def augmented_field(sys: TruncatedSystem) -> Tuple[Callable, Callable]:
+    """``(rhs, jac)`` of the field on ``(x, M_0 .. M_n, A1, A2)``.
 
     Both take ``(t, z)`` as the steppers call them; ``jac`` returns
     :class:`JacobianBlocks`.  The coefficient arrays are bound here, once.
@@ -140,7 +138,6 @@ def augmented_field(sys: TruncatedSystem, flux_orders: Sequence[int] = ()) -> Tu
     i = np.arange(sys.n + 1, dtype=float)
     ip = i * sys.rates.p
     iq = i * sys.rates.q
-    flux_idx = np.array([m - 1 for m in flux_orders], dtype=int)
     acc_rows = np.stack((loss, ip))
     acc_rows.setflags(write=False)
     add = np.add.reduce
@@ -171,8 +168,6 @@ def augmented_field(sys: TruncatedSystem, flux_orders: Sequence[int] = ()) -> Tu
             return out
         out[dim + ACC_TOTAL_LOSS] = loss.dot(M)
         out[dim + ACC_QUARTZ_REMOVED] = ip.dot(M)
-        if len(flux_idx):
-            out[dim + NUM_BASE_ACC:] = flow[flux_idx]
         return out
 
     def jac(t: float, z: np.ndarray) -> JacobianBlocks:
@@ -190,9 +185,6 @@ def augmented_field(sys: TruncatedSystem, flux_orders: Sequence[int] = ()) -> Tu
             diag=-(kx + loss),
             sub=kx[:-1],
             acc=acc_rows,
-            flux_x=kM[flux_idx],
-            flux_M=kx[flux_idx],
-            flux_cohorts=flux_idx,
         )
 
     return rhs, jac

@@ -11,7 +11,7 @@ import numpy as np
 import mpmath
 
 from silkin import TruncatedSystem, State
-from silkin.truncation import ACC_QUARTZ_REMOVED, ACC_TOTAL_LOSS, NUM_BASE_ACC
+from silkin.truncation import ACC_QUARTZ_REMOVED, ACC_TOTAL_LOSS, NUM_ACC
 
 
 def decoupled_solution(x0, M0, p, q, r, alpha, t):
@@ -105,10 +105,10 @@ def rhs_norm(sys: TruncatedSystem, x: float, M) -> float:
     return float(np.max(np.abs(sys.rhs(State(t=0.0, x=x, M=M).vector()))))
 
 
-def reference_augmented_rhs(sys: TruncatedSystem, flux_orders, z: np.ndarray) -> np.ndarray:
+def reference_augmented_rhs(sys: TruncatedSystem, z: np.ndarray) -> np.ndarray:
     """The augmented field as first written, kept to pin the bits of ``augmented_field``.
 
-    It has lost only the stores of the two accumulators that no check read.
+    It has lost only the stores of the slots that no check reads any more.
     Its zeroed output and ``ndarray.sum`` are slower
     than the library's field, but every floating-point operation and its
     order is the same, so the two agree bit for bit.
@@ -120,7 +120,6 @@ def reference_augmented_rhs(sys: TruncatedSystem, flux_orders, z: np.ndarray) ->
     loss = sys.loss
     ip = np.arange(sys.n + 1, dtype=float) * sys.rates.p
     iq = np.arange(sys.n + 1, dtype=float) * sys.rates.q
-    flux_idx = np.array([m - 1 for m in flux_orders], dtype=int)
 
     x = z[0]
     M = z[1:dim]
@@ -134,8 +133,6 @@ def reference_augmented_rhs(sys: TruncatedSystem, flux_orders, z: np.ndarray) ->
         return out
     out[dim + ACC_TOTAL_LOSS] = loss @ M
     out[dim + ACC_QUARTZ_REMOVED] = ip @ M
-    if len(flux_idx):
-        out[dim + NUM_BASE_ACC:] = flow[flux_idx]
     return out
 
 
@@ -215,11 +212,8 @@ def dense_jacobian(J, size: int) -> np.ndarray:
         A[1 + i, 1 + i] = J.diag[i]
         if i > 0:
             A[1 + i, i] = J.sub[i - 1]
-        for a in range(NUM_BASE_ACC):
+        for a in range(NUM_ACC):
             A[dim + a, 1 + i] = J.acc[a][i]
-    for j, m in enumerate(J.flux_cohorts):
-        A[dim + NUM_BASE_ACC + j, 0] = J.flux_x[j]
-        A[dim + NUM_BASE_ACC + j, 1 + m] = J.flux_M[j]
     return A
 
 

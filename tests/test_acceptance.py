@@ -89,7 +89,7 @@ def run_matrix():
         n, gamma = cells[idx % len(cells)]
         sys_ = systems[(n, gamma)]
         y0 = random_state(rng, n)
-        traj = integrate(sys_, y0, T_END, CFG_A, flux_orders=(1,))
+        traj = integrate(sys_, y0, T_END, CFG_A)
         runs.append(MatrixRun(n=n, gamma=gamma, sys=sys_, y0=y0, traj=traj))
     elapsed = time.perf_counter() - start
     return runs, elapsed

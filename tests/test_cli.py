@@ -179,19 +179,21 @@ def test_verify_builds_only_the_initial_state(tmp_path, monkeypatch):
     assert built == [0.0]
 
 
-@pytest.mark.parametrize("command,flux_orders", [("simulate", ()), ("verify", (1,))])
-def test_only_verify_co_integrates_a_flux(tmp_path, monkeypatch, command, flux_orders):
-    # the state carries only what a check reads: F_1 for verify's tail identity, no flux for simulate
-    requested = []
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_each_command_integrates_the_phase_and_two_balance_integrals(tmp_path, monkeypatch, command):
+    # the state carries only what a check reads: the phase, A1 and A2; verify's tail identity reads
+    # its boundary flux from the step integrals
+    widths = []
 
-    def recording(sys_, y0, t_end, cfg=None, flux_orders=()):
-        requested.append(tuple(flux_orders))
-        return integrator.integrate(sys_, y0, t_end, cfg, flux_orders=flux_orders)
+    def recording(sys_, y0, t_end, cfg=None):
+        traj = integrator.integrate(sys_, y0, t_end, cfg)
+        widths.append(traj.accumulators.shape[1])
+        return traj
 
     monkeypatch.setattr(cli, "integrate", recording)
     cfg = write_config(tmp_path / "run.yaml", coupled_doc())
     assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == cli.EXIT_OK
-    assert requested == [flux_orders]
+    assert widths == [2]
 
 
 @pytest.mark.parametrize(
@@ -316,9 +318,9 @@ def test_semigroup_config_integrates_only_the_pairs_with_two_legs(tmp_path, monk
     # (0.5, 0.5) and (1, 2) make three runs each; (0, 3) and (3, 0) have a zero-length leg and make none
     runs = []
 
-    def recording(sys_, y0, t_end, cfg=None, flux_orders=()):
+    def recording(sys_, y0, t_end, cfg=None):
         runs.append((y0.t, t_end))
-        return integrator.integrate(sys_, y0, t_end, cfg, flux_orders=flux_orders)
+        return integrator.integrate(sys_, y0, t_end, cfg)
 
     monkeypatch.setattr(analysis, "integrate", recording)
     config = str(ROOT / "configs" / "semigroup.yaml")

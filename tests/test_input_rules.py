@@ -17,6 +17,7 @@ from silkin import (
     eval_jacobian,
     integrate,
     invariance_check,
+    moment_identity_residual,
     realize_coefficients,
     validate_weights,
 )
@@ -65,6 +66,11 @@ RULES = [
         "t_end must be finite, got inf",
     ),
     ("invariance_check.gamma", lambda: invariance_check(_short_run(), 1.5), "gamma must lie in [0, 1], got 1.5"),
+    (
+        "moment_identity_residual.m",
+        lambda: moment_identity_residual(_short_run(), MomentWeights.ones(4), 5, 0.0, 0.1),
+        "m must lie in 1..4, got 5",
+    ),
     (
         "eval_jacobian.n",
         lambda: eval_jacobian(power_law_system(4, gamma=0.5), decaying_state(2)),

@@ -7,7 +7,6 @@ import pytest
 from silkin import (
     IntegratorConfig,
     InvalidWeights,
-    MissingAccumulator,
     ModelParams,
     MomentWeights,
     OutOfRange,
@@ -24,7 +23,7 @@ from silkin import (
     moments,
     quartz_balance_residual,
 )
-from silkin.truncation import NUM_BASE_ACC
+from silkin.truncation import NUM_ACC
 
 from conftest import constant_rates, decaying_state, power_law_system
 from oracles import precise_moments
@@ -94,12 +93,12 @@ def test_component_balances():
 def test_every_base_accumulator_is_read_by_a_balance():
     # a co-integrated slot enters every error norm and Newton matrix, so one that no balance reads is waste
     read = {slot for _, _, slots in moments._BALANCES.values() for slot in slots}
-    assert read == set(range(NUM_BASE_ACC))
+    assert read == set(range(NUM_ACC))
 
 
 def test_moment_identity_zero_trajectory():
     sys_ = TruncatedSystem(ModelParams(0.0, 0.0), constant_rates(3, p=1.0))
-    traj = integrate(sys_, State(t=0.0, x=0.0, M=np.zeros(4)), 1.0, flux_orders=(1,))
+    traj = integrate(sys_, State(t=0.0, x=0.0, M=np.zeros(4)), 1.0)
     res = moment_identity_residual(traj, MomentWeights.ones(3), 1, 0.0, 1.0)
     assert res == 0.0
 
@@ -108,7 +107,7 @@ def test_moment_identity_flat_small_system():
     # telescoping case on a tiny run at tight tolerance
     sys_ = power_law_system(3, gamma=1.0)
     cfg = IntegratorConfig(rel_tol=1e-11, abs_tol=1e-14)
-    traj = integrate(sys_, decaying_state(3, x0=1.0, rho=0.5), 2.0, cfg, flux_orders=(1, 2))
+    traj = integrate(sys_, decaying_state(3, x0=1.0, rho=0.5), 2.0, cfg)
     assert abs(moment_identity_residual(traj, MomentWeights.ones(3), 1, 0.0, 2.0)) < 1e-8
     assert abs(moment_identity_residual(traj, MomentWeights.ones(3), 2, 0.5, 1.5)) < 1e-8
 
@@ -116,7 +115,7 @@ def test_moment_identity_flat_small_system():
 def test_moment_identity_linear_weights_cross_check():
     # the linear-weight identity plus the x equation reproduce the quartz balance
     sys_ = power_law_system(12, gamma=0.5)
-    traj = integrate(sys_, decaying_state(12), 3.0, flux_orders=(1,))
+    traj = integrate(sys_, decaying_state(12), 3.0)
     res_linear = moment_identity_residual(traj, MomentWeights.linear(12), 1, 0.0, 3.0)
     assert abs(res_linear) < 1e-8
     assert abs(quartz_balance_residual(traj, 3.0)) < 1e-8
@@ -125,32 +124,37 @@ def test_moment_identity_linear_weights_cross_check():
 def test_moment_identity_at_top_cohort():
     # m = n: the transfer sum is empty and only the boundary flux feeds the tail
     sys_ = power_law_system(5, gamma=0.5)
-    traj = integrate(sys_, decaying_state(5, rho=0.5), 2.0, flux_orders=(5,))
+    traj = integrate(sys_, decaying_state(5, rho=0.5), 2.0)
     res = moment_identity_residual(traj, MomentWeights.power(5, 1.5), 5, 0.0, 2.0)
     assert abs(res) < 1e-9
 
 
 def test_moment_identity_holds_for_any_weight_sequence():
     sys_ = power_law_system(6, gamma=0.0)
-    traj = integrate(sys_, decaying_state(6), 1.0, flux_orders=(2,))
+    traj = integrate(sys_, decaying_state(6), 1.0)
     res = moment_identity_residual(traj, MomentWeights(g=np.arange(7.0) ** 2), 2, 0.0, 1.0)
     assert abs(res) < 1e-8
     with pytest.raises(ValueError):
         moment_identity_residual(traj, MomentWeights.ones(5), 2, 0.0, 1.0)  # one weight short
 
 
-def test_moment_identity_missing_accumulator():
-    sys_ = power_law_system(6, gamma=0.0)
-    traj = integrate(sys_, decaying_state(6), 1.0, flux_orders=(1,))
-    with pytest.raises(MissingAccumulator):
-        moment_identity_residual(traj, MomentWeights.ones(6), 2, 0.0, 1.0)
+@pytest.mark.parametrize("method", ["rk45", "bdf"])
+def test_moment_identity_holds_at_every_boundary(method):
+    # the boundary flux k_{m-1} int x M_{m-1} comes from the step integrals, so every m in 1..n needs no request
+    n = 8
+    sys_ = power_law_system(n, gamma=0.5)
+    traj = integrate(sys_, decaying_state(n, rho=0.9), 1.0, IntegratorConfig(method=method))
+    for w in (MomentWeights.ones(n), MomentWeights.linear(n), MomentWeights.power(n, 1.5)):
+        for m in range(1, n + 1):
+            assert abs(moment_identity_residual(traj, w, m, traj.t_start, traj.t_end)) <= 1e-6
 
 
 def test_moment_identity_window_and_order_validation():
     sys_ = power_law_system(6, gamma=0.0)
-    traj = integrate(sys_, decaying_state(6), 1.0, flux_orders=(1,))
-    with pytest.raises(MissingAccumulator):
-        moment_identity_residual(traj, MomentWeights.ones(6), 0, 0.0, 1.0)
+    traj = integrate(sys_, decaying_state(6), 1.0)
+    for m in (0, 7):
+        with pytest.raises(ValueError, match=f"^m must lie in 1..6, got {m}$"):
+            moment_identity_residual(traj, MomentWeights.ones(6), m, 0.0, 1.0)
     with pytest.raises(OutOfRange):
         moment_identity_residual(traj, MomentWeights.ones(6), 1, 0.5, 0.25)
     with pytest.raises(OutOfRange):
@@ -169,7 +173,7 @@ def test_path_integrals_evaluate_the_dense_output_once(monkeypatch):
     monkeypatch.setattr(Trajectory, "dense_matrix", counted)
     n, gamma = 24, 0.5
     sys_ = power_law_system(n, gamma=gamma)
-    traj = integrate(sys_, decaying_state(n, rho=0.55), 4.0, flux_orders=(1,))
+    traj = integrate(sys_, decaying_state(n, rho=0.55), 4.0)
     steps = traj.num_samples - 1
     moment_identity_residual(traj, MomentWeights.ones(n), 1, traj.t_start, traj.t_end)
     assert sum(points) == 6 * steps
@@ -184,7 +188,7 @@ def test_path_integrals_evaluate_the_dense_output_once(monkeypatch):
 def test_each_balance_reads_the_dense_output_once():
     # one read of the run per time: the sample itself at a sample time, one dense evaluation anywhere else
     sys_ = power_law_system(12, gamma=0.5)
-    traj = integrate(sys_, decaying_state(12), 3.0, flux_orders=(1,))
+    traj = integrate(sys_, decaying_state(12), 3.0)
     calls = []
 
     def counted(ts):

@@ -47,3 +47,17 @@ def test_benchmark_calls_run_at_smoke_size(perfbench):
     tally = workloads.Tally()
     assert len(layers.decay_ladder(1, tally)) == 2 * len(layers.DECAY_RUNGS)
     assert (tally.attempted, tally.failed) == (len(layers.DECAY_RUNGS), 0), tally.problems
+
+
+@pytest.mark.parametrize("method", ["rk45", "bdf"])
+def test_flux_orders_keyword_is_inert(method):
+    # the benchmark still passes flux_orders=(1,); the run it gets is the run without it, to the bit
+    from silkin import IntegratorConfig, integrate
+
+    from conftest import decaying_state, power_law_system
+
+    sys_, y0, cfg = power_law_system(8, gamma=1.0), decaying_state(8, rho=0.9), IntegratorConfig(method=method)
+    plain = integrate(sys_, y0, 1.0, cfg)
+    passed = integrate(sys_, y0, 1.0, cfg, flux_orders=(1,))
+    assert passed.t.tobytes() == plain.t.tobytes()
+    assert passed.phase.tobytes() == plain.phase.tobytes()

@@ -11,7 +11,7 @@ from silkin import (
     TruncatedSystem,
     eval_jacobian,
 )
-from silkin.truncation import NUM_BASE_ACC, augmented_field
+from silkin.truncation import NUM_ACC, augmented_field
 
 from conftest import constant_rates, power_law_system, rates_from_arrays
 from oracles import central_jacobian, reference_augmented_rhs
@@ -106,38 +106,41 @@ def test_total_matter_derivative_identity(x, M, coeffs, supplies):
     assert abs(udot - expected) <= 1e-13 * scale
 
 
+def _random_system_and_states(n, slots, rng):
+    """A random rate table of order ``n`` and 25 states: cone phases, some on its boundary, plus ``slots`` values."""
+    rates = rates_from_arrays(n, rng.uniform(0.0, 2.0, n + 1), rng.uniform(0.0, 1.0, n + 1), rng.uniform(0.0, 1.0, n + 1))
+    sys_ = TruncatedSystem(ModelParams(r=float(rng.uniform(0.0, 1.0)), alpha=float(rng.uniform(0.0, 1.0))), rates)
+    dim = sys_.dimension
+    phases = [rng.uniform(0.0, 2.0, dim) * rng.choice([0.0, 1e-9, 1.0, 1e3], dim) for _ in range(25)]
+    return sys_, [np.concatenate([phase, rng.uniform(0.0, 1.0, slots)]) for phase in phases]
+
+
+# the state as TruncatedSystem.rhs passes it (phase only) and as integrate does (phase, A1, A2)
+SLOTS = {"none": 0, "a1_a2": NUM_ACC}
+
+
 @pytest.mark.parametrize("n", [2, 7, 80, 300])
-@pytest.mark.parametrize("flux", ["none", "first_and_top"])
-def test_augmented_field_bits_match_reference(n, flux, rng):
+@pytest.mark.parametrize("slots", SLOTS)
+def test_augmented_field_bits_match_reference(n, slots, rng):
     # the field's arithmetic is pinned: same floating-point operations in the same order as the reference
-    flux_orders = {"none": (), "first_and_top": (1, n)}[flux]
-    rates = rates_from_arrays(n, rng.uniform(0.0, 2.0, n + 1), rng.uniform(0.0, 1.0, n + 1), rng.uniform(0.0, 1.0, n + 1))
-    sys_ = TruncatedSystem(ModelParams(r=float(rng.uniform(0.0, 1.0)), alpha=float(rng.uniform(0.0, 1.0))), rates)
-    fun, _ = augmented_field(sys_, flux_orders)
-    dim = sys_.dimension
-    for _ in range(25):
-        phase = rng.uniform(0.0, 2.0, dim) * rng.choice([0.0, 1e-9, 1.0, 1e3], dim)  # cone states, some on its boundary
-        z = np.concatenate([phase, rng.uniform(0.0, 1.0, NUM_BASE_ACC + len(flux_orders))])
-        assert fun(0.0, z).tobytes() == reference_augmented_rhs(sys_, flux_orders, z).tobytes()
-        assert sys_.rhs(phase).tobytes() == reference_augmented_rhs(sys_, flux_orders, phase).tobytes()
+    sys_, states = _random_system_and_states(n, SLOTS[slots], rng)
+    fun, _ = augmented_field(sys_)
+    for z in states:
+        assert fun(0.0, z).tobytes() == reference_augmented_rhs(sys_, z).tobytes()
+        if slots == "none":
+            assert sys_.rhs(z).tobytes() == reference_augmented_rhs(sys_, z).tobytes()
 
 
 @pytest.mark.parametrize("n", [2, 7, 80, 300])
-@pytest.mark.parametrize("flux", ["none", "first_and_top"])
-def test_augmented_field_out_form_bits_match_reference(n, flux, rng):
+@pytest.mark.parametrize("slots", SLOTS)
+def test_augmented_field_out_form_bits_match_reference(n, slots, rng):
     # rhs(t, z, out) writes every slot of out, returns out itself, and has the reference's bits
-    flux_orders = {"none": (), "first_and_top": (1, n)}[flux]
-    rates = rates_from_arrays(n, rng.uniform(0.0, 2.0, n + 1), rng.uniform(0.0, 1.0, n + 1), rng.uniform(0.0, 1.0, n + 1))
-    sys_ = TruncatedSystem(ModelParams(r=float(rng.uniform(0.0, 1.0)), alpha=float(rng.uniform(0.0, 1.0))), rates)
-    fun, _ = augmented_field(sys_, flux_orders)
-    dim = sys_.dimension
-    for _ in range(25):
-        phase = rng.uniform(0.0, 2.0, dim) * rng.choice([0.0, 1e-9, 1.0, 1e3], dim)
-        z = np.concatenate([phase, rng.uniform(0.0, 1.0, NUM_BASE_ACC + len(flux_orders))])
-        for state in (phase, z):
-            out = np.full_like(state, np.nan)
-            assert fun(0.0, state, out) is out
-            assert out.tobytes() == reference_augmented_rhs(sys_, flux_orders, state).tobytes()
+    sys_, states = _random_system_and_states(n, SLOTS[slots], rng)
+    fun, _ = augmented_field(sys_)
+    for z in states:
+        out = np.full_like(z, np.nan)
+        assert fun(0.0, z, out) is out
+        assert out.tobytes() == reference_augmented_rhs(sys_, z).tobytes()
 
 
 def test_phase_field_from_threads_matches_serial(rng):
