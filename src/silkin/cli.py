@@ -6,10 +6,13 @@ Subcommands
 ``verify``       integrate and evaluate the full residual/envelope battery
 ``converge``     run a truncation ladder and report sup-norm gaps
 ``equilibrium``  locate a steady state of the truncated system
-``semigroup``    restart-consistency residuals for configured (t, s) pairs
+``semigroup``    restart-consistency residuals at fixed (t, s) pairs
 
 Every summary check names the residual operation that produced it, so a
-failing line is traceable to one function.  The pipeline is deterministic:
+failing line is traceable to one function.  Each command reports a fixed set
+of checks, and each threshold is a module constant (``RESIDUAL_TOL`` and its
+neighbours), never a config key: a threshold is a bug detector, so no run
+loosens one or drops a check.  The pipeline is deterministic:
 identical configs produce byte-identical CSV output.  Every CSV field is the
 ``repr`` of its value, made by :mod:`silkin.csvtext` from row blocks of the
 result arrays.  The output directory is ``--out``; one that cannot be made,
@@ -19,11 +22,11 @@ or an artifact in it that cannot be written, is a :class:`ConfigError` on
 Configs are read by one declarative schema, ``_SCHEMA``: each YAML key has
 one :class:`Row` naming its reader and whether it is required.  A key is
 given or left out; ``null`` is no key's value, and the subcommand is named
-only on the command line.  Unknown keys, ``null``, non-finite numbers and
-negative tolerances raise :class:`ConfigError` with the field path, and so
-does a coefficient family whose table is not finite, or cannot be allocated,
-at the run's own truncation order (the largest rung for ``converge``).  That
-table is realized once, as :attr:`RunConfig.rates`.  A run at one order
+only on the command line.  Unknown keys, ``null`` and non-finite numbers
+raise :class:`ConfigError` with the field path, and so does a coefficient
+family whose table is not finite, or cannot be allocated, at the run's own
+truncation order (the largest rung for ``converge``).  That table is
+realized once, as :attr:`RunConfig.rates`.  A run at one order
 reuses it; ``converge`` realizes the table of each rung.  An absent key takes
 the default of the dataclass that receives the value (:class:`RunConfig`,
 ``IntegratorConfig``, ``CoefficientFamily``, ``InitialData``); the loader
@@ -90,8 +93,26 @@ NORM_SLACK = 1e-6
 BALANCE_TIMES = 10
 """How many evenly spaced times after the start each balance is checked at (the last is ``t_end``)."""
 
-DRIFT_TOL_FLOOR = 1e-14
-"""Tolerance the equilibrium drift run keeps when ``equilibrium.tol`` is below it (0 included)."""
+RESIDUAL_TOL = 1e-6
+"""How far each balance and each moment identity may miss zero."""
+
+DIFFERENTIAL_TOL = 1e-5
+"""How far the dense output's time derivative may stray from the vector field."""
+
+SEMIGROUP_PAIRS = ((0.5, 0.5), (1.0, 2.0), (0.0, 3.0), (3.0, 0.0))
+"""The ``(t, s)`` splits whose restart consistency ``semigroup`` checks."""
+
+SEMIGROUP_TOL = 1e-7
+"""How far ``phi_s(phi_t(y0))`` may stray from ``phi_{t+s}(y0)``."""
+
+EQUILIBRIUM_TOL = 1e-12
+"""The root search's stop, the equilibrium residual's threshold and the cap on the drift run's tolerances."""
+
+DRIFT_TOL = 1e-8
+"""How far the equilibrium may drift, in the total-matter norm, over one time unit."""
+
+FINAL_GAP_TOL = 1e-6
+"""How large the gap between the top two rungs of a ladder may be."""
 
 
 class ConfigError(ValueError):
@@ -187,10 +208,9 @@ _text = _checked(_as_is, lambda v: isinstance(v, str), "a string")
 _integer = _checked(_as_is, lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer")
 _count = _checked(_integer, lambda v: v >= 1, "a positive integer")
 _order = _checked(_integer, lambda v: v >= 2, "an integer >= 2")
-_tolerance = _checked(_number, lambda v: v >= 0.0, "a finite number >= 0")
+_nonnegative = _checked(_number, lambda v: v >= 0.0, "a finite number >= 0")
 _positive = _checked(_number, lambda v: v > 0.0, "a finite number > 0")
-_pair = _checked(_list(_tolerance), lambda v: len(v) == 2, "a list of two finite numbers >= 0")
-_bracket = _checked(_pair, lambda v: v[0] < v[1], "[lo, hi] with lo < hi")
+_bracket = _checked(_list(_nonnegative), lambda v: len(v) == 2 and v[0] < v[1], "[lo, hi] with lo < hi")
 _ladder = _checked(
     _list(_order),
     lambda v: len(v) >= 2 and all(a < b for a, b in zip(v, v[1:])),
@@ -260,10 +280,7 @@ _SCHEMA = {
     "run": Row(_section(_RUN, _run), required=True),
     "integrator": Row(_lands_on("integrator", _section(_INTEGRATOR, IntegratorConfig))),
     "output": Row(_flat({"m_out": Row(_count), "wide_csv": Row(_boolean)})),
-    "verify": Row(_flat({"residual_tol": Row(_tolerance), "differential_tol": Row(_tolerance)})),
-    "semigroup": Row(_flat({"pairs": Row(_list(_pair)), "tol": Row(_tolerance)})),
-    "equilibrium": Row(_flat({"x_bracket": Row(_bracket), "tol": Row(_tolerance)})),
-    "converge": Row(_flat({"final_gap_tol": Row(_tolerance)})),
+    "equilibrium": Row(_flat({"x_bracket": Row(_bracket)})),
 }
 
 
@@ -284,13 +301,7 @@ class RunConfig:
     integrator: IntegratorConfig = field(default_factory=IntegratorConfig)
     output_m_out: int = 32
     output_wide_csv: bool = False
-    verify_residual_tol: float = 1e-6
-    verify_differential_tol: float = 1e-5
-    semigroup_pairs: Tuple[Tuple[float, float], ...] = ((0.5, 0.5), (1.0, 2.0), (0.0, 3.0), (3.0, 0.0))
-    semigroup_tol: float = 1e-7
     equilibrium_x_bracket: Optional[Tuple[float, float]] = None
-    equilibrium_tol: float = 1e-12
-    converge_final_gap_tol: Optional[float] = None
     raw: dict = field(default_factory=dict, repr=False)
 
     @cached_property
@@ -415,7 +426,7 @@ def _integrated_run(config: RunConfig, out: Path, balances: Sequence[Callable]):
     times = np.linspace(traj.t_start, traj.t_end, BALANCE_TIMES + 1)[1:]
     for fn in balances:
         worst = max(abs(fn(traj, t)) for t in times)
-        checks.append(_bound_check(fn.__name__.removesuffix("_residual"), fn.__name__, worst, config.verify_residual_tol))
+        checks.append(_bound_check(fn.__name__.removesuffix("_residual"), fn.__name__, worst, RESIDUAL_TOL))
     meta = {
         "n": sys_.n,
         "t_end": config.t_end,
@@ -434,13 +445,12 @@ def _cmd_verify(config: RunConfig, out: Path):
     balances = [mass_balance_residual, quartz_balance_residual, macrophage_balance_residual]
     traj, checks, artifacts, meta = _integrated_run(config, out, balances)
     rates = traj.sys.rates
-    tol = config.verify_residual_tol
 
     power = MomentWeights.power(rates.n, 1.0 + rates.gamma)
     weight_sets = [("flat", MomentWeights.ones(rates.n)), ("linear", MomentWeights.linear(rates.n)), ("power", power)]
     for label, w in weight_sets:
         value = abs(moment_identity_residual(traj, w, 1, traj.t_start, traj.t_end))
-        checks.append(_bound_check(f"moment_identity_{label}", "moment_identity_residual", value, tol))
+        checks.append(_bound_check(f"moment_identity_{label}", "moment_identity_residual", value, RESIDUAL_TOL))
 
     gron = gronwall_check(traj, power)
     checks.append(_check("gronwall_envelope", "gronwall_check", gron.margin, 0.0, gron.ok, comparison=">="))
@@ -449,7 +459,7 @@ def _cmd_verify(config: RunConfig, out: Path):
 
     grid = traj.t_start + traj.duration * np.linspace(0.1, 0.9, 9)
     defect = differential_form_check(traj, grid)
-    checks.append(_bound_check("differential_form", "differential_form_check", defect, config.verify_differential_tol))
+    checks.append(_bound_check("differential_form", "differential_form_check", defect, DIFFERENTIAL_TOL))
 
     meta["gronwall"] = {
         "c1_used": gron.c1_used,
@@ -475,12 +485,9 @@ def _cmd_converge(config: RunConfig, out: Path):
     header = ["n_low", "n_high", "gap", "x_gap"]
     _write_csv(out / "gaps.csv", header, ladder[:-1], ladder[1:], report.gaps, report.x_gaps)
     checks = [
-        _check("gaps_decreasing", "convergence_study", bool(report.decreasing), True, report.decreasing, comparison="==")
+        _check("gaps_decreasing", "convergence_study", bool(report.decreasing), True, report.decreasing, comparison="=="),
+        _bound_check("final_gap", "convergence_study", float(report.gaps[-1]), FINAL_GAP_TOL),
     ]
-    if config.converge_final_gap_tol is not None:
-        checks.append(
-            _bound_check("final_gap", "convergence_study", float(report.gaps[-1]), config.converge_final_gap_tol)
-        )
     meta = {
         "n_ladder": list(config.n_ladder),
         "gaps": [float(g) for g in report.gaps],
@@ -491,19 +498,18 @@ def _cmd_converge(config: RunConfig, out: Path):
 
 def _cmd_equilibrium(config: RunConfig, out: Path):
     sys_, _ = _build_system(config)
-    result = find_equilibrium(sys_, config.equilibrium_x_bracket, tol=config.equilibrium_tol)
+    result = find_equilibrium(sys_, config.equilibrium_x_bracket, tol=EQUILIBRIUM_TOL)
     _write_csv(out / "equilibrium.csv", ["i", "M_i"], np.arange(len(result.M_star)), result.M_star)
-    checks = [
-        _bound_check("equilibrium_residual", "find_equilibrium", result.residual, config.equilibrium_tol)
-    ]
     eq_state = State(t=0.0, x=result.x_star, M=result.M_star)
-    # The drift's error scales with the run's tolerances, so they are no looser than equilibrium.tol.
-    tol, cfg = max(config.equilibrium_tol, DRIFT_TOL_FLOOR), config.integrator
-    cfg = replace(cfg, rel_tol=min(cfg.rel_tol, tol), abs_tol=min(cfg.abs_tol, tol))
+    # The drift's error scales with the run's tolerances, so they are no looser than EQUILIBRIUM_TOL.
+    cfg = config.integrator
+    cfg = replace(cfg, rel_tol=min(cfg.rel_tol, EQUILIBRIUM_TOL), abs_tol=min(cfg.abs_tol, EQUILIBRIUM_TOL))
     drifted = integrate(sys_, eq_state, 1.0, cfg).final_state
     drift = weighted_norm(drifted.x - eq_state.x, drifted.M - eq_state.M, 1.0)
-    drift_tol = max(10.0 * config.equilibrium_tol, 1e-8)
-    checks.append(_bound_check("equilibrium_fixed_point", "integrate", drift, drift_tol))
+    checks = [
+        _bound_check("equilibrium_residual", "find_equilibrium", result.residual, EQUILIBRIUM_TOL),
+        _bound_check("equilibrium_fixed_point", "integrate", drift, DRIFT_TOL),
+    ]
     meta = {
         "x_star": result.x_star,
         "residual": result.residual,
@@ -517,12 +523,10 @@ def _cmd_semigroup(config: RunConfig, out: Path):
     sys_, y0 = _build_system(config)
     checks = []
     values = []
-    for t, s in config.semigroup_pairs:
+    for t, s in SEMIGROUP_PAIRS:
         value = semigroup_residual(sys_, y0, t, s, config.integrator)
         values.append({"t": t, "s": s, "residual": value})
-        checks.append(
-            _bound_check(f"semigroup_t{t}_s{s}", "semigroup_residual", value, config.semigroup_tol)
-        )
+        checks.append(_bound_check(f"semigroup_t{t}_s{s}", "semigroup_residual", value, SEMIGROUP_TOL))
     meta = {"pairs": values, "n": sys_.n}
     return checks, {}, meta
 

@@ -170,8 +170,10 @@ class IntegratorConfig:
     ``method`` is ``"rk45"`` (explicit Dormand-Prince 5(4), the default) or
     ``"bdf"`` (implicit backward differentiation for stiff cases, whose
     Newton systems are solved in O(n) from the field's Jacobian blocks).
-    Switching is always explicit, never silent.  Defaults leave the 1e-6
-    residual thresholds three orders of headroom.
+    Switching is always explicit, never silent.  The defaults keep RK45
+    well inside the CLI's fixed 1e-6 residual threshold, but not BDF on
+    heavily weighted identities (README, Numerical policy): tighten
+    ``rel_tol`` there.
     """
 
     rel_tol: float = 1e-9

@@ -21,8 +21,19 @@ extended with running integrals that the balance identities need:
 so the integration state is phase + A1 + A2.  These are the integrals the
 balances read, and no others: every co-integrated slot enters the stepper's
 error norm and the BDF Newton solve.  The tail identities' boundary flux is
-a Gauss quadrature of the dense output, like their other integrals.  The
-Jacobian is O(n) closed-form blocks (:class:`JacobianBlocks`): the border row
+a Gauss quadrature of the dense output, like their other integrals.
+
+A1 and A2 stay in the state although the balances could read the same
+integrals from a quadrature of the dense output: a prototype that did so
+kept every balance within 1.8e-8, but the two slots start at zero, so
+under ``abs_tol`` they set BDF's starting-step rule.  Without them BDF's
+first step on the decay-oracle chain of the integrator tests grew 27x
+(8.58e-8 to 2.30e-6); that test's dense-derivative error rose from 5.8e-7
+to 1.56e-5, above its 5e-6 bound, and ``differential_form`` on a BDF
+``verify`` with ``t_end = 1e-4`` rose from 2.97e-8 to 1.55e-5, above the
+CLI's 1e-5 threshold.
+
+The Jacobian is O(n) closed-form blocks (:class:`JacobianBlocks`): the border row
 and column of ``x``, the lower bidiagonal cohort block and the two
 accumulator rows over the cohorts.  :meth:`TruncatedSystem.rhs` and
 :func:`eval_jacobian` return the phase part of that one field; the Jacobian's

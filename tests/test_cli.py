@@ -291,10 +291,11 @@ def test_equilibrium_command_meets_its_residual_check(tmp_path):
     assert checks["equilibrium_residual"]["value"] <= 1e-12
 
 
-def test_semigroup_command(tmp_path):
+def test_semigroup_command(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "SEMIGROUP_PAIRS", ((0.5, 0.5), (0.0, 1.0), (1.0, 0.0)))
+    monkeypatch.setattr(cli, "SEMIGROUP_TOL", 1e-8)
     doc = coupled_doc(n=8, t_end=3.0)
     doc["integrator"] = {"rel_tol": 1e-11, "abs_tol": 1e-14}
-    doc["semigroup"] = {"pairs": [[0.5, 0.5], [0.0, 1.0], [1.0, 0.0]], "tol": 1e-8}
     cfg = write_config(tmp_path / "semi.yaml", doc)
     out = tmp_path / "out"
     assert cli.main(["semigroup", "--config", cfg, "--out", str(out)]) == 0
@@ -304,11 +305,10 @@ def test_semigroup_command(tmp_path):
     assert by_pair[(1.0, 0.0)] == 0.0
 
 
-def test_semigroup_pair_with_a_leg_that_rounds_away(tmp_path):
+def test_semigroup_pair_with_a_leg_that_rounds_away(tmp_path, monkeypatch):
     # 1e-17 + 0.5 == 0.5: the restart leg has no length and the residual is exactly zero
-    doc = coupled_doc(n=8, t_end=1.0)
-    doc["semigroup"] = {"pairs": [[1e-17, 0.5]]}
-    cfg = write_config(tmp_path / "semi.yaml", doc)
+    monkeypatch.setattr(cli, "SEMIGROUP_PAIRS", ((1e-17, 0.5),))
+    cfg = write_config(tmp_path / "semi.yaml", coupled_doc(n=8, t_end=1.0))
     out = tmp_path / "out"
     assert cli.main(["semigroup", "--config", cfg, "--out", str(out)]) == 0
     assert read_summary(out)["metadata"]["pairs"] == [{"t": 1e-17, "s": 0.5, "residual": 0.0}]
@@ -416,18 +416,6 @@ def test_config_error_wide_csv_must_be_boolean(tmp_path, capsys, value):
     assert not (out / "trajectory_wide.csv").exists()
 
 
-@pytest.mark.parametrize("pairs", [[1, "a"], [[1.0]], [[-1.0, 2.0]], [[1, 2, 3]]])
-def test_config_error_bad_semigroup_pairs(tmp_path, capsys, pairs):
-    # a non-list, short, negative or long pair is a config error, not a traceback or a truncation
-    doc = coupled_doc(n=4, t_end=1.0)
-    doc["semigroup"] = {"pairs": pairs}
-    cfg = write_config(tmp_path / "bad.yaml", doc)
-    assert cli.main(["semigroup", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-    err = capsys.readouterr().err
-    assert "semigroup.pairs[" in err
-    assert len(err.strip().splitlines()) == 1
-
-
 @pytest.mark.parametrize("bracket", [[2.0, 1.0], [-1.0, 2.0], [1.0], "abc"])
 def test_config_error_bad_equilibrium_bracket(tmp_path, capsys, bracket):
     # a reversed, negative, short or non-list bracket is a config error, not a traceback
@@ -458,6 +446,7 @@ def _with(doc, path, value):
         pytest.param("simulate", "initial.x0", 10**400, id="simulate-initial.x0-10**400"),
         ("simulate", "integrator.max_step", math.inf),
         ("simulate", "integrator.negativity_floor", math.nan),
+        # a check's threshold and the semigroup pairs are constants of cli: their old keys are unknown
         ("verify", "verify.residual_tol", -1e-6),
         ("verify", "verify.differential_tol", -1e-5),
         ("semigroup", "semigroup.tol", math.nan),
@@ -486,11 +475,23 @@ def _with(doc, path, value):
         ("simulate", "integrator.negativity_floor", None),
         ("equilibrium", "equilibrium.x_bracket", None),
         ("converge", "converge.final_gap_tol", None),
+        # each removed key at its old default, and each removed section empty: no config restates one
+        ("verify", "verify.residual_tol", 1e-6),
+        ("verify", "verify.differential_tol", 1e-5),
+        ("semigroup", "semigroup.pairs", [[0.5, 0.5], [1.0, 2.0], [0.0, 3.0], [3.0, 0.0]]),
+        ("semigroup", "semigroup.tol", 1e-7),
+        ("equilibrium", "equilibrium.tol", 1e-12),
+        ("converge", "converge.final_gap_tol", 1e-6),
+        ("verify", "verify", {}),
+        ("semigroup", "semigroup", {}),
+        ("converge", "converge", {}),
+        ("equilibrium", "equilibrium.x_braket", [0.5, 2.0]),
     ],
 )
 def test_config_error_rejected_fields(tmp_path, capsys, command, path, value):
-    # non-finite numbers, negative tolerances, null values, non-mapping sections and unknown keys
-    # (a constant family takes no exponent, a table no tail rule) are config errors naming the field
+    # non-finite numbers, null values, non-mapping sections and unknown keys (a constant family takes
+    # no exponent, a table no tail rule) are config errors naming the field; under a section the
+    # schema does not know, the error names the section
     doc = decay_doc()
     if command == "converge":
         doc["run"] = {"n_ladder": [4, 8], "t_end": 1.0}
@@ -499,7 +500,8 @@ def test_config_error_rejected_fields(tmp_path, capsys, command, path, value):
     cfg = write_config(tmp_path / "bad.yaml", _with(doc, path, value))
     assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"config error: {path}: ")
+    section = path.split(".")[0]
+    assert err.startswith(f"config error: {path if section in cli._SCHEMA else section}: ")
     assert len(err.strip().splitlines()) == 1
 
 
@@ -586,11 +588,10 @@ def test_integrator_stats_in_summary(tmp_path):
     assert 0.0 < stats["h_min"] <= stats["h_max"] <= 1.0
 
 
-def test_check_failure_exit_code(tmp_path):
+def test_check_failure_exit_code(tmp_path, monkeypatch):
     # an absurdly tight residual tolerance turns a healthy run into a failure
-    doc = coupled_doc()
-    doc["verify"] = {"residual_tol": 1e-18}
-    cfg = write_config(tmp_path / "strict.yaml", doc)
+    monkeypatch.setattr(cli, "RESIDUAL_TOL", 1e-18)
+    cfg = write_config(tmp_path / "strict.yaml", coupled_doc())
     out = tmp_path / "out"
     assert cli.main(["verify", "--config", cfg, "--out", str(out)]) == 1
     summary = read_summary(out)
@@ -598,7 +599,8 @@ def test_check_failure_exit_code(tmp_path):
     assert any(not c["passed"] for c in summary["checks"])
 
 
-def test_converge_final_gap_threshold(tmp_path):
+def test_converge_final_gap_threshold(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "FINAL_GAP_TOL", 1e-30)
     doc = {
         "model": {"r": 0.0, "alpha": 0.0},
         "rates": {
@@ -609,7 +611,6 @@ def test_converge_final_gap_threshold(tmp_path):
         "initial": {"x0": 1.0, "M": [1.0]},
         "run": {"n_ladder": [4, 6, 8, 10], "t_end": 1.0},
         "integrator": {"rel_tol": 1e-12, "abs_tol": 1e-15},
-        "converge": {"final_gap_tol": 1e-30},
     }
     cfg = write_config(tmp_path / "ladder.yaml", doc)
     assert cli.main(["converge", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
@@ -631,7 +632,8 @@ def test_numerical_abort_exit_code(tmp_path, capsys):
     assert "NoBracket" in capsys.readouterr().err
 
 
-def test_equilibrium_no_convergence_exit_code(tmp_path, capsys):
+def test_equilibrium_no_convergence_exit_code(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "EQUILIBRIUM_TOL", 0.0)
     doc = {
         "model": {"r": 1.0, "alpha": 1.0},
         "rates": {
@@ -641,7 +643,6 @@ def test_equilibrium_no_convergence_exit_code(tmp_path, capsys):
         },
         "initial": {"x0": 0.0, "M": [0.0]},
         "run": {"n": 64, "t_end": 1.0},
-        "equilibrium": {"tol": 0.0},
     }
     cfg = write_config(tmp_path / "nc.yaml", doc)
     assert cli.main(["equilibrium", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
@@ -742,13 +743,12 @@ def test_unusable_out_exits_2_with_one_stderr_line(tmp_path, capsys, under):
 
 
 @pytest.mark.parametrize("command,artifact", [("simulate", "trajectory.csv"), ("semigroup", "summary.json")])
-def test_unwritable_artifact_exits_2_with_one_stderr_line(tmp_path, capsys, command, artifact):
+def test_unwritable_artifact_exits_2_with_one_stderr_line(tmp_path, capsys, monkeypatch, command, artifact):
     # the artifact's name is taken by a directory: the run ends with its exit code, not a traceback
+    monkeypatch.setattr(cli, "SEMIGROUP_PAIRS", ((0.5, 0.5),))  # one pair: the semigroup run integrates three times, not six
     out = tmp_path / "out"
     (out / artifact).mkdir(parents=True)
-    doc = decay_doc()
-    doc["semigroup"] = {"pairs": [[0.5, 0.5]]}  # one pair: the semigroup run integrates three times, not six
-    cfg = write_config(tmp_path / "cfg.yaml", doc)
+    cfg = write_config(tmp_path / "cfg.yaml", decay_doc())
     assert cli.main([command, "--config", cfg, "--out", str(out)]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"config error: --out: cannot write {artifact}: "), err

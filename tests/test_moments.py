@@ -13,6 +13,7 @@ from silkin import (
     State,
     Trajectory,
     TruncatedSystem,
+    cli,
     compute_moments,
     gronwall_check,
     integrate,
@@ -147,6 +148,20 @@ def test_moment_identity_holds_at_every_boundary(method):
     for w in (MomentWeights.ones(n), MomentWeights.linear(n), MomentWeights.power(n, 1.5)):
         for m in range(1, n + 1):
             assert abs(moment_identity_residual(traj, w, m, traj.t_start, traj.t_end)) <= 1e-6
+
+
+@pytest.mark.parametrize(
+    "method,rel_tol,abs_tol,expected,passes",
+    [("rk45", 1e-9, 1e-12, 1.66e-8, True), ("bdf", 1e-9, 1e-12, 1.31e-6, False), ("bdf", 1e-10, 1e-13, 2.15e-7, True)],
+)
+def test_power_identity_headroom_against_the_fixed_threshold(method, rel_tol, abs_tol, expected, passes):
+    # README, Numerical policy: at the default tolerances BDF misses verify's threshold on the (i+1)^2
+    # tail identity, and a tighter rel_tol is the remedy
+    sys_, y0 = power_law_system(8, gamma=1.0), decaying_state(8, rho=0.9)
+    traj = integrate(sys_, y0, 1.0, IntegratorConfig(method=method, rel_tol=rel_tol, abs_tol=abs_tol))
+    value = abs(moment_identity_residual(traj, MomentWeights.power(8, 2.0), 1, traj.t_start, traj.t_end))
+    assert value == pytest.approx(expected, rel=0.01)
+    assert (value <= cli.RESIDUAL_TOL) == passes
 
 
 def test_moment_identity_window_and_order_validation():

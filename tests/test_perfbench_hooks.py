@@ -3,7 +3,8 @@ from pathlib import Path
 
 import pytest
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 
 @pytest.fixture
@@ -47,6 +48,18 @@ def test_benchmark_calls_run_at_smoke_size(perfbench):
     tally = workloads.Tally()
     assert len(layers.decay_ladder(1, tally)) == 2 * len(layers.DECAY_RUNGS)
     assert (tally.attempted, tally.failed) == (len(layers.DECAY_RUNGS), 0), tally.problems
+
+
+def test_each_shipped_config_passes_with_the_benchmarks_check_count(perfbench, tmp_path):
+    # cli_cold judges every summary by workloads.EXPECTED_CHECKS: a changed count fails here, not in every operation
+    import workloads
+    from silkin import cli
+
+    assert sorted(stem for stem, _ in workloads.CLI_CONFIGS) == sorted(p.stem for p in (ROOT / "configs").glob("*.yaml"))
+    for stem, command in workloads.CLI_CONFIGS:
+        out = tmp_path / stem
+        assert cli.main([command, "--config", str(ROOT / "configs" / f"{stem}.yaml"), "--out", str(out)]) == cli.EXIT_OK
+        assert workloads._summary_problems(out, command) == [], stem
 
 
 @pytest.mark.parametrize("method", ["rk45", "bdf"])
