@@ -86,13 +86,14 @@ order of its polynomial), and evaluates each group with one stacked
 number of shapes, not of steps.  For each step the stacked product makes the
 BLAS call scipy's per-step ``np.dot`` makes, on operands of the same layout,
 so the values keep scipy's bits.  A point read
-(:meth:`Trajectory.dense_vector`) is a one-column call of it that skips the
-sort, and keeps the bits of scipy's scalar evaluation: numpy sends the
-``(4, 1)`` power block to the same BLAS matrix-vector product as a 1-D power
-vector.  Several points in one step go through a matrix-matrix product
-instead, whose last bits can differ from the point-by-point values, so a
-caller that needs those values reads one point at a time.  A group's stacked
-blocks are cut into slices of at most a quarter of :data:`_CHUNK_FLOATS`.
+(:meth:`Trajectory.dense_vector`) is a one-column read with no branch of its
+own: a group of one step and one point, which keeps the bits of scipy's
+scalar evaluation, since numpy sends the ``(4, 1)`` power block to the same
+BLAS matrix-vector product as a 1-D power vector.  Several points in one
+step go through a matrix-matrix product instead, whose last bits can differ
+from the point-by-point values, so a caller that needs those values reads
+one point at a time.  A group's stacked blocks are cut into slices of at
+most a quarter of :data:`_CHUNK_FLOATS`.
 :meth:`Trajectory.at` states the sample rule once: a stored sample time
 returns that sample, any other time the dense output.  A read takes a
 one-dimensional array of times, and no times give a ``(size, 0)`` block.
@@ -136,7 +137,12 @@ __all__ = [
     "OutOfRange",
 ]
 
-_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(6)
+# Six-node Gauss-Legendre nodes and weights on [-1, 1]: the bits of np.polynomial.legendre.leggauss(6),
+# written out so that importing this module does not import numpy.polynomial.
+_GAUSS_X = np.array([-0.9324695142031519, -0.6612093864662645, -0.2386191860831969,
+                     0.2386191860831969, 0.6612093864662645, 0.9324695142031519])
+_GAUSS_W = np.array([0.17132449237917027, 0.3607615730481387, 0.46791393457269104,
+                     0.46791393457269104, 0.3607615730481387, 0.17132449237917027])
 _CHUNK_FLOATS = 2 ** 18  # a quadrature chunk's dense matrix and its read's stacked blocks stay near 2 MB
 
 MAX_STEPS = 20_000
@@ -741,11 +747,6 @@ class _BDF(_Stepper):
 _DP_ORDERS = np.arange(1.0, 5.0)[:, None]  # d/ds of s^j is j s^(j-1)
 
 
-def _stacked(arrays: list) -> np.ndarray:
-    """The arrays stacked along a new first axis; a single array is viewed, not copied."""
-    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
-
-
 @dataclass(frozen=True, eq=False)
 class _DenseOutput:
     """Dense output of the accepted steps of either stepper, and its time derivative.
@@ -763,10 +764,10 @@ class _DenseOutput:
     the BLAS call of scipy's per-step ``np.dot``, followed by the same
     elementwise operations.  So the values have scipy's bits.  A group is
     cut into slices whose stacked blocks stay within a quarter of
-    :data:`_CHUNK_FLOATS`.  A point read takes its step without sorting.
-    The matrix is column-major like scipy's, so reductions over it (the
-    einsum of :meth:`Trajectory._panel_integrals`) also sum in the same
-    order.
+    :data:`_CHUNK_FLOATS`.  A point read is a one-column read with no branch
+    of its own.  The matrix is column-major like scipy's, so reductions over
+    it (the einsum of :meth:`Trajectory._panel_integrals`) also sum in the
+    same order.
     """
 
     t: np.ndarray
@@ -785,18 +786,13 @@ class _DenseOutput:
             block, size = self._dormand_prince, len(first.y)
         else:
             block, size = self._bdf, first.D.shape[1]
-        if len(t) == 1:  # a point read: no sort and no groups
-            order, t_sorted = None, t
-        else:
-            order = np.argsort(t)
-            t_sorted = t[order]
+        order = np.argsort(t)
+        t_sorted = t[order]
         if len(t) and not (self.t[0] <= t_sorted[0] and t_sorted[-1] <= self.t[-1]):
             raise OutOfRange(
                 f"t in [{t_sorted[0]}, {t_sorted[-1]}] outside trajectory range [{self.t[0]}, {self.t[-1]}]"
             )
         steps = np.searchsorted(self.t[1:], t_sorted)  # the first step ending at or after each time
-        if order is None:
-            return block(steps, t[None], derivative)[0]
         starts = np.flatnonzero(np.diff(steps, prepend=-1))  # each step's first point
         counts = np.diff(starts, append=len(t))
         orders = self._orders[steps[starts]]
@@ -822,12 +818,12 @@ class _DenseOutput:
         s /= h
         for j in range(1, 4):
             np.multiply(p[:, j - 1], s, out=p[:, j])
-        Q = _stacked([record.Q for record in records])
+        Q = np.stack([record.Q for record in records])
         if derivative:
             return np.matmul(Q, _DP_ORDERS * np.concatenate((np.ones_like(p[:, :1]), p[:, :3]), axis=1))
         z = np.matmul(Q, p)
         z *= h[:, :, None]
-        z += _stacked([record.y for record in records])[:, :, None]
+        z += np.stack([record.y for record in records])[:, :, None]
         return z
 
     def _bdf(self, i: np.ndarray, t: np.ndarray, derivative: bool) -> np.ndarray:
@@ -837,9 +833,9 @@ class _DenseOutput:
         by ``denom[0]`` last, so a subnormal step takes no reciprocal.
         """
         records = [self.steps[j] for j in i]
-        t_shift = _stacked([record.t_shift for record in records])[:, :, None]
-        denom = _stacked([record.denom for record in records])[:, :, None]
-        D = _stacked([record.D for record in records])
+        t_shift = np.stack([record.t_shift for record in records])[:, :, None]
+        denom = np.stack([record.denom for record in records])[:, :, None]
+        D = np.stack([record.D for record in records])
         x = (t[:, None] - t_shift) / denom
         p = np.cumprod(x, axis=1)
         D_T = D[:, 1:].transpose(0, 2, 1)

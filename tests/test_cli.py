@@ -765,6 +765,20 @@ def test_order_whose_length_arange_cannot_count_blames_run_n(tmp_path, capsys, n
     assert len(err) == 1 and err[0].startswith(f"config error: run.n: truncation order {n} is too large: "), err
 
 
+def test_cli_import_does_not_import_numpy_polynomial():
+    # the quadrature nodes are literals: a cold start pays for no numpy.polynomial import
+    probe = "import sys, silkin.cli; print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))"
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
 SCIPY_PROBE = """
 import sys
 from silkin import cli

@@ -201,6 +201,13 @@ def test_accumulators_nondecreasing():
     assert np.all(acc[0] == 0.0)
 
 
+def test_gauss_nodes_and_weights_are_leggauss_bits():
+    # the module writes leggauss(6) out as literals, so that importing it does not import numpy.polynomial
+    nodes, weights = np.polynomial.legendre.leggauss(6)
+    assert integrator._GAUSS_X.tobytes() == nodes.tobytes()
+    assert integrator._GAUSS_W.tobytes() == weights.tobytes()
+
+
 def _inline_window_integrals(traj, t1, t2):
     # per-call six-node Gauss-Legendre on panels split at the samples inside [t1, t2]
     inside = traj.t[(traj.t > t1) & (traj.t < t2)]
@@ -741,7 +748,7 @@ def mixed_read(traj):
 
 @pytest.mark.parametrize("method,n", [("rk45", 4), ("rk45", 256), ("bdf", 4), ("bdf", 32)])
 def test_grouped_dense_reads_match_the_per_step_reference(method, n):
-    # values, derivatives, point values and step integrals have the bits of one np.dot per step
+    # values, derivatives, one-point reads and step integrals have the bits of one np.dot per step
     cfg = IntegratorConfig(method=method, rel_tol=1e-10, abs_tol=1e-15)
     traj = integrate(power_law_system(n, gamma=1.0), decaying_state(n), 5.0, cfg)
     reference = dataclasses.replace(traj, _sol=ReferenceDenseOutput(traj.t, traj._sol.steps))
@@ -752,7 +759,12 @@ def test_grouped_dense_reads_match_the_per_step_reference(method, n):
         mine, ref = getattr(traj, reader)(times), getattr(reference, reader)(times)
         assert mine.tobytes() == ref.tobytes()
         assert mine.flags.f_contiguous == ref.flags.f_contiguous
-    for t in (traj.t_start, float(traj.t[1]), float(times[0]), traj.t_end):
+    inside = 0.5 * float(traj.t[1] + traj.t[2])
+    for t in (traj.t_start, float(traj.t[1]), inside, traj.t_end):  # the start, a step boundary, inside a step, the end
         assert traj.dense_vector(t).tobytes() == reference.dense_vector(t).tobytes()
+        for reader in ("dense_matrix", "dense_derivative"):
+            mine, ref = getattr(traj, reader)(np.array([t])), getattr(reference, reader)(np.array([t]))
+            assert mine.shape == (traj.sys.dimension + NUM_ACC, 1)
+            assert mine.tobytes() == ref.tobytes()
     for mine, ref in zip(traj.step_integrals, reference.step_integrals, strict=True):
         assert mine.tobytes() == ref.tobytes()
