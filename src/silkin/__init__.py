@@ -27,7 +27,6 @@ from .moments import (
     GronwallReport,
     InvalidWeights,
     InvarianceReport,
-    MomentSnapshot,
     compute_moments,
     gronwall_check,
     invariance_check,

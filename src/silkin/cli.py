@@ -393,7 +393,7 @@ def _write_trajectory(config: RunConfig, traj: Trajectory, out: Path) -> dict:
     cohorts = min(config.output_m_out, rates.n + 1)
     header = ["t", "x", "M_total", "X_total", "U_total", "Q", "P"] + [f"M_{i}" for i in range(cohorts)]
 
-    moments = np.array([compute_moments(row[0], row[1:], rates) for row in traj.phase])
+    moments = compute_moments(traj.phase, rates)
     _write_csv(out / "trajectory.csv", header, traj.t, traj.phase[:, 0], moments, traj.phase[:, 1:cohorts + 1])
     artifacts = {"trajectory_csv": "trajectory.csv"}
     if config.output_wide_csv:

@@ -15,9 +15,9 @@ accumulators or the integrator, never "model error".
 The integration state is phase + A1 + A2: the phase rows ``(x, M_0 .. M_n)``
 and the two loss integrals the balances read.  Everything here reads them
 from :meth:`Trajectory.at` and :attr:`Trajectory.phase` and builds no
-``State``; the envelope forms its sample sums ``sum_{i>=1} g_i M_i`` and its
-bound curve once, for both checks that use it, and one verdict turns a
-left-hand side and its bound into ``(ok, margin)``.
+``State``; one function forms the envelope's sample sums ``sum_{i>=1} g_i M_i``
+and its bound curve on each call of either check that uses it, and one
+verdict turns a left-hand side and its bound into ``(ok, margin)``.
 
 Time integrals of g-weighted cohort sums are dot products of the weights
 with the trajectory's cached integrals: ``int M_i`` and ``int x M_i`` are
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -39,7 +39,6 @@ from .model import MomentWeights, RateTable, validate_weights, weighted_norm
 from .truncation import ACC_QUARTZ_REMOVED, ACC_TOTAL_LOSS
 
 __all__ = [
-    "MomentSnapshot",
     "GronwallReport",
     "InvalidWeights",
     "compute_moments",
@@ -57,51 +56,35 @@ class InvalidWeights(ValueError):
     """Weights do not satisfy the hypotheses the exponential envelope needs."""
 
 
-class MomentSnapshot(NamedTuple):
-    """Moments of one phase row: totals plus the weighted release/removal sums.
+def compute_moments(phase: np.ndarray, rates: RateTable) -> np.ndarray:
+    """Finite moment sums of a ``(rows, n + 2)`` block of phase rows ``(x, M_0 .. M_n)`` against a rate table.
 
-    The fields are in the trajectory CSV's column order, so snapshots stack into its moment columns.
+    Returns a ``(rows, 5)`` array whose columns are ``M_total, X_total,
+    U_total, Q, P``, the trajectory CSV's moment columns in its order.
     """
-
-    m_total: float
-    x_total: float
-    u_total: float
-    Q: float
-    P: float
-
-
-def compute_moments(x: float, M: np.ndarray, rates: RateTable) -> MomentSnapshot:
-    """Finite moment sums of the phase row ``(x, M_0 .. M_n)`` against a rate table."""
-    if len(M) != rates.n + 1:
-        raise ValueError(f"row carries cohorts 0..{len(M) - 1} but rates expect 0..{rates.n}")
+    if phase.shape[1] != rates.n + 2:
+        raise ValueError(f"rows carry cohorts 0..{phase.shape[1] - 2} but rates expect 0..{rates.n}")
+    x, M = phase[:, 0], phase[:, 1:]
     i = np.arange(rates.n + 1, dtype=float)
-    m_total = float(np.sum(M))
-    x_total = float(x) + float(i @ M)
-    return MomentSnapshot(
-        m_total=m_total,
-        x_total=x_total,
-        u_total=x_total + m_total,
-        Q=float((i * rates.q) @ M),
-        P=float((i * rates.p) @ M),
-    )
+    m_total = np.sum(M, axis=1)
+    x_total = x + np.vecdot(M, i)
+    return np.column_stack((m_total, x_total, x_total + m_total, np.vecdot(M, i * rates.q), np.vecdot(M, i * rates.p)))
 
 
-# Balance name -> (conserved moment, its supply rate, accumulators of its losses).
+# Balance name -> (column of its conserved moment in compute_moments, its supply rate, accumulators of its losses).
 _BALANCES = {
-    "mass": ("u_total", lambda p: p.r + p.alpha, (ACC_TOTAL_LOSS, ACC_QUARTZ_REMOVED)),
-    "quartz": ("x_total", lambda p: p.alpha, (ACC_QUARTZ_REMOVED,)),
-    "macrophage": ("m_total", lambda p: p.r, (ACC_TOTAL_LOSS,)),
+    "mass": (2, lambda p: p.r + p.alpha, (ACC_TOTAL_LOSS, ACC_QUARTZ_REMOVED)),
+    "quartz": (1, lambda p: p.alpha, (ACC_QUARTZ_REMOVED,)),
+    "macrophage": (0, lambda p: p.r, (ACC_TOTAL_LOSS,)),
 }
 
 
 def _balance_residual(traj: Trajectory, t: float, balance: str) -> float:
     """``S(t) - S(t0) - supply (t - t0) + sum of loss accumulators`` for one balance."""
-    moment, supply_rate, slots = _BALANCES[balance]
-    rates = traj.sys.rates
+    column, supply_rate, slots = _BALANCES[balance]
     dim = traj.sys.dimension
-    z, z0 = traj.at(t), traj.phase[0]
-    now = getattr(compute_moments(z[0], z[1:dim], rates), moment)
-    start = getattr(compute_moments(z0[0], z0[1:], rates), moment)
+    z = traj.at(t)
+    start, now = compute_moments(np.stack((traj.phase[0], z[:dim])), traj.sys.rates)[:, column].tolist()
     residual = now - start - supply_rate(traj.sys.params) * (t - traj.t_start)
     for slot in slots:
         residual += float(z[dim + slot])

@@ -74,6 +74,14 @@ def precise_moments(x, M, p, q):
         )
 
 
+def row_moments(x, M, p, q):
+    """Moment sums of one phase row in float64, one dot or sum each: [m_total, x_total, u_total, Q, P]."""
+    i = np.arange(len(M), dtype=float)
+    m_total = float(np.sum(M))
+    x_total = float(x) + float(i @ M)
+    return [m_total, x_total, x_total + m_total, float((i * q) @ M), float((i * p) @ M)]
+
+
 def brute_force_growth_constant(g, k):
     """max over i < n of (g_{i+1} - g_i) k_i / g_i by explicit loop (0/0 -> 0)."""
     worst = 0.0

@@ -27,23 +27,22 @@ from silkin import (
 from silkin.truncation import NUM_ACC
 
 from conftest import constant_rates, decaying_state, power_law_system
-from oracles import precise_moments
+from oracles import precise_moments, row_moments
 
 
 def test_compute_moments_hand_sums():
     rates = constant_rates(2, p=0.5, q=0.25)
-    snap = compute_moments(1.0, np.array([1.0, 1.0, 0.0]), rates)
-    assert snap.m_total == 2.0
-    assert snap.x_total == 2.0
-    assert snap.u_total == 4.0
-    assert snap.Q == 0.25
-    assert snap.P == 0.5
+    m_total, x_total, u_total, Q, P = compute_moments(np.array([[1.0, 1.0, 1.0, 0.0]]), rates)[0]
+    assert m_total == 2.0
+    assert x_total == 2.0
+    assert u_total == 4.0
+    assert Q == 0.25
+    assert P == 0.5
 
 
 def test_compute_moments_zero_state():
     rates = constant_rates(3, p=1.0, q=1.0)
-    snap = compute_moments(0.0, np.zeros(4), rates)
-    assert (snap.m_total, snap.x_total, snap.u_total, snap.Q, snap.P) == (0, 0, 0, 0, 0)
+    assert compute_moments(np.zeros((1, 5)), rates)[0].tolist() == [0, 0, 0, 0, 0]
 
 
 def test_compute_moments_extended_precision(rng):
@@ -52,15 +51,25 @@ def test_compute_moments_extended_precision(rng):
     for _ in range(10):
         M = rng.uniform(0.0, 2.0, n + 1) * 0.8 ** np.arange(n + 1)
         x = rng.uniform(0.0, 3.0)
-        snap = compute_moments(x, M, rates)
+        got_row = compute_moments(np.concatenate(([x], M))[None, :], rates)[0]
         ref = precise_moments(x, M, rates.p, rates.q)
-        for got, want in zip((snap.m_total, snap.x_total, snap.u_total, snap.Q, snap.P), ref):
+        for got, want in zip(got_row, ref):
             assert got == pytest.approx(want, rel=5e-15, abs=5e-15)
 
 
 def test_compute_moments_dimension_mismatch():
     with pytest.raises(ValueError):
-        compute_moments(0.0, np.zeros(3), constant_rates(4))
+        compute_moments(np.zeros((1, 4)), constant_rates(4))
+
+
+@pytest.mark.parametrize("method", ["rk45", "bdf"])
+def test_compute_moments_is_the_row_sums_bit_for_bit(method):
+    # the CSV's moment columns keep their bytes only if the block map sums each row as one dot does
+    sys_ = power_law_system(64, gamma=0.5)
+    traj = integrate(sys_, decaying_state(64), 5.0, IntegratorConfig(method=method))
+    rates = sys_.rates
+    want = [row_moments(z[0], z[1:], rates.p, rates.q) for z in traj.phase]
+    assert compute_moments(traj.phase, rates).tolist() == want
 
 
 def test_mass_balance_zero_rates_exact():
@@ -306,20 +315,20 @@ def test_gronwall_leaves_negative_weights_to_validate_weights():
     assert type(err.value) is ValueError
 
 
-def _weighted_series(traj, t_grid, which):
+def _weighted_series(traj, t_grid, column):
     rates = traj.sys.rates
     dim = traj.sys.dimension
-    rows = [traj.at(float(t)) for t in t_grid]
-    return np.array([getattr(compute_moments(z[0], z[1:dim], rates), which) for z in rows])
+    rows = np.array([traj.at(float(t))[:dim] for t in t_grid])
+    return compute_moments(rows, rates)[:, column]
 
 
 def test_release_and_removal_moments_continuous():
     # halving the grid spacing halves the worst jump of Q and P
     sys_ = power_law_system(16, gamma=0.5)
     traj = integrate(sys_, decaying_state(16), 3.0)
-    for which in ("Q", "P"):
-        coarse = _weighted_series(traj, np.linspace(0.0, 3.0, 151), which)
-        fine = _weighted_series(traj, np.linspace(0.0, 3.0, 301), which)
+    for column in (3, 4):  # Q and P
+        coarse = _weighted_series(traj, np.linspace(0.0, 3.0, 151), column)
+        fine = _weighted_series(traj, np.linspace(0.0, 3.0, 301), column)
         jump_coarse = float(np.max(np.abs(np.diff(coarse))))
         jump_fine = float(np.max(np.abs(np.diff(fine))))
         assert jump_fine == pytest.approx(0.5 * jump_coarse, rel=0.2)
@@ -335,9 +344,8 @@ def test_total_moment_rates_match_finite_differences():
     for t in np.linspace(0.3, 2.7, 7):
         M = traj.at(float(t))[1:18]
         up, down = traj.at(float(t + h)), traj.at(float(t - h))
-        plus = compute_moments(up[0], up[1:18], rates)
-        minus = compute_moments(down[0], down[1:18], rates)
-        dm = (plus.m_total - minus.m_total) / (2.0 * h)
-        dxm = (plus.x_total - minus.x_total) / (2.0 * h)
+        plus, minus = compute_moments(np.stack((up[:18], down[:18])), rates)
+        dm = (plus[0] - minus[0]) / (2.0 * h)
+        dxm = (plus[1] - minus[1]) / (2.0 * h)
         assert dm == pytest.approx(sys_.params.r - float(sys_.loss @ M), abs=1e-5)
         assert dxm == pytest.approx(sys_.params.alpha - float((i * rates.p) @ M), abs=1e-5)
