@@ -41,6 +41,38 @@ def decoupled_solution(x0, M0, p, q, r, alpha, t):
     return x, M
 
 
+def affine_closure(r, alpha, a, b, p, q, x0, N0, X0, ts):
+    """``(x, N, X)`` of the infinite system at the times ``ts`` when ``k_i = a + b i`` and ``p``, ``q`` are constant.
+
+    ``N = sum_i M_i`` and ``X = sum_i i M_i`` then obey a closed ODE with the
+    free quartz ``x``:
+
+        N' = r - (p + q) N
+        X' = x (a N + b X) - (p + q) X
+        x' = alpha - x (a N + b X) + q X
+
+    solved by scipy's DOP853 at ``rtol = 1e-13``, far below any truncation's
+    error.  It never touches a cohort, so it shares nothing with the solver.
+    """
+    from scipy.integrate import solve_ivp
+
+    def field(t, z):
+        x, N, X = z
+        ingested = x * (a * N + b * X)
+        return [alpha - ingested + q * X, r - (p + q) * N, ingested - (p + q) * X]
+
+    sol = solve_ivp(field, (ts[0], ts[-1]), [x0, N0, X0], method="DOP853", rtol=1e-13, atol=1e-16, t_eval=ts)
+    assert sol.success, sol.message
+    return sol.y
+
+
+def affine_closure_equilibrium(r, alpha, a, b, p, q):
+    """The closure's steady state ``(x*, N*, X*)``: ``N* = r / (p + q)``, ``X* = alpha / p``, ``x*`` from ``X' = 0``."""
+    N = r / (p + q)
+    X = alpha / p
+    return (p + q) * X / (a * N + b * X), N, X
+
+
 def central_jacobian(sys: TruncatedSystem, s: State, h: float = 1e-6) -> np.ndarray:
     """Finite-difference Jacobian, column by column, with relative step h."""
     v = s.vector()
@@ -152,22 +184,23 @@ class ReferenceDenseOutput:
     ``OdeSolution`` and its step interpolants do.  The library stacks the
     steps of one shape into one ``np.matmul``; the two agree bit for bit.
     ``steps`` are the library's step records (``(y, Q)`` for RK45, records
-    with ``t_shift``, ``denom`` and ``D`` for BDF), and it is called as the
-    library's evaluator is: ``(t, derivative=False)``.
+    with ``t_shift``, ``denom`` and ``D`` for BDF), ``size`` is the run's
+    augmented size, and it is called as the library's evaluator is:
+    ``(t, derivative=False)``.  A BDF record's ``D`` may lack the phase
+    columns of an all-zero tail; each step restores its own full-width ``D``
+    by two slice copies into zeros.
     """
 
     _ORDERS = np.arange(1.0, 5.0)[:, None]
 
-    def __init__(self, t: np.ndarray, steps):
+    def __init__(self, t: np.ndarray, steps, size: int):
         self.t = t
         self.steps = steps
+        self.size = size
 
     def __call__(self, t: np.ndarray, derivative: bool = False) -> np.ndarray:
-        first = self.steps[0]
-        if hasattr(first, "Q"):
-            block, size = self._dormand_prince, len(first.y)
-        else:
-            block, size = self._bdf, first.D.shape[1]
+        block = self._dormand_prince if hasattr(self.steps[0], "Q") else self._bdf
+        size = self.size
         order = np.argsort(t)
         t_sorted = t[order]
         steps = np.clip(np.searchsorted(self.t, t_sorted, side="left") - 1, 0, len(self.steps) - 1)
@@ -191,7 +224,10 @@ class ReferenceDenseOutput:
         return z
 
     def _bdf(self, i, t, derivative):
-        t_shift, denom, D = self.steps[i].t_shift, self.steps[i].denom, self.steps[i].D
+        t_shift, denom, kept = self.steps[i].t_shift, self.steps[i].denom, self.steps[i].D
+        D = np.zeros((len(kept), self.size))
+        D[:, :kept.shape[1] - NUM_ACC] = kept[:, :-NUM_ACC]
+        D[:, -NUM_ACC:] = kept[:, -NUM_ACC:]
         x = (t - t_shift[:, None]) / denom[:, None]
         p = np.cumprod(x, axis=0)
         if derivative:

@@ -36,7 +36,7 @@ from silkin import (
 )
 from silkin.analysis import _gap, _on_grid
 
-from oracles import central_jacobian, decoupled_solution
+from oracles import affine_closure, affine_closure_equilibrium, central_jacobian, decoupled_solution
 
 MATRIX_NS = (4, 32, 256)
 MATRIX_GAMMAS = (0.0, 0.5, 1.0)
@@ -329,3 +329,73 @@ def test_criterion_10_deterministic_cli(tmp_path):
     _report(10, ok, f"consecutive runs byte-identical: narrow={same_narrow}, wide={same_wide}")
     assert same_narrow
     assert same_wide
+
+
+# Affine ingestion k_i = 1 + gamma i, constant p and q: the infinite system closes on (x, N, X).
+AFFINE = dict(r=0.4, alpha=0.3, p=0.7, q=0.5)
+AFFINE_CFG = IntegratorConfig(rel_tol=1e-11, abs_tol=1e-16)
+AFFINE_FLOOR = 1e-10  # where the truncation error sinks below the integration error
+AFFINE_CASES = [  # (gamma, rho, T, ladder)
+    (1.0, 0.5, 5.0, (8, 16, 32, 64, 128, 256)),
+    (0.0, 0.7, 5.0, (8, 16, 32, 64, 128)),
+    (1.0, 0.9, 1.0, (16, 32, 64, 128, 256)),
+]
+
+
+def _affine_system(n: int, gamma: float) -> TruncatedSystem:
+    rates = realize_coefficients(
+        CoefficientFamily.power_law(1.0, gamma),
+        CoefficientFamily.constant(AFFINE["p"]),
+        CoefficientFamily.constant(AFFINE["q"]),
+        n,
+    )
+    return TruncatedSystem(ModelParams(r=AFFINE["r"], alpha=AFFINE["alpha"]), rates)
+
+
+def _falls_to_floor(errors) -> bool:
+    """Each rung below the one before it, or at the floor; the last at the floor or 1000x below the first."""
+    steps_ok = all(b < a or b <= AFFINE_FLOOR for a, b in zip(errors, errors[1:]))
+    return steps_ok and (errors[-1] <= AFFINE_FLOOR or errors[-1] <= 1e-3 * errors[0])
+
+
+def test_criterion_11_truncations_approach_the_affine_limit():
+    # sup-in-time errors of x, N = sum M_i and X = sum i M_i against the infinite system's closure, and
+    # find_equilibrium's root against the closure's steady state x*_inf
+    start = time.perf_counter()
+    ladders = []
+    for gamma, rho, t_end, ladder in AFFINE_CASES:
+        ts = np.linspace(0.0, t_end, 201)
+        limit = affine_closure(AFFINE["r"], AFFINE["alpha"], 1.0, gamma, AFFINE["p"], AFFINE["q"],
+                               1.0, 1.0 / (1.0 - rho), rho / (1.0 - rho) ** 2, ts)
+        errors = []
+        for n in ladder:
+            y0 = InitialData(x0=1.0, b=1.0, rho=rho).state(n)
+            Z = integrate(_affine_system(n, gamma), y0, t_end, AFFINE_CFG).dense_matrix(ts)
+            M = Z[1:n + 2]
+            errors.append([float(np.max(np.abs(u - v))) for u, v in zip((Z[0], M.sum(axis=0), np.arange(n + 1) @ M), limit)])
+        ladders.append((gamma, rho, np.array(errors)))
+    ladder_ok = all(_falls_to_floor(errors[:, j]) for _, _, errors in ladders for j in range(3))
+    gamma0_floor = all((errors[-1] <= AFFINE_FLOOR).all() for gamma, _, errors in ladders if gamma == 0.0)
+
+    equilibrium_ok = True
+    gaps = {}
+    for gamma, ladder in ((0.0, (8, 16, 32, 64, 128)), (1.0, (8, 16, 32, 64, 128, 256, 1024))):
+        x_inf, N_inf, X_inf = affine_closure_equilibrium(AFFINE["r"], AFFINE["alpha"], 1.0, gamma, AFFINE["p"], AFFINE["q"])
+        gaps[gamma] = []
+        for n in ladder:
+            eq = find_equilibrium(_affine_system(n, gamma))
+            gaps[gamma].append(eq.x_star - x_inf)
+            # the truncation keeps N' and (x + X)' of the limit, so its root has the limit's N* and X*
+            equilibrium_ok &= abs(eq.M_star.sum() - N_inf) < 1e-12 and abs(np.arange(n + 1) @ eq.M_star - X_inf) < 1e-12
+        if gamma == 1.0:  # algebraic: the gap times n stays within [1, 3]
+            equilibrium_ok &= all(1.0 < n * gap < 3.0 for n, gap in zip(ladder, gaps[gamma]))
+        else:  # geometric, down to rounding by n = 64
+            equilibrium_ok &= _falls_to_floor(np.abs(gaps[gamma])) and abs(gaps[gamma][3]) < 1e-12
+    elapsed = time.perf_counter() - start
+    ok = ladder_ok and gamma0_floor and equilibrium_ok
+    last = ", ".join(f"gamma={g} rho={rho}: x {e[-1, 0]:.1e}" for g, rho, e in ladders)
+    _report(11, ok, f"errors fall to the floor along each ladder ({last}); x*_n - x*_inf at n=1024 "
+                    f"{gaps[1.0][-1]:.2e} (gamma=1), at n=64 {gaps[0.0][3]:.1e} (gamma=0); {elapsed:.1f}s")
+    assert ladder_ok
+    assert gamma0_floor
+    assert equilibrium_ok

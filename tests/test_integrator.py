@@ -573,7 +573,7 @@ def test_bdf_dense_output_matches_scipy(n, gamma, rel_tol, abs_tol):
 
     cfg = IntegratorConfig(method="bdf", rel_tol=rel_tol, abs_tol=abs_tol)
     _, ts, rows, segments = scipy_bdf(power_law_system(n, gamma=gamma), decaying_state(n), 5.0, cfg)
-    mine = integrator._DenseOutput(ts, segments)
+    mine = integrator._DenseOutput(ts, segments, rows.shape[1])
     reference = OdeSolution(ts, segments)
     grid = np.sort(np.concatenate([np.linspace(0.0, 5.0, 201), ts]))  # sample times too
     for points in (grid, np.random.default_rng(3).permutation(grid)):
@@ -582,10 +582,11 @@ def test_bdf_dense_output_matches_scipy(n, gamma, rel_tol, abs_tol):
         assert got.flags.f_contiguous == want.flags.f_contiguous
 
 
-def assert_bdf_matches_scipy(monkeypatch, sys_, y0, cfg):
+def assert_bdf_matches_scipy(monkeypatch, sys_, y0, cfg, t_end=5.0):
     """scipy's BDF driven by the same factor and solve takes the same steps with the same bits as ``integrate``.
 
-    Compared: times, states, work counts, rejections and each step's dense-output data.
+    Compared: times, states, work counts, rejections and each step's dense-output data: a record's columns
+    are scipy's, and the phase columns it drops are +0.0 in scipy's ``D``.  Returns the trajectory.
     """
     import scipy.integrate._ivp.bdf as scipy_bdf_module
 
@@ -597,8 +598,8 @@ def assert_bdf_matches_scipy(monkeypatch, sys_, y0, cfg):
         return solve_bdf_system(*args)
 
     monkeypatch.setattr(scipy_bdf_module, "solve_bdf_system", counted)
-    traj = integrate(sys_, y0, 5.0, cfg)
-    solver, ts, rows, segments = scipy_bdf(sys_, y0, 5.0, cfg)
+    traj = integrate(sys_, y0, t_end, cfg)
+    solver, ts, rows, segments = scipy_bdf(sys_, y0, t_end, cfg)
     dim = sys_.dimension
     assert traj.t.tobytes() == ts.tobytes()
     assert traj.phase.tobytes() == np.where(rows[:, :dim] < 0.0, 0.0, rows[:, :dim]).tobytes()
@@ -608,9 +609,12 @@ def assert_bdf_matches_scipy(monkeypatch, sys_, y0, cfg):
     # each attempt makes one Newton call, and one more after each Jacobian refresh
     assert stats.rejected == len(newton_calls) - (solver.njev - 1) - stats.steps
     for mine, ref in zip(traj._sol.steps, segments, strict=True):
-        for a, b in ((mine.t_shift, ref.t_shift), (mine.denom, ref.denom), (mine.D, ref.D)):
+        kept = mine.D.shape[1] - NUM_ACC  # the record's phase columns; scipy's D holds them all
+        kept_D = np.concatenate((ref.D[:, :kept], ref.D[:, dim:]), axis=1)
+        for a, b in ((mine.t_shift, ref.t_shift), (mine.denom, ref.denom), (mine.D, kept_D)):
             assert a.tobytes() == b.tobytes()
-    return stats
+        assert ref.D[:, kept:dim].tobytes() == bytes(8 * ref.D[:, kept:dim].size)  # dropped: +0.0 bit patterns
+    return traj
 
 
 @pytest.mark.parametrize(
@@ -628,7 +632,7 @@ def test_bdf_stepper_matches_scipy_on_a_stiff_system(monkeypatch):
     # fast ingestion and loss: Newton fails twice on a stale Jacobian, and one step is refused
     sys_ = power_law_system(32, gamma=1.0, k_amp=40.0, p_amp=20.0)
     cfg = IntegratorConfig(method="bdf", rel_tol=1e-3, abs_tol=1e-6)
-    stats = assert_bdf_matches_scipy(monkeypatch, sys_, decaying_state(32), cfg)
+    stats = assert_bdf_matches_scipy(monkeypatch, sys_, decaying_state(32), cfg).stats
     assert (stats.njev, stats.rejected) == (3, 1)
 
 
@@ -746,14 +750,10 @@ def mixed_read(traj):
     return np.random.default_rng(7).permutation(np.array(times))
 
 
-@pytest.mark.parametrize("method,n", [("rk45", 4), ("rk45", 256), ("bdf", 4), ("bdf", 32)])
-def test_grouped_dense_reads_match_the_per_step_reference(method, n):
-    # values, derivatives, one-point reads and step integrals have the bits of one np.dot per step
-    cfg = IntegratorConfig(method=method, rel_tol=1e-10, abs_tol=1e-15)
-    traj = integrate(power_law_system(n, gamma=1.0), decaying_state(n), 5.0, cfg)
-    reference = dataclasses.replace(traj, _sol=ReferenceDenseOutput(traj.t, traj._sol.steps))
-    if method == "bdf":
-        assert {1, 3, 5} <= {len(step.denom) for step in traj._sol.steps}
+def assert_reads_match_the_per_step_reference(traj):
+    """Values, derivatives, one-point reads and step integrals have the bits of one np.dot per step."""
+    size = traj.sys.dimension + NUM_ACC
+    reference = dataclasses.replace(traj, _sol=ReferenceDenseOutput(traj.t, traj._sol.steps, size))
     times = mixed_read(traj)
     for reader in ("dense_matrix", "dense_derivative"):
         mine, ref = getattr(traj, reader)(times), getattr(reference, reader)(times)
@@ -764,7 +764,55 @@ def test_grouped_dense_reads_match_the_per_step_reference(method, n):
         assert traj.dense_vector(t).tobytes() == reference.dense_vector(t).tobytes()
         for reader in ("dense_matrix", "dense_derivative"):
             mine, ref = getattr(traj, reader)(np.array([t])), getattr(reference, reader)(np.array([t]))
-            assert mine.shape == (traj.sys.dimension + NUM_ACC, 1)
+            assert mine.shape == (size, 1)
             assert mine.tobytes() == ref.tobytes()
     for mine, ref in zip(traj.step_integrals, reference.step_integrals, strict=True):
         assert mine.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("method,n", [("rk45", 4), ("rk45", 256), ("bdf", 4), ("bdf", 32)])
+def test_grouped_dense_reads_match_the_per_step_reference(method, n):
+    cfg = IntegratorConfig(method=method, rel_tol=1e-10, abs_tol=1e-15)
+    traj = integrate(power_law_system(n, gamma=1.0), decaying_state(n), 5.0, cfg)
+    if method == "bdf":
+        assert {1, 3, 5} <= {len(step.denom) for step in traj._sol.steps}
+    assert_reads_match_the_per_step_reference(traj)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 1.0])
+def test_bdf_records_drop_an_underflowed_tail(monkeypatch, gamma):
+    # rho = 0.5 underflows to exact zeros past cohort 1075: the records drop those columns, scipy's D holds +0.0
+    # there, and every read keeps its bits
+    n = 1200
+    sys_, y0 = power_law_system(n, gamma=gamma), decaying_state(n, rho=0.5)
+    cfg = IntegratorConfig(method="bdf", rel_tol=1e-6, abs_tol=1e-9)
+    traj = assert_bdf_matches_scipy(monkeypatch, sys_, y0, cfg, t_end=0.5)
+    assert min(step.D.shape[1] for step in traj._sol.steps) < sys_.dimension + NUM_ACC
+    assert_reads_match_the_per_step_reference(traj)
+
+
+def test_bdf_record_keeps_columns_with_nonzero_bits():
+    # a column is dropped only when it is +0.0 in every row: -0.0 and subnormals are kept, the accumulators always
+    dim = 10
+    rows = np.zeros((3, dim + NUM_ACC))
+    rows[:, :4] = np.arange(1.0, 13.0).reshape(3, 4)
+    rows[:, dim:] = 7.0
+    assert integrator._without_zero_tail(rows).tobytes() == np.concatenate((rows[:, :4], rows[:, dim:]), axis=1).tobytes()
+    for column, value in ((6, -0.0), (8, 5e-324), (dim - 1, -0.0)):
+        marked = rows.copy()
+        marked[2, column] = value
+        kept = integrator._without_zero_tail(marked)
+        assert kept.shape == (3, column + 1 + NUM_ACC)
+        assert kept.tobytes() == np.concatenate((marked[:, :column + 1], marked[:, dim:]), axis=1).tobytes()
+    assert integrator._without_zero_tail(np.zeros((2, dim + NUM_ACC))).shape == (2, NUM_ACC)
+    # a read through trimmed records has the bits of the same read through the full-width ones
+    marked = rows.copy()
+    marked[1, 6] = -0.0
+    t = np.array([0.0, 1.0, 2.0])
+    full = [integrator._BdfStep(np.array([b, a]), np.array([1.0, 2.0]), marked * b, 2) for a, b in ((0.0, 1.0), (1.0, 2.0))]
+    trimmed = [step._replace(D=integrator._without_zero_tail(step.D)) for step in full]
+    assert trimmed[0].D.shape == (3, 7 + NUM_ACC)
+    times = np.linspace(0.0, 2.0, 9)
+    for derivative in (False, True):
+        mine = integrator._DenseOutput(t, trimmed, dim + NUM_ACC)(times, derivative)
+        assert mine.tobytes() == integrator._DenseOutput(t, full, dim + NUM_ACC)(times, derivative).tobytes()
