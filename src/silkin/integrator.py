@@ -807,7 +807,6 @@ class _DenseOutput:
         if t.ndim != 1:
             raise ValueError(f"times must be one-dimensional, got shape {t.shape}")
         block = self._dormand_prince if isinstance(self.steps[0], _RkStep) else self._bdf
-        size = self.size
         order = np.argsort(t)
         t_sorted = t[order]
         if len(t) and not (self.t[0] <= t_sorted[0] and t_sorted[-1] <= self.t[-1]):
@@ -819,12 +818,12 @@ class _DenseOutput:
         counts = np.diff(starts, append=len(t))
         orders = self._orders[steps[starts]]
         shapes = counts * (_BDF_MAX_ORDER + 1) + orders  # one key per (count, order): every order is below 6
-        out = np.empty((size, len(t)), order="F")  # the layout of scipy's ``ys[:, reverse]``
+        out = np.empty((self.size, len(t)), order="F")  # the layout of scipy's ``ys[:, reverse]``
         rows = out.T
         for shape in set(shapes.tolist()):
             m, degree = divmod(shape, _BDF_MAX_ORDER + 1)
             points = starts[shapes == shape][:, None] + np.arange(m)
-            per = max(1, _CHUNK_FLOATS // 4 // ((degree + 1 + m) * size))  # steps whose records and product fit
+            per = max(1, _CHUNK_FLOATS // 4 // ((degree + 1 + m) * self.size))  # steps whose records and product fit
             for a in range(0, len(points), per):
                 cut = points[a:a + per]
                 rows[order[cut]] = block(steps[cut[:, 0]], t_sorted[cut], derivative).transpose(0, 2, 1)
