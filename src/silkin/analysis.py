@@ -1,8 +1,13 @@
 """Numerical experiments on the truncated family: convergence, uniqueness and
 semigroup probes, the differential form of a run, and equilibria.
 
-Each experiment owns its runs; rungs of a ladder and the legs of a probe are
-independent and may be executed concurrently by a caller.  Comparisons across
+Rungs of a ladder and the legs of a probe are integrated independently and
+may be executed concurrently by a caller.  A leg need not be a new run:
+:func:`~silkin.integrator.integrate` returns a trajectory that is still alive
+for the same system, start and end bits, start vector bytes and config (a
+memo of weak references), so a probe's leg may be the very read-only object
+its caller holds, with the bits a new run would give.  Nothing here assumes
+that two legs with the same key are distinct objects.  Comparisons across
 truncation orders use dense output on a shared time grid, because step
 sequences differ between runs while the quantities of interest are
 uniform-in-time gaps.

@@ -115,8 +115,19 @@ dense output is evaluated, while an undershoot below ``negativity_floor``
 (default ``-100 * abs_tol``) aborts the run - that deep a violation signals
 tolerances too loose for the problem, not model behaviour.
 
-Integrations are sequential; distinct integrations share no mutable state and
-may run concurrently.
+Integrations are sequential.  :func:`integrate` is a memo over the runs that
+are still alive: each :class:`~silkin.truncation.TruncatedSystem` holds weak
+references to the trajectories integrated on it, keyed by the bit patterns
+of ``y0.t`` and ``t_end``, the bytes of ``y0.vector()`` and the resolved
+:class:`IntegratorConfig`.  A call whose key names a live trajectory returns
+that object, with the bits a fresh run would give, since the steppers are
+bitwise deterministic.  The memo keeps no trajectory alive, and a run that
+raises stores nothing.  So one trajectory may have several holders, and its
+``t``, ``phase``, ``accumulators`` and :attr:`~Trajectory.step_integrals`
+are read-only.  A caller may not assume that two calls with the same key
+give two distinct objects.  Beyond the memo, integrations share no mutable
+state and may run concurrently; two concurrent calls with the same key may
+each integrate, to the same bits.
 """
 from __future__ import annotations
 
@@ -233,7 +244,9 @@ class Trajectory:
 
     ``phase`` holds the clamped phase rows (strictly increasing in time,
     all in the cone); ``accumulators`` the co-integrated balance integrals at
-    the same times.  The two are column blocks of one sample matrix.
+    the same times.  The two are column blocks of one sample matrix, which
+    is read-only, as is ``t``: :func:`integrate` may hand one trajectory to
+    several holders.
     ``pre_clamp_min`` records the most negative raw phase component seen
     before clamping, for cone-preservation diagnostics; ``stats`` the
     stepper's work counts.  :attr:`step_integrals` is built on
@@ -895,11 +908,19 @@ def integrate(
     ``FloatingPointError`` when a value leaves double precision (inputs near
     1e308) instead of carrying inf or nan on.
 
-    ``flux_orders`` is accepted and ignored.  It once named boundary-flux
-    integrals to co-integrate; the tail identity now reads that flux from the
-    step integrals.  The benchmark harness (``perfbench/workloads.py`` and
-    ``perfbench/layers.py``) still passes ``flux_orders=(1,)``, and the
-    keyword goes when those calls do.
+    A call with the same system, the same bit patterns of ``y0.t`` and
+    ``t_end``, the same bytes of ``y0.vector()`` and an equal resolved
+    ``cfg`` as a trajectory that is still alive returns that trajectory
+    instead of integrating: the system's memo holds weak references, so it
+    keeps no run alive, and a run that raises stores nothing.  The returned
+    arrays are read-only.  Do not assume that two such calls give two
+    distinct objects.
+
+    ``flux_orders`` is accepted and ignored, and is not part of the key.  It
+    once named boundary-flux integrals to co-integrate; the tail identity now
+    reads that flux from the step integrals.  The benchmark harness
+    (``perfbench/workloads.py`` and ``perfbench/layers.py``) still passes
+    ``flux_orders=(1,)``, and the keyword goes when those calls do.
     """
     cfg = cfg or IntegratorConfig()
     if y0.n != sys.n:
@@ -908,6 +929,11 @@ def integrate(
         raise ValueError(f"t_end must be finite, got {t_end}")
     if not t_end > y0.t:
         raise ValueError(f"t_end must exceed the initial time {y0.t}, got {t_end}")
+
+    key = (np.array((y0.t, t_end)).tobytes(), y0.vector().tobytes(), cfg)
+    live = sys._runs.get(key)
+    if live is not None:
+        return live
 
     dim = sys.dimension
     fun, jac = augmented_field(sys)
@@ -941,11 +967,13 @@ def integrate(
     samples = np.asarray(rows)
     phase = samples[:, :dim]
     phase[phase < 0.0] = 0.0  # in place; -0.0 stays
-    return Trajectory(
+    t.setflags(write=False)
+    samples.setflags(write=False)  # a hit hands the run to a second holder: neither may change the other's data
+    traj = sys._runs[key] = Trajectory(
         sys=sys,
         cfg=cfg,
         t=t,
-        phase=phase,
+        phase=samples[:, :dim],
         accumulators=samples[:, dim:],
         pre_clamp_min=pre_clamp_min,
         stats=IntegratorStats(
@@ -959,4 +987,5 @@ def integrate(
         ),
         _sol=_DenseOutput(t, records, len(z0)),
     )
+    return traj
 

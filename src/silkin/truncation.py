@@ -46,6 +46,7 @@ arguments and safe to call concurrently.
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Tuple
@@ -105,6 +106,15 @@ class TruncatedSystem:
     @cached_property
     def _phase_field(self):
         return augmented_field(self)
+
+    @cached_property
+    def _runs(self) -> weakref.WeakValueDictionary:
+        """The live trajectories of :func:`~silkin.integrator.integrate` on this system, by start, end and config."""
+        return weakref.WeakValueDictionary()
+
+    def __getstate__(self) -> dict:
+        """Copies and pickles carry the fields only: a copy starts with no cached field and no live runs."""
+        return {"params": self.params, "rates": self.rates}
 
     def rhs(self, v: np.ndarray) -> np.ndarray:
         """Vector field on the flat layout ``[x, M_0, ..., M_n]``."""

@@ -1,6 +1,10 @@
+import copy
 import dataclasses
+import gc
 import math
+import pickle
 import re
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -721,6 +725,76 @@ def test_step_budget_stops_both_methods(monkeypatch, method):
     monkeypatch.setattr(integrator, "MAX_STEPS", steps - 1)
     with pytest.raises(StepBudgetExceeded, match=f"^{steps - 1} accepted steps reached t="):
         integrate(sys_, decaying_state(8), 2.0, cfg)
+
+
+MEMO_CFG = IntegratorConfig(rel_tol=1e-8, abs_tol=1e-11)
+
+
+def test_integrate_returns_the_live_run_of_the_same_call():
+    # while a run is alive, the same start, end and config (flux_orders is inert) give that object back;
+    # once it is gone a call integrates again, to the same bits
+    sys_, y0 = power_law_system(8, gamma=0.5), decaying_state(8)
+    first = integrate(sys_, y0, 2.0, MEMO_CFG)
+    assert integrate(sys_, decaying_state(8), 2.0, dataclasses.replace(MEMO_CFG)) is first
+    assert integrate(sys_, y0, 2.0, MEMO_CFG, flux_orders=(1,)) is first
+    t, phase = first.t.tobytes(), first.phase.tobytes()
+    gone = weakref.ref(first)
+    del first
+    gc.collect()
+    assert gone() is None
+    again = integrate(sys_, y0, 2.0, MEMO_CFG)
+    assert again.t.tobytes() == t and again.phase.tobytes() == phase
+
+
+def test_integrate_integrates_again_for_any_other_run():
+    # another config, another end, one ulp in one M entry, a start time of -0.0 for 0.0, and an equal second
+    # system: built anew, copied, deep-copied or pickled, after rhs filled the field cache (a copy carries no
+    # cache of the system it copies)
+    sys_, y0 = power_law_system(8, gamma=0.5), decaying_state(8)
+    first = integrate(sys_, y0, 2.0, MEMO_CFG)
+    sys_.rhs(y0.vector())
+    M = y0.M.copy()
+    M[3] = np.nextafter(M[3], np.inf)
+    others = [
+        integrate(sys_, y0, 2.0, dataclasses.replace(MEMO_CFG, rel_tol=1e-9)),
+        integrate(sys_, y0, 2.5, MEMO_CFG),
+        integrate(sys_, State(t=0.0, x=y0.x, M=M), 2.0, MEMO_CFG),
+        integrate(sys_, decaying_state(8, t=-0.0), 2.0, MEMO_CFG),
+    ]
+    assert all(other is not first for other in others)
+    twins = [TruncatedSystem(sys_.params, sys_.rates), copy.copy(sys_), copy.deepcopy(sys_),
+             pickle.loads(pickle.dumps(sys_))]
+    for twin in twins:
+        again = integrate(twin, y0, 2.0, MEMO_CFG)
+        assert again is not first and again.sys is twin
+        assert again.phase.tobytes() == first.phase.tobytes()
+
+
+def test_trajectory_arrays_are_read_only():
+    # a run may have two holders, so neither can change the other's samples
+    traj = decay_trajectory()
+    for values in (traj.t, traj.phase, traj.accumulators):
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 0.0
+
+
+def test_a_failing_run_stores_nothing(monkeypatch):
+    # each memo is read while the failure, and so the failed call's frame, is still held
+    sys_ = power_law_system(32, gamma=1.0, r=0.0, alpha=0.0)
+    y0 = decaying_state(32, x0=2.0, rho=0.7)
+    cfg = IntegratorConfig(rel_tol=1e-2, abs_tol=1e-4, negativity_floor=-1e-5)
+    with pytest.raises(NegativityViolation) as failure:
+        integrate(sys_, y0, 8.0, cfg)
+    assert len(sys_._runs) == 0
+
+    sys_, cfg = power_law_system(8, gamma=0.5), IntegratorConfig()
+    steps = integrate(sys_, decaying_state(8), 2.0, cfg).stats.steps
+    monkeypatch.setattr(integrator, "MAX_STEPS", steps - 1)
+    with pytest.raises(StepBudgetExceeded) as failure:
+        integrate(sys_, decaying_state(8), 2.0, cfg)
+    assert len(sys_._runs) == 0
+    monkeypatch.setattr(integrator, "MAX_STEPS", steps)
+    assert integrate(sys_, decaying_state(8), 2.0, cfg).stats.steps == steps
 
 
 @pytest.mark.parametrize("method", ["rk45", "bdf"])
