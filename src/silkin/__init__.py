@@ -8,7 +8,6 @@ from .model import (
     RateTable,
     State,
     realize_coefficients,
-    validate_weights,
     weighted_norm,
 )
 from .truncation import BandedBorderJacobian, TruncatedSystem, eval_jacobian

@@ -930,14 +930,15 @@ def integrate(
     if not t_end > y0.t:
         raise ValueError(f"t_end must exceed the initial time {y0.t}, got {t_end}")
 
-    key = (np.array((y0.t, t_end)).tobytes(), y0.vector().tobytes(), cfg)
+    start = y0.vector()
+    key = (np.array((y0.t, t_end)).tobytes(), start.tobytes(), cfg)
     live = sys._runs.get(key)
     if live is not None:
         return live
 
     dim = sys.dimension
     fun, jac = augmented_field(sys)
-    z0 = np.concatenate([y0.vector(), np.zeros(NUM_ACC)])
+    z0 = np.concatenate([start, np.zeros(NUM_ACC)])
     if cfg.method == "rk45":
         stepper = _DormandPrince(fun, y0.t, z0, t_end, cfg.rel_tol, cfg.abs_tol, cfg.max_step)
     else:
@@ -969,6 +970,7 @@ def integrate(
     phase[phase < 0.0] = 0.0  # in place; -0.0 stays
     t.setflags(write=False)
     samples.setflags(write=False)  # a hit hands the run to a second holder: neither may change the other's data
+    h = np.diff(t)
     traj = sys._runs[key] = Trajectory(
         sys=sys,
         cfg=cfg,
@@ -982,8 +984,8 @@ def integrate(
             njev=stepper.njev,
             nlu=stepper.nlu,
             rejected=stepper.rejected,
-            h_min=float(np.min(np.diff(t))),
-            h_max=float(np.max(np.diff(t))),
+            h_min=float(np.min(h)),
+            h_max=float(np.max(h)),
         ),
         _sol=_DenseOutput(t, records, len(z0)),
     )

@@ -32,7 +32,6 @@ __all__ = [
     "InitialData",
     "realize_coefficients",
     "weighted_norm",
-    "validate_weights",
 ]
 
 
@@ -75,7 +74,9 @@ class CoefficientFamily:
     ``power_law`` realizes ``a * (i+1)**exponent`` (the ``i+1`` base keeps the
     i=0 entry nonzero, so empty macrophages can ingest), ``constant`` is the
     power law with exponent 0 (``a`` for every i), and ``table`` copies an
-    explicit sequence and extends it past its length by its last value.
+    explicit sequence and extends it past its length by its last value.  A
+    field of another kind (``values`` on a power law, ``amplitude`` or
+    ``exponent`` on a table) is refused, not dropped.
     """
 
     kind: str
@@ -87,6 +88,8 @@ class CoefficientFamily:
         if self.kind not in ("power_law", "constant", "table"):
             raise ValueError(f"unknown coefficient family kind {self.kind!r}")
         if self.kind in ("power_law", "constant"):
+            if len(self.values):
+                raise ValueError(f"a {self.kind} family takes no values, got {self.values}")
             if not (math.isfinite(self.amplitude) and self.amplitude >= 0.0):
                 raise ValueError(f"amplitude must be finite and >= 0, got {self.amplitude}")
             if not (math.isfinite(self.exponent) and self.exponent >= 0.0):
@@ -94,6 +97,9 @@ class CoefficientFamily:
             if self.kind == "constant" and self.exponent != 0.0:
                 raise ValueError(f"a constant family has exponent 0, got {self.exponent}")
         else:
+            for name in ("amplitude", "exponent"):
+                if getattr(self, name) != 0.0:
+                    raise ValueError(f"a table family takes no {name}, got {getattr(self, name)}")
             if len(self.values) == 0:
                 raise ValueError("table family needs at least one value")
             vals = np.asarray(self.values, dtype=float)
@@ -233,76 +239,39 @@ def weighted_norm(x, M: np.ndarray, mu: float = 1.0):
 
 @dataclass(frozen=True, eq=False)
 class MomentWeights:
-    """A weight sequence ``g_0 .. g_n`` with its claimed growth constant.
+    """A weight sequence ``g_0 .. g_n``.
 
-    ``C`` claims ``(g_{i+1} - g_i) * k_i <= C * g_i`` against some rate
-    table.  The claim is *not* enforced here: :func:`validate_weights`
-    returns the smallest such constant for a concrete table.  The
-    exponential-envelope checks require increasing weights, tested as
-    ``delta > 0``, and derive ``C`` from the run's own table; they do not
-    read the stored ``C``.  The exact moment identities hold for any real
-    weight sequence (so flat weights, ``delta = 0``, are legitimate inputs
-    there).
+    The exact moment identities hold for any real weights (so flat weights
+    are legitimate inputs there).  The exponential envelope states its own
+    rules on them against the run's rate table, and derives the growth
+    constant ``C`` of ``(g_{i+1} - g_i) * k_i <= C * g_i`` there
+    (:func:`silkin.moments.gronwall_check`).
     """
 
     g: np.ndarray
-    C: float = math.inf
 
     def __post_init__(self) -> None:
         g = _frozen_array(self.g, "g")
         if len(g) < 2:
             raise ValueError("need at least two weights")
         object.__setattr__(self, "g", g)
-        if math.isnan(self.C) or self.C < 0.0:
-            raise ValueError(f"C must be >= 0 (inf allowed), got {self.C}")
-
-    @property
-    def delta(self) -> float:
-        """The smallest increment ``min_i (g_{i+1} - g_i)``."""
-        return float(np.min(np.diff(self.g)))
 
     @classmethod
     def ones(cls, n: int) -> "MomentWeights":
         """Flat weights g_i = 1 (telescoping identity; no positive increment)."""
-        return cls(g=np.ones(n + 1), C=0.0)
+        return cls(g=np.ones(n + 1))
 
     @classmethod
     def linear(cls, n: int) -> "MomentWeights":
-        """Weights g_i = i with ``C`` unclaimed (infinite): g_0 = 0, so no finite C holds once k_0 > 0."""
+        """Weights g_i = i: g_0 = 0, so no finite growth constant holds once k_0 > 0."""
         return cls(g=np.arange(n + 1, dtype=float))
 
     @classmethod
     def power(cls, n: int, mu: float, rates: Optional[RateTable] = None) -> "MomentWeights":
-        """Weights g_i = (i+1)^mu, with C from ``rates`` if given."""
+        """Weights g_i = (i+1)^mu.  ``rates`` is accepted and not read."""
         if mu < 1.0:
             raise ValueError(f"mu must be >= 1, got {mu}")
-        w = cls(g=(np.arange(n + 1, dtype=float) + 1.0) ** mu)
-        if rates is not None:
-            w = cls(g=w.g, C=validate_weights(w, rates))
-        return w
-
-
-def validate_weights(w: MomentWeights, rates: RateTable) -> float:
-    """The growth constant of a weight sequence against a rate table.
-
-    Returns ``C_min``, the smallest constant such that ``(g_{i+1} - g_i) k_i
-    <= C_min * g_i`` for all ``i < n`` (``0/0`` counts as 0, a positive
-    numerator over ``g_i = 0`` as infinity).  Whether the weights increase
-    is ``w.delta > 0``.  Negative weights and a length other than ``n + 1``
-    raise ``ValueError``.
-    """
-    g = w.g
-    if np.any(g < 0.0):
-        raise ValueError("weights must be >= 0")
-    if len(g) != rates.n + 1:
-        raise ValueError(f"expected {rates.n + 1} weights, got {len(g)}")
-    numer = np.diff(g) * rates.k[:-1]
-    denom = g[:-1]
-    ratios = np.zeros_like(numer)
-    pos = denom > 0.0
-    ratios[pos] = numer[pos] / denom[pos]
-    ratios[~pos & (numer > 0.0)] = math.inf
-    return float(np.max(ratios))
+        return cls(g=(np.arange(n + 1, dtype=float) + 1.0) ** mu)
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ from typing import Tuple
 import numpy as np
 
 from .integrator import Trajectory
-from .model import MomentWeights, RateTable, validate_weights, weighted_norm
+from .model import MomentWeights, RateTable, weighted_norm
 from .truncation import ACC_QUARTZ_REMOVED, ACC_TOTAL_LOSS
 
 __all__ = [
@@ -53,7 +53,7 @@ __all__ = [
 
 
 class InvalidWeights(ValueError):
-    """Weights do not satisfy the hypotheses the exponential envelope needs."""
+    """Weights do not satisfy the hypotheses the exponential envelope needs (every rule is :func:`_envelope`'s)."""
 
 
 def compute_moments(phase: np.ndarray, rates: RateTable) -> np.ndarray:
@@ -190,13 +190,25 @@ def _envelope(traj: Trajectory, w: MomentWeights):
     dominated by the bound curve ``c1 * exp(c2 (t - t0))`` at the samples,
     with ``c2 = ||y0||_1 + (r+alpha) T`` once ``c1`` absorbs the
     boundary-flux bound and the growth constant of the weights.
+
+    The weights must have increments ``> 0``, ``g_0 >= 0`` (so every weight
+    is), ``n + 1`` entries and a finite growth constant: the smallest ``C``
+    with ``(g_{i+1} - g_i) k_i <= C g_i`` for all ``i < n``, where ``0/0``
+    counts as 0 and a positive numerator over ``g_0 = 0`` as unbounded.
+    Each rule, checked in that order, raises :class:`InvalidWeights`.
     """
     rates = traj.sys.rates
     g = w.g
-    if not w.delta > 0.0:
-        raise InvalidWeights(f"weight increments must all be > 0 (smallest {w.delta})")
-    C = validate_weights(w, rates)
-    if not math.isfinite(C):
+    increments = np.diff(g)
+    if not np.min(increments) > 0.0:
+        raise InvalidWeights(f"weight increments must all be > 0 (smallest {float(np.min(increments))})")
+    if g[0] < 0.0:
+        raise InvalidWeights("weights must be >= 0")
+    if len(g) != rates.n + 1:
+        raise InvalidWeights(f"expected {rates.n + 1} weights, got {len(g)}")
+    numer = increments * rates.k[:-1]
+    C = float(np.max(np.divide(numer, g[:-1], out=np.zeros_like(numer), where=g[:-1] > 0.0)))
+    if not math.isfinite(C) or (g[0] == 0.0 and numer[0] > 0.0):
         raise InvalidWeights("growth constant (g_{i+1}-g_i) k_i / g_i is unbounded")
     params = traj.sys.params
     T = traj.duration
@@ -215,9 +227,8 @@ def gronwall_check(traj: Trajectory, w: MomentWeights) -> GronwallReport:
     ``ok`` is a theorem-backed guarantee for valid weights: a failure flags
     an integrator or accumulator bug, not model behaviour.  ``margin`` is the
     worst relative slack ``(bound - lhs) / bound`` over the samples.
-    :class:`InvalidWeights` is raised for an increment that is not positive
-    and for a growth constant ``C`` that is not finite; negative weights and
-    a count other than ``n + 1`` raise :func:`validate_weights`' ``ValueError``.
+    Weights that break one of :func:`_envelope`'s rules raise
+    :class:`InvalidWeights`.
     """
     rates = traj.sys.rates
     g, C, c2, c1_used, weighted, bounds = _envelope(traj, w)

@@ -290,7 +290,7 @@ def test_criterion_9_envelopes(run_matrix):
     worst_inv = math.inf
     all_ok = True
     for run in runs:
-        w = MomentWeights.power(run.n, 1.0 + run.gamma, run.sys.rates)
+        w = MomentWeights.power(run.n, 1.0 + run.gamma)
         gron = gronwall_check(run.traj, w)
         inv = invariance_check(run.traj, run.gamma)
         all_ok &= gron.ok and inv.ok

@@ -7,15 +7,18 @@ from hypothesis import given, strategies as st
 from silkin import (
     CoefficientFamily,
     InitialData,
+    InvalidWeights,
     ModelParams,
     MomentWeights,
     State,
+    TruncatedSystem,
+    gronwall_check,
+    integrate,
     realize_coefficients,
-    validate_weights,
     weighted_norm,
 )
 
-from conftest import rates_from_arrays
+from conftest import decaying_state, rates_from_arrays
 from oracles import brute_force_growth_constant
 
 
@@ -169,18 +172,22 @@ def test_state_validation():
         s.M[0] = 3.0
 
 
+def _growth_report(rates, g):
+    """The Gronwall report of weights ``g`` on a short supply-free run of ``rates``."""
+    traj = integrate(TruncatedSystem(ModelParams(0.0, 0.0), rates), decaying_state(rates.n), 0.1)
+    return gronwall_check(traj, MomentWeights(g=g))
+
+
 def test_validate_weights_simple():
     rates = rates_from_arrays(3, [1, 1, 1, 1], [0] * 4, [0] * 4)
-    w = MomentWeights(g=np.arange(4) + 1.0)
-    assert w.delta > 0.0
-    assert validate_weights(w, rates) == 1.0
+    assert _growth_report(rates, np.arange(4) + 1.0).growth_constant == 1.0
 
 
 def test_validate_weights_flat_increments_fail():
+    # three flat weights for n = 3: the increment rule is checked before the count
     rates = rates_from_arrays(3, [1, 1, 1, 1], [0] * 4, [0] * 4)
-    w = MomentWeights(g=np.ones(4))
-    assert not w.delta > 0.0
-    assert validate_weights(w, rates) == 0.0  # zero increments claim no growth
+    with pytest.raises(InvalidWeights, match=r"^weight increments must all be > 0 \(smallest 0\.0\)$"):
+        _growth_report(rates, np.ones(3))
 
 
 def test_validate_weights_growth_constant_derived():
@@ -190,29 +197,26 @@ def test_validate_weights_growth_constant_derived():
     rates = rates_from_arrays(3, k, [0] * 4, [0] * 4)
     expected = brute_force_growth_constant(g, k)
     assert expected == 3.0
-    assert validate_weights(MomentWeights(g=g), rates) == pytest.approx(expected, rel=1e-15)
+    assert _growth_report(rates, g).growth_constant == expected
 
 
 def test_validate_weights_zero_weight_with_flux_is_infinite():
     rates = rates_from_arrays(2, [1, 1, 1], [0] * 3, [0] * 3)
-    assert math.isinf(validate_weights(MomentWeights.linear(2), rates))
+    with pytest.raises(InvalidWeights, match=r"^growth constant \(g_\{i\+1\}-g_i\) k_i / g_i is unbounded$"):
+        _growth_report(rates, np.arange(3.0))  # the linear weights: g_0 = 0 under k_0 > 0
 
 
 def test_validate_weights_rejects_negative():
+    # a negative entry after a positive one is a negative increment: that rule comes before the sign rule
     rates = rates_from_arrays(2, [1, 1, 1], [0] * 3, [0] * 3)
-    with pytest.raises(ValueError):
-        validate_weights(MomentWeights(g=np.array([1.0, -1.0, 2.0])), rates)
+    with pytest.raises(InvalidWeights, match=r"^weight increments must all be > 0 \(smallest -2\.0\)$"):
+        _growth_report(rates, np.array([1.0, -1.0, 2.0]))
 
 
 def test_weight_factories():
-    rates = rates_from_arrays(4, [1] * 5, [0] * 5, [0] * 5)
-    ones = MomentWeights.ones(4)
-    assert np.array_equal(ones.g, np.ones(5)) and ones.delta == 0.0
-    lin = MomentWeights.linear(4)
-    assert np.array_equal(lin.g, np.arange(5.0)) and math.isinf(lin.C)
-    pw = MomentWeights.power(4, 1.5, rates)
-    assert pw.delta == pytest.approx(2.0 ** 1.5 - 1.0)
-    assert math.isfinite(pw.C)
+    assert np.array_equal(MomentWeights.ones(4).g, np.ones(5))
+    assert np.array_equal(MomentWeights.linear(4).g, np.arange(5.0))
+    assert np.array_equal(MomentWeights.power(4, 1.5).g, np.arange(1.0, 6.0) ** 1.5)
 
 
 def test_model_params_validation():

@@ -204,7 +204,7 @@ def test_path_integrals_evaluate_the_dense_output_once(monkeypatch):
     points.clear()
     for w in (MomentWeights.ones(n), MomentWeights.linear(n), MomentWeights.power(n, 1.0 + gamma)):
         moment_identity_residual(traj, w, 1, traj.t_start, traj.t_end)
-    gronwall_check(traj, MomentWeights.power(n, 1.0 + gamma, sys_.rates))
+    gronwall_check(traj, MomentWeights.power(n, 1.0 + gamma))
     invariance_check(traj, gamma)
     assert sum(points) <= 12
 
@@ -242,7 +242,7 @@ def test_invariance_check_leaves_the_step_integrals_unbuilt():
 def test_gronwall_zero_cohorts():
     sys_ = TruncatedSystem(ModelParams(0.0, 0.0), constant_rates(4))
     traj = integrate(sys_, State(t=0.0, x=0.0, M=np.zeros(5)), 1.0)
-    report = gronwall_check(traj, MomentWeights.power(4, 1.0, sys_.rates))
+    report = gronwall_check(traj, MomentWeights.power(4, 1.0))
     assert report.ok
     assert report.margin == 1.0
 
@@ -251,7 +251,7 @@ def test_envelopes_with_a_zero_constant_hold_past_exponential_overflow():
     # k_0 = 0 and only M_0 filled make c1 = 0; c2 (t - t0) = 800 overflows exp, and the bound term stays 0
     sys_ = TruncatedSystem(ModelParams(0.0, 0.0), constant_rates(4, p=0.6, q=0.4))
     traj = integrate(sys_, State(t=0.0, x=0.0, M=np.array([1.0, 0.0, 0.0, 0.0, 0.0])), 800.0)
-    gron = gronwall_check(traj, MomentWeights.power(4, 1.0, sys_.rates))
+    gron = gronwall_check(traj, MomentWeights.power(4, 1.0))
     assert gron.c1_used == 0.0 and gron.c2 * traj.duration > 709.0
     assert gron.ok and gron.margin == 1.0
     inv = invariance_check(traj, 0.0)
@@ -281,7 +281,7 @@ def test_verdict_degenerate_cases(lhs, bound, ok, margin):
 def test_gronwall_decoupled_decay():
     sys_ = TruncatedSystem(ModelParams(0.0, 0.0), constant_rates(6, p=0.5, q=0.5))
     traj = integrate(sys_, decaying_state(6, x0=0.0, rho=0.5), 3.0)
-    report = gronwall_check(traj, MomentWeights.power(6, 1.5, sys_.rates))
+    report = gronwall_check(traj, MomentWeights.power(6, 1.5))
     assert report.ok
     assert report.margin >= 0.0
 
@@ -290,7 +290,7 @@ def test_gronwall_theorem_backed_runs():
     for gamma in (0.0, 0.5, 1.0):
         sys_ = power_law_system(24, gamma=gamma)
         traj = integrate(sys_, decaying_state(24, rho=0.55), 4.0)
-        report = gronwall_check(traj, MomentWeights.power(24, 1.0 + gamma, sys_.rates))
+        report = gronwall_check(traj, MomentWeights.power(24, 1.0 + gamma))
         assert report.ok
         assert report.margin > 0.0
         assert report.c1_fitted <= report.c1_used * (1.0 + 1e-12)
@@ -306,13 +306,13 @@ def test_gronwall_rejects_invalid_weights():
         gronwall_check(traj, MomentWeights.linear(6))  # g_0 = 0, k_0 > 0
 
 
-def test_gronwall_leaves_negative_weights_to_validate_weights():
-    # increasing, so the increment rule holds; the sign rule is validate_weights', a plain ValueError
+def test_gronwall_rejects_negative_weights():
+    # increasing, so the increment rule holds; six weights for n = 6: the sign rule is checked before the count
     sys_ = power_law_system(6, gamma=0.5)
     traj = integrate(sys_, decaying_state(6), 1.0)
-    with pytest.raises(ValueError, match="^weights must be >= 0$") as err:
-        gronwall_check(traj, MomentWeights(g=np.arange(7.0) - 10.0))
-    assert type(err.value) is ValueError
+    with pytest.raises(InvalidWeights, match="^weights must be >= 0$") as err:
+        gronwall_check(traj, MomentWeights(g=np.arange(6.0) - 10.0))
+    assert type(err.value) is InvalidWeights
 
 
 def _weighted_series(traj, t_grid, column):

@@ -74,3 +74,14 @@ def test_flux_orders_keyword_is_inert(method):
     passed = integrate(sys_, y0, 1.0, cfg, flux_orders=(1,))
     assert passed.t.tobytes() == plain.t.tobytes()
     assert passed.phase.tobytes() == plain.phase.tobytes()
+
+
+@pytest.mark.parametrize("rates_n", [8, 4], ids=["same_order", "other_order"])
+def test_power_rates_keyword_is_inert(rates_n):
+    # the benchmark still passes power's rates; it gets the weights without them, also from a table of another order
+    from silkin import MomentWeights
+
+    from conftest import power_law_system
+
+    passed = MomentWeights.power(8, 1.5, power_law_system(rates_n, gamma=0.5).rates)
+    assert passed.g.tobytes() == MomentWeights.power(8, 1.5).g.tobytes()
