@@ -26,7 +26,8 @@ keeps every output byte:
 
     python3 scripts/output_digests.py > digests.txt
 
-The package is imported from this checkout's ``src/``.
+The package is imported from this checkout's ``src/``, and the subcommand
+of each shipped config from ``perfbench/workloads.py``.
 """
 import contextlib
 import hashlib
@@ -42,17 +43,10 @@ import yaml
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(1, str(ROOT / "perfbench"))
 
 from silkin import analysis, cli  # noqa: E402
-
-# The subcommand each shipped config is written for (README, "Command line").
-COMMAND = {
-    "decay_oracle": "simulate",
-    "equilibrium_chain": "equilibrium",
-    "ladder": "converge",
-    "semigroup": "semigroup",
-    "verify_power_law": "verify",
-}
+from workloads import CLI_CONFIGS  # noqa: E402  (each shipped config and its subcommand)
 
 # The acceptance families k = i + 1, p = 0.7, q = 0.5 (i + 1) at n = 4096, under BDF.
 STIFF_WIDE = {
@@ -125,7 +119,7 @@ def digest_doc(name: str, command: str, doc: dict) -> int:
 
 
 def main() -> int:
-    for name, command in COMMAND.items():
+    for name, command in CLI_CONFIGS:
         code = digest(name, command, ROOT / "configs" / f"{name}.yaml")
         if code:
             return code

@@ -114,8 +114,11 @@ def convergence_study(
     ``gaps[j]`` is ``sup_t`` of the total-matter-norm distance between rungs
     ``j`` and ``j+1`` on a shared dense grid, ``x_gaps[j]`` the same for the
     free-quartz component alone, and ``stats[j]`` rung ``j``'s integrator
-    statistics.  Each rung realizes the families at its own order.
+    statistics.  Each rung realizes the families at its own order, and every
+    rung must be an integer value (``16.0`` is rung 16; ``8.9`` is refused).
     """
+    if not all(float(n).is_integer() for n in n_ladder):
+        raise ValueError(f"n_ladder must hold integers, got {tuple(n_ladder)}")
     ladder = tuple(int(n) for n in n_ladder)
     if len(ladder) < 2 or any(b <= a for a, b in zip(ladder, ladder[1:])):
         raise ValueError(f"n_ladder must be strictly increasing, got {ladder}")

@@ -227,7 +227,8 @@ def _version(value: Any, path: str) -> dict:
 _KIND = Row(_text, required=True)
 _FAMILY_ROWS = {
     "power_law": {"kind": _KIND, "amplitude": Row(_number, required=True), "exponent": Row(_number)},
-    "constant": {"kind": _KIND, "amplitude": Row(_number, required=True)},
+    # the power law of exponent 0, which takes no exponent key
+    "constant": {"kind": Row(lambda value, path: "power_law", required=True), "amplitude": Row(_number, required=True)},
     "table": {"kind": _KIND, "values": Row(_list(_number), required=True)},
 }
 

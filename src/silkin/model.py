@@ -71,12 +71,14 @@ class ModelParams:
 class CoefficientFamily:
     """A rule producing one nonnegative rate sequence of any requested length.
 
-    ``power_law`` realizes ``a * (i+1)**exponent`` (the ``i+1`` base keeps the
-    i=0 entry nonzero, so empty macrophages can ingest), ``constant`` is the
-    power law with exponent 0 (``a`` for every i), and ``table`` copies an
-    explicit sequence and extends it past its length by its last value.  A
-    field of another kind (``values`` on a power law, ``amplitude`` or
-    ``exponent`` on a table) is refused, not dropped.
+    There are two kinds.  ``power_law`` realizes ``a * (i+1)**exponent`` (the
+    ``i+1`` base keeps the i=0 entry nonzero, so empty macrophages can
+    ingest), and ``table`` copies an explicit sequence and extends it past its
+    length by its last value.  :meth:`constant` names the power law of
+    exponent 0 (``a`` for every i).  A field of another kind (``values`` on a
+    power law, ``amplitude`` or ``exponent`` on a table) is refused, not
+    dropped, so ``exponent`` is always the growth class of the realized
+    sequence: a table is bounded, and its exponent is 0.
     """
 
     kind: str
@@ -85,17 +87,15 @@ class CoefficientFamily:
     values: tuple = ()
 
     def __post_init__(self) -> None:
-        if self.kind not in ("power_law", "constant", "table"):
+        if self.kind not in ("power_law", "table"):
             raise ValueError(f"unknown coefficient family kind {self.kind!r}")
-        if self.kind in ("power_law", "constant"):
+        if self.kind == "power_law":
             if len(self.values):
-                raise ValueError(f"a {self.kind} family takes no values, got {self.values}")
+                raise ValueError(f"a power_law family takes no values, got {self.values}")
             if not (math.isfinite(self.amplitude) and self.amplitude >= 0.0):
                 raise ValueError(f"amplitude must be finite and >= 0, got {self.amplitude}")
             if not (math.isfinite(self.exponent) and self.exponent >= 0.0):
                 raise ValueError(f"exponent must be finite and >= 0, got {self.exponent}")
-            if self.kind == "constant" and self.exponent != 0.0:
-                raise ValueError(f"a constant family has exponent 0, got {self.exponent}")
         else:
             for name in ("amplitude", "exponent"):
                 if getattr(self, name) != 0.0:
@@ -112,18 +112,12 @@ class CoefficientFamily:
 
     @classmethod
     def constant(cls, amplitude: float) -> "CoefficientFamily":
-        return cls(kind="constant", amplitude=amplitude)
+        """The power law of exponent 0: ``amplitude`` for every i."""
+        return cls.power_law(amplitude, 0.0)
 
     @classmethod
     def table(cls, values: Sequence[float]) -> "CoefficientFamily":
         return cls(kind="table", values=tuple(float(v) for v in values))
-
-    @property
-    def growth_exponent(self) -> float:
-        """Exponent of the realized sequence's growth class (0 for any bounded family)."""
-        if self.kind == "power_law":
-            return self.exponent
-        return 0.0
 
     def realize(self, n: int) -> np.ndarray:
         """Realize entries ``i = 0 .. n`` as a fresh float array."""
@@ -145,7 +139,8 @@ class RateTable:
     and ``q`` the death/release rates, each of length ``n + 1``.  The vector
     field builder treats ``k[n]`` as zero (the truncation convention); the
     stored value is kept for tail diagnostics.  ``gamma`` records the growth
-    class of the ``k`` family (needed by the ``(1+gamma)``-weighted norms).
+    class of the ``k`` family, its ``exponent`` (needed by the
+    ``(1+gamma)``-weighted norms).
     """
 
     n: int
@@ -174,22 +169,24 @@ def realize_coefficients(
 ) -> RateTable:
     """Instantiate the three coefficient families at truncation order ``n``.
 
-    Role-specific growth constraints are enforced here: the phagocytosis
-    exponent must lie in [0, 1] (the regime where the weighted norms control
-    uniqueness), the removal rates ``p`` must be bounded, and the death rates
-    ``q`` may grow at any polynomial order.  The order's own rule, ``n >= 2``,
-    is :class:`RateTable`'s, which raises its ``ValueError``.
+    Role-specific growth constraints are enforced here, on each family's
+    ``exponent`` (its growth class, 0 for a table): the phagocytosis exponent
+    must lie in [0, 1] (the regime where the weighted norms control
+    uniqueness) and becomes the rate table's ``gamma``, the removal rates
+    ``p`` must be bounded (exponent 0), and the death rates ``q`` may grow at
+    any polynomial order.  The order's own rule, ``n >= 2``, is :class:`RateTable`'s, which
+    raises its ``ValueError``.
     """
-    if family_k.kind == "power_law" and not (0.0 <= family_k.exponent <= 1.0):
+    if not (0.0 <= family_k.exponent <= 1.0):
         raise ValueError(f"k exponent must lie in [0, 1], got {family_k.exponent}")
-    if family_p.kind == "power_law" and family_p.exponent != 0.0:
+    if family_p.exponent != 0.0:
         raise ValueError(f"p must be bounded (exponent 0), got exponent {family_p.exponent}")
     return RateTable(
         n=n,
         k=family_k.realize(n),
         p=family_p.realize(n),
         q=family_q.realize(n),
-        gamma=family_k.growth_exponent,
+        gamma=family_k.exponent,
     )
 
 

@@ -532,7 +532,7 @@ def test_config_defaults_live_on_dataclasses(tmp_path):
     assert config.integrator == IntegratorConfig()
     assert config.families == (
         CoefficientFamily(kind="power_law", amplitude=1.0),
-        CoefficientFamily(kind="constant", amplitude=0.7),
+        CoefficientFamily.constant(0.7),
         CoefficientFamily(kind="table", values=(0.5,)),
     )
     assert config.initial == InitialData(M=(1.0,))

@@ -15,6 +15,7 @@ sets each integer field to ``HUGE``, a truncation order or sample count no
 machine can allocate arrays for.
 """
 import copy
+import sys
 import time
 from pathlib import Path
 
@@ -25,18 +26,15 @@ from hypothesis import strategies as st
 
 from silkin import cli, integrator
 
-CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.yaml"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.append(str(ROOT / "perfbench"))
+from workloads import CLI_CONFIGS  # noqa: E402
+
+CONFIGS = sorted((ROOT / "configs").glob("*.yaml"))
 HOSTILE = (None, "a string", -1, 0, 1e308, [], {}, True, [1, "a", None], float("nan"))
 TINY = 1e-300
 HUGE = 10 ** 18  # 8 EB per float array: numpy refuses at once, nothing is allocated
-# The subcommand each shipped config is written for (README, "Command line").
-COMMAND = {
-    "decay_oracle": "simulate",
-    "equilibrium_chain": "equilibrium",
-    "ladder": "converge",
-    "semigroup": "semigroup",
-    "verify_power_law": "verify",
-}
+COMMAND = dict(CLI_CONFIGS)  # the subcommand each shipped config is written for
 SMALL_RUN = {"n": 8, "n_ladder": [8, 16]}
 FUZZ_STEPS = 400  # step budget of a fuzzed run; the unmutated small configs take at most 263 steps
 SECONDS_PER_EXAMPLE = 5.0

@@ -43,11 +43,6 @@ RULES = [
         ValueError("unknown coefficient family kind 'quadratic'"),
     ),
     (
-        "CoefficientFamily.constant",
-        lambda: CoefficientFamily(kind="constant", amplitude=1.0, exponent=0.5),
-        ValueError("a constant family has exponent 0, got 0.5"),
-    ),
-    (
         "CoefficientFamily.power_law.values",
         lambda: CoefficientFamily(kind="power_law", amplitude=1.0, values=(9.0,)),
         ValueError("a power_law family takes no values, got (9.0,)"),
@@ -104,6 +99,16 @@ RULES = [
         "convergence_study.ladder_min",
         lambda: convergence_study(ModelParams(0.0, 0.0), FAMILIES, InitialData(M=(1.0,)), (1, 4), 1.0),
         ValueError("truncation order must be >= 2, got 1"),
+    ),
+    (
+        "convergence_study.ladder_integer",
+        lambda: convergence_study(ModelParams(0.0, 0.0), FAMILIES, InitialData(M=(1.0,)), (8.9, 16), 1.0),
+        ValueError("n_ladder must hold integers, got (8.9, 16)"),
+    ),
+    (
+        "convergence_study.ladder_finite",
+        lambda: convergence_study(ModelParams(0.0, 0.0), FAMILIES, InitialData(M=(1.0,)), (8, math.inf), 1.0),
+        ValueError("n_ladder must hold integers, got (8, inf)"),
     ),
 ]
 

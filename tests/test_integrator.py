@@ -72,7 +72,7 @@ def test_decoupled_closed_form_oracle():
         np.testing.assert_allclose(z[1:n + 2], M_ref, rtol=1e-8, atol=1e-12)
 
 
-def test_dense_eval_at_sample_time_is_exact():
+def test_trajectory_at_sample_time_is_exact():
     traj = decay_trajectory()
     mid = traj.num_samples // 2
     z = traj.at(float(traj.t[mid]))
@@ -89,7 +89,7 @@ def test_dense_eval_at_sample_time_is_exact():
             assert coupled.at(float(t)).tobytes() == coupled.dense_vector(float(t)).tobytes()
 
 
-def test_dense_eval_constant_solution():
+def test_trajectory_at_constant_solution():
     sys_ = TruncatedSystem(ModelParams(0.0, 0.0), constant_rates(3))
     y0 = State(t=0.0, x=0.75, M=[0.5, 0.25, 0.0, 0.125])
     traj = integrate(sys_, y0, 2.0)
@@ -99,12 +99,12 @@ def test_dense_eval_constant_solution():
         assert np.array_equal(z[1:5], y0.M)
 
 
-def test_dense_eval_decay_midpoint():
+def test_trajectory_at_decay_midpoint():
     traj = decay_trajectory()
     assert traj.at(0.5)[1] == pytest.approx(E_HALF_INV, abs=1e-8)
 
 
-def test_dense_eval_out_of_range():
+def test_trajectory_at_out_of_range():
     traj = decay_trajectory()
     with pytest.raises(OutOfRange):
         traj.at(-0.1)

@@ -7,19 +7,14 @@ from hypothesis import given, strategies as st
 from silkin import (
     CoefficientFamily,
     InitialData,
-    InvalidWeights,
     ModelParams,
     MomentWeights,
     State,
-    TruncatedSystem,
-    gronwall_check,
-    integrate,
     realize_coefficients,
     weighted_norm,
 )
 
-from conftest import decaying_state, rates_from_arrays
-from oracles import brute_force_growth_constant
+from conftest import rates_from_arrays
 
 
 def test_realize_all_zero():
@@ -49,6 +44,17 @@ def test_realize_power_law_sqrt():
         2,
     )
     assert np.allclose(rates.k, [1.0, math.sqrt(2.0), math.sqrt(3.0)], rtol=0, atol=0)
+
+
+def test_constant_is_the_power_law_of_exponent_zero_and_gamma_is_the_k_exponent():
+    constant, power_law = CoefficientFamily.constant(0.7), CoefficientFamily.power_law(0.7, 0.0)
+    assert constant == power_law
+    assert constant.realize(9).tobytes() == power_law.realize(9).tobytes()
+    # every family's exponent is its growth class, a growing table's 0
+    growing = CoefficientFamily.table([1.0, 2.0, 4.0])
+    assert growing.exponent == 0.0
+    for family in (CoefficientFamily.power_law(1.0, 0.5), constant, growing):
+        assert realize_coefficients(family, constant, constant, 4).gamma == family.exponent
 
 
 def test_realize_table_tail_rules():
@@ -105,7 +111,7 @@ def test_rate_table_immutable():
         rates.k[0] = 2.0
 
 
-def test_norm_mu_examples():
+def test_weighted_norm_examples():
     assert weighted_norm(1.0, [1.0, 1.0, 0.0], 1.0) == 4.0
     assert weighted_norm(0.0, [0.0, 0.0, 0.0], 3.0) == 0.0
     assert weighted_norm(0.0, [0.0, 1.0, 0.0], 2.0) == 4.0
@@ -170,47 +176,6 @@ def test_state_validation():
     s = State(t=0.0, x=1.0, M=[1.0, 2.0])
     with pytest.raises(ValueError):
         s.M[0] = 3.0
-
-
-def _growth_report(rates, g):
-    """The Gronwall report of weights ``g`` on a short supply-free run of ``rates``."""
-    traj = integrate(TruncatedSystem(ModelParams(0.0, 0.0), rates), decaying_state(rates.n), 0.1)
-    return gronwall_check(traj, MomentWeights(g=g))
-
-
-def test_validate_weights_simple():
-    rates = rates_from_arrays(3, [1, 1, 1, 1], [0] * 4, [0] * 4)
-    assert _growth_report(rates, np.arange(4) + 1.0).growth_constant == 1.0
-
-
-def test_validate_weights_flat_increments_fail():
-    # three flat weights for n = 3: the increment rule is checked before the count
-    rates = rates_from_arrays(3, [1, 1, 1, 1], [0] * 4, [0] * 4)
-    with pytest.raises(InvalidWeights, match=r"^weight increments must all be > 0 \(smallest 0\.0\)$"):
-        _growth_report(rates, np.ones(3))
-
-
-def test_validate_weights_growth_constant_derived():
-    # g_i = (i+1)^2, k_i = i+1, n = 3: brute-force maximum over i = 0..2
-    g = (np.arange(4) + 1.0) ** 2
-    k = np.arange(4) + 1.0
-    rates = rates_from_arrays(3, k, [0] * 4, [0] * 4)
-    expected = brute_force_growth_constant(g, k)
-    assert expected == 3.0
-    assert _growth_report(rates, g).growth_constant == expected
-
-
-def test_validate_weights_zero_weight_with_flux_is_infinite():
-    rates = rates_from_arrays(2, [1, 1, 1], [0] * 3, [0] * 3)
-    with pytest.raises(InvalidWeights, match=r"^growth constant \(g_\{i\+1\}-g_i\) k_i / g_i is unbounded$"):
-        _growth_report(rates, np.arange(3.0))  # the linear weights: g_0 = 0 under k_0 > 0
-
-
-def test_validate_weights_rejects_negative():
-    # a negative entry after a positive one is a negative increment: that rule comes before the sign rule
-    rates = rates_from_arrays(2, [1, 1, 1], [0] * 3, [0] * 3)
-    with pytest.raises(InvalidWeights, match=r"^weight increments must all be > 0 \(smallest -2\.0\)$"):
-        _growth_report(rates, np.array([1.0, -1.0, 2.0]))
 
 
 def test_weight_factories():

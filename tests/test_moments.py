@@ -26,8 +26,8 @@ from silkin import (
 )
 from silkin.truncation import NUM_ACC
 
-from conftest import constant_rates, decaying_state, power_law_system
-from oracles import precise_moments, row_moments
+from conftest import constant_rates, decaying_state, power_law_system, rates_from_arrays
+from oracles import brute_force_growth_constant, precise_moments, row_moments
 
 
 def test_compute_moments_hand_sums():
@@ -313,6 +313,47 @@ def test_gronwall_rejects_negative_weights():
     with pytest.raises(InvalidWeights, match="^weights must be >= 0$") as err:
         gronwall_check(traj, MomentWeights(g=np.arange(6.0) - 10.0))
     assert type(err.value) is InvalidWeights
+
+
+def _growth_report(rates, g):
+    """The Gronwall report of weights ``g`` on a short supply-free run of ``rates``."""
+    traj = integrate(TruncatedSystem(ModelParams(0.0, 0.0), rates), decaying_state(rates.n), 0.1)
+    return gronwall_check(traj, MomentWeights(g=g))
+
+
+def test_envelope_weights_simple():
+    rates = rates_from_arrays(3, [1, 1, 1, 1], [0] * 4, [0] * 4)
+    assert _growth_report(rates, np.arange(4) + 1.0).growth_constant == 1.0
+
+
+def test_envelope_weights_flat_increments_fail():
+    # three flat weights for n = 3: the increment rule is checked before the count
+    rates = rates_from_arrays(3, [1, 1, 1, 1], [0] * 4, [0] * 4)
+    with pytest.raises(InvalidWeights, match=r"^weight increments must all be > 0 \(smallest 0\.0\)$"):
+        _growth_report(rates, np.ones(3))
+
+
+def test_envelope_weights_growth_constant_derived():
+    # g_i = (i+1)^2, k_i = i+1, n = 3: brute-force maximum over i = 0..2
+    g = (np.arange(4) + 1.0) ** 2
+    k = np.arange(4) + 1.0
+    rates = rates_from_arrays(3, k, [0] * 4, [0] * 4)
+    expected = brute_force_growth_constant(g, k)
+    assert expected == 3.0
+    assert _growth_report(rates, g).growth_constant == expected
+
+
+def test_envelope_weights_zero_weight_with_flux_is_infinite():
+    rates = rates_from_arrays(2, [1, 1, 1], [0] * 3, [0] * 3)
+    with pytest.raises(InvalidWeights, match=r"^growth constant \(g_\{i\+1\}-g_i\) k_i / g_i is unbounded$"):
+        _growth_report(rates, np.arange(3.0))  # the linear weights: g_0 = 0 under k_0 > 0
+
+
+def test_envelope_weights_rejects_negative():
+    # a negative entry after a positive one is a negative increment: that rule comes before the sign rule
+    rates = rates_from_arrays(2, [1, 1, 1], [0] * 3, [0] * 3)
+    with pytest.raises(InvalidWeights, match=r"^weight increments must all be > 0 \(smallest -2\.0\)$"):
+        _growth_report(rates, np.array([1.0, -1.0, 2.0]))
 
 
 def _weighted_series(traj, t_grid, column):
