@@ -224,12 +224,16 @@ def _version(value: Any, path: str) -> dict:
     return {}
 
 
-_KIND = Row(_text, required=True)
+def _kind(kind: str) -> Row:
+    """A family's ``kind`` row: ``_family`` has checked the key already, so the row only names the kind built."""
+    return Row(lambda value, path: kind)
+
+
 _FAMILY_ROWS = {
-    "power_law": {"kind": _KIND, "amplitude": Row(_number, required=True), "exponent": Row(_number)},
+    "power_law": {"kind": _kind("power_law"), "amplitude": Row(_number, required=True), "exponent": Row(_number)},
     # the power law of exponent 0, which takes no exponent key
-    "constant": {"kind": Row(lambda value, path: "power_law", required=True), "amplitude": Row(_number, required=True)},
-    "table": {"kind": _KIND, "values": Row(_list(_number), required=True)},
+    "constant": {"kind": _kind("power_law"), "amplitude": Row(_number, required=True)},
+    "table": {"kind": _kind("table"), "values": Row(_list(_number), required=True)},
 }
 
 

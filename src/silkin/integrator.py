@@ -827,8 +827,12 @@ class _DenseOutput:
                 f"t in [{t_sorted[0]}, {t_sorted[-1]}] outside trajectory range [{self.t[0]}, {self.t[-1]}]"
             )
         steps = np.searchsorted(self.t[1:], t_sorted)  # the first step ending at or after each time
-        starts = np.flatnonzero(np.diff(steps, prepend=-1))  # each step's first point
-        counts = np.diff(starts, append=len(t))
+        first = np.ones(len(t), dtype=bool)
+        first[1:] = steps[1:] != steps[:-1]
+        starts = np.flatnonzero(first)  # each step's first point
+        counts = np.empty_like(starts)
+        counts[:-1] = starts[1:] - starts[:-1]
+        counts[-1:] = len(t) - starts[-1:]
         orders = self._orders[steps[starts]]
         shapes = counts * (_BDF_MAX_ORDER + 1) + orders  # one key per (count, order): every order is below 6
         out = np.empty((self.size, len(t)), order="F")  # the layout of scipy's ``ys[:, reverse]``

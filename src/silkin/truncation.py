@@ -12,6 +12,14 @@ i.e. the stored ``k_n`` is masked to zero, the ingestion sum in dx/dt stops at
 would stay identically zero, which is what makes the finite system a
 self-consistent approximation of the infinite one.
 
+The field needs four weighted sums of the cohorts: the ingestion sum
+``x (k . M)``, the release sum ``(i q) . M`` and the accumulator rates
+``(p + q) . M`` and ``(i p) . M``.  One ``np.vecdot`` of a stack of the four
+weight rows against ``M`` forms them, the BLAS dot per row that ``.dot``
+makes.  So the ingestion sum is ``x (k . M)``, not a sum of the products
+``x k_i M_i`` that the cohort rows use: the two are equal in real arithmetic
+and meet the same summation error bound, but differ in their last bits.
+
 The field is defined once, by :func:`augmented_field`, on the phase state
 extended with running integrals that the balance identities need:
 
@@ -146,10 +154,12 @@ def augmented_field(sys: TruncatedSystem) -> Tuple[Callable, Callable]:
     :class:`JacobianBlocks`.  The coefficient arrays are bound here, once.
     ``rhs(t, z, out)`` writes every slot of the row ``out`` (the length of
     ``z``, not overlapping it) and returns ``out``; its temporaries are two
-    scratch rows of this field, so calls with ``out`` must not overlap in
-    time.  Without ``out`` it returns a new row and shares nothing with
-    another call.  Both forms make the same floating-point operations in the
-    same order.
+    scratch rows and a 4-slot scratch of this field, so calls with ``out``
+    must not overlap in time.  Without ``out`` it returns a new row and
+    shares nothing with another call.  Both forms make the same
+    floating-point operations in the same order.  The four sums against
+    ``M`` come from one ``np.vecdot`` of the bound weight rows ``k`` (masked),
+    ``i q``, ``p + q`` and ``i p``; dx/dt is ``alpha - x (k . M) + (i q) . M``.
     """
     dim = sys.dimension
     r = sys.params.r
@@ -157,26 +167,27 @@ def augmented_field(sys: TruncatedSystem) -> Tuple[Callable, Callable]:
     k = sys.k_masked
     loss = sys.loss
     i = np.arange(sys.n + 1, dtype=float)
-    ip = i * sys.rates.p
     iq = i * sys.rates.q
-    acc_rows = np.stack((loss, ip))
-    acc_rows.setflags(write=False)
-    add = np.add.reduce
+    # The four weights the field sums against M: ingestion, release, then the accumulator rows.
+    weights = np.stack((k, iq, loss, i * sys.rates.p))
+    weights.setflags(write=False)
+    acc_rows = weights[2:]
     # The out form's temporaries: ``[r, x k_0 M_0, .., x k_n M_n]``, so that the inflow of cohort i is entry
-    # i and its ingestion entry i + 1, and the losses (p + q) M.
+    # i and its ingestion entry i + 1, the losses (p + q) M, and the four sums.
     inflows = np.empty(dim)
     inflows[0] = r
-    scratch = inflows[:-1], inflows[1:], np.empty(dim - 1)
+    scratch = inflows[:-1], inflows[1:], np.empty(dim - 1), np.empty(4)
 
     def rhs(t: float, z: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         # Every slot of ``out`` is written below; the operations and their order are fixed
-        # (tests/oracles.py::reference_augmented_rhs pins the bits).
+        # (tests/oracles.py::reference_augmented_rhs pins the bits).  The sums stay numpy
+        # float64 scalars, so an overflow of x (k.M) raises under integrate's errstate.
         if out is None:
-            out, inflows, lost = np.empty_like(z), np.empty(dim), np.empty(dim - 1)
+            out, inflows, lost, sums = np.empty_like(z), np.empty(dim), np.empty(dim - 1), np.empty(4)
             inflows[0] = r
             inflow, flow = inflows[:-1], inflows[1:]
         else:
-            inflow, flow, lost = scratch
+            inflow, flow, lost, sums = scratch
         x = z[0]
         M = z[1:dim]
         np.multiply(k, x, out=flow)
@@ -184,11 +195,12 @@ def augmented_field(sys: TruncatedSystem) -> Tuple[Callable, Callable]:
         cohorts = out[1:dim]
         np.subtract(inflow, flow, out=cohorts)
         cohorts -= np.multiply(loss, M, out=lost)
-        out[0] = alpha - add(flow) + iq.dot(M)
+        np.vecdot(weights, M, out=sums)
+        out[0] = alpha - x * sums[0] + sums[1]
         if len(z) == dim:  # phase state only, as TruncatedSystem.rhs passes it
             return out
-        out[dim + ACC_TOTAL_LOSS] = loss.dot(M)
-        out[dim + ACC_QUARTZ_REMOVED] = ip.dot(M)
+        out[dim + ACC_TOTAL_LOSS] = sums[2]
+        out[dim + ACC_QUARTZ_REMOVED] = sums[3]
         return out
 
     def jac(t: float, z: np.ndarray) -> JacobianBlocks:

@@ -7,6 +7,8 @@ and brute-force maxima.  Keeping these independent is the point; do not
 """
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 import mpmath
 
@@ -149,9 +151,13 @@ def reference_augmented_rhs(sys: TruncatedSystem, z: np.ndarray) -> np.ndarray:
     """The augmented field as first written, kept to pin the bits of ``augmented_field``.
 
     It has lost only the stores of the slots that no check reads any more.
-    Its zeroed output and ``ndarray.sum`` are slower
+    Its zeroed output and separate ``@`` products are slower
     than the library's field, but every floating-point operation and its
-    order is the same, so the two agree bit for bit.
+    order is the same, so the two agree bit for bit.  Since the field takes
+    its four sums against ``M`` from one ``np.vecdot``, the ingestion sum
+    of dx/dt is ``x (k . M)``, one BLAS dot like the others, where it was the
+    pairwise ``flow.sum()`` of the products ``x k_i M_i``: equal in real
+    arithmetic, within the same summation bound, and dx/dt moved by rounding.
     """
     dim = sys.dimension
     r = sys.params.r
@@ -167,13 +173,39 @@ def reference_augmented_rhs(sys: TruncatedSystem, z: np.ndarray) -> np.ndarray:
     out = np.zeros_like(z)
     out[1] = r - flow[0] - loss[0] * M[0]
     out[2:dim] = flow[:-1] - flow[1:] - loss[1:] * M[1:]
-    total_flow = flow.sum()
-    out[0] = alpha - total_flow + iq @ M
+    out[0] = alpha - x * (k @ M) + iq @ M
     if len(z) == dim:  # phase state only, as TruncatedSystem.rhs passes it
         return out
     out[dim + ACC_TOTAL_LOSS] = loss @ M
     out[dim + ACC_QUARTZ_REMOVED] = ip @ M
     return out
+
+
+def exact_augmented_rhs(sys: TruncatedSystem, z: np.ndarray) -> list:
+    """Each component of the augmented field at ``z`` as ``(value, size)``, in exact rational arithmetic.
+
+    ``value`` is the component computed with ``Fraction`` from the same
+    doubles the field reads (the rates, ``r``, ``alpha`` and ``z``), with
+    ``k_n`` masked by hand, and ``size`` is the sum of its terms' magnitudes:
+    the scale of a summation error bound.  It follows the formulas in
+    ``silkin.truncation``'s docstring term by term, so it agrees with any
+    correct order of operations, not only the library's.
+    """
+    n = sys.n
+    r, alpha = Fraction(sys.params.r), Fraction(sys.params.alpha)
+    x = Fraction(float(z[0]))
+    M = [Fraction(float(v)) for v in z[1:n + 2]]
+    k = [Fraction(float(v)) for v in sys.rates.k[:n]] + [Fraction(0)]
+    p = [Fraction(float(v)) for v in sys.rates.p]
+    q = [Fraction(float(v)) for v in sys.rates.q]
+    flow = [x * k[i] * M[i] for i in range(n + 1)]
+    inflow = [r] + flow[:-1]
+    components = [[alpha] + [-f for f in flow] + [i * q[i] * M[i] for i in range(n + 1)]]
+    components += [[inflow[i], -flow[i], -p[i] * M[i], -q[i] * M[i]] for i in range(n + 1)]
+    if len(z) > n + 2:
+        components.insert(n + 2 + ACC_TOTAL_LOSS, [p[i] * M[i] for i in range(n + 1)] + [q[i] * M[i] for i in range(n + 1)])
+        components.insert(n + 2 + ACC_QUARTZ_REMOVED, [i * p[i] * M[i] for i in range(n + 1)])
+    return [(sum(terms), sum(abs(term) for term in terms)) for terms in components]
 
 
 class ReferenceDenseOutput:

@@ -224,7 +224,14 @@ def test_equilibrium_tail_mass(k, p, tail_mass):
     # the cut-off tail M_n r / (1 - r), r = k_n x / (k_n x + p_n + q_n): geometric, empty, or unbounded
     rates = realize_coefficients(k, p, CoefficientFamily.constant(0.0), 8)
     result = find_equilibrium(TruncatedSystem(ModelParams(r=1.0, alpha=1.0), rates))
-    assert result.tail_mass == tail_mass
+    if 0.0 < tail_mass < math.inf:
+        # the root moves by rounding with the field's sums, so the closed form is taken at the returned root
+        kx = rates.k[-1] * result.x_star
+        ratio = kx / (kx + rates.p[-1] + rates.q[-1])
+        assert result.tail_mass == result.M_star[-1] * ratio / (1.0 - ratio)
+        assert math.isclose(result.tail_mass, tail_mass, rel_tol=1e-12)
+    else:
+        assert result.tail_mass == tail_mass
 
 
 def test_equilibrium_zero_supply():

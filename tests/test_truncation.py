@@ -1,5 +1,6 @@
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from silkin import (
 from silkin.truncation import NUM_ACC, augmented_field
 
 from conftest import constant_rates, power_law_system, rates_from_arrays
-from oracles import central_jacobian, reference_augmented_rhs
+from oracles import central_jacobian, exact_augmented_rhs, reference_augmented_rhs
 
 
 def test_rhs_zero_state_sources_only():
@@ -141,6 +142,29 @@ def test_augmented_field_out_form_bits_match_reference(n, slots, rng):
         out = np.full_like(z, np.nan)
         assert fun(0.0, z, out) is out
         assert out.tobytes() == reference_augmented_rhs(sys_, z).tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 7, 80, 300])
+@pytest.mark.parametrize("slots", SLOTS)
+def test_augmented_field_within_summation_bound_of_exact(n, slots, rng):
+    # whatever the order of its sums, each component is within 2 (n + 4) eps of the exact value, relative to its terms
+    sys_, states = _random_system_and_states(n, SLOTS[slots], rng)
+    fun, _ = augmented_field(sys_)
+    bound = 2 * (n + 4) * Fraction(np.finfo(float).eps)
+    for z in states:
+        computed = fun(0.0, z)
+        for j, (exact, size) in enumerate(exact_augmented_rhs(sys_, z)):
+            assert abs(Fraction(float(computed[j])) - exact) <= bound * size, (j, float(computed[j]), float(exact))
+
+
+@pytest.mark.parametrize("form", ["new", "out"])
+def test_augmented_field_overflow_of_ingestion_sum_raises(form):
+    # each x k_i M_i is finite but x (k . M) is not: the sum stays a numpy scalar, so integrate's errstate raises
+    sys_ = TruncatedSystem(ModelParams(r=1.0, alpha=1.0), constant_rates(3, k=1.0))
+    fun, _ = augmented_field(sys_)
+    z = np.array([1e8, 1e300, 1e300, 1e300, 1e300, 0.0, 0.0])
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        fun(0.0, z, np.empty_like(z) if form == "out" else None)
 
 
 def test_phase_field_from_threads_matches_serial(rng):
