@@ -266,8 +266,8 @@ def find_equilibrium(
     lo, hi = 0.0, None
     if x_bracket is not None:
         lo, hi = float(x_bracket[0]), float(x_bracket[1])
-        if not 0.0 <= lo < hi:
-            raise ValueError(f"need 0 <= lo < hi, got ({lo}, {hi})")
+        if not 0.0 <= lo < hi < math.inf:
+            raise ValueError(f"need 0 <= lo < hi < inf, got ({lo}, {hi})")
     f_lo, res_lo, M_lo = _x_residual(sys, lo)
     if res_lo <= tol:
         return _equilibrium_at(sys, lo, res_lo, M_lo)

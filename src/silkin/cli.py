@@ -362,16 +362,24 @@ def _write(path: Path, chunks: Iterable[bytes]) -> None:
         raise ConfigError("--out", f"cannot write {path.name}: {exc}") from exc
 
 
-def _write_csv(path: Path, header: Sequence[str], *columns: np.ndarray) -> None:
+def _write_csv(path: Path, header: Sequence[str], *columns: np.ndarray) -> Dict[str, str]:
     """Write ``header`` and one line per row of ``columns`` side by side (1-D columns or 2-D blocks).
 
     Each field is the ``repr`` of its value: an integer column's digits, a
     float column's shortest round-trip decimal.  :mod:`silkin.csvtext` makes
     the text from row blocks of the arrays, never from Python numbers.
+    Returns the file's ``artifacts`` entry: its name with ``.`` as ``_``,
+    mapped to the name.
     """
     from . import csvtext  # imported here: a run that writes no CSV does not compile it
 
     _write(path, chain([(",".join(header) + "\n").encode("ascii")], csvtext.chunks(*columns)))
+    return {path.name.replace(".", "_"): path.name}
+
+
+def _report(result: Any, *omitted: str) -> dict:
+    """A library result's ``metadata`` block: the dataclass ``result``'s own fields, less ``omitted``."""
+    return {key: value for key, value in asdict(result).items() if key not in omitted}
 
 
 def _check(name: str, operation: str, value, threshold, passed: bool, comparison: str = "<=") -> dict:
@@ -399,12 +407,10 @@ def _write_trajectory(config: RunConfig, traj: Trajectory, out: Path) -> dict:
     header = ["t", "x", "M_total", "X_total", "U_total", "Q", "P"] + [f"M_{i}" for i in range(cohorts)]
 
     moments = compute_moments(traj.phase, rates)
-    _write_csv(out / "trajectory.csv", header, traj.t, traj.phase[:, 0], moments, traj.phase[:, 1:cohorts + 1])
-    artifacts = {"trajectory_csv": "trajectory.csv"}
+    artifacts = _write_csv(out / "trajectory.csv", header, traj.t, traj.phase[:, 0], moments, traj.phase[:, 1:cohorts + 1])
     if config.output_wide_csv:
         wide_header = ["t", "x"] + [f"M_{i}" for i in range(rates.n + 1)]
-        _write_csv(out / "trajectory_wide.csv", wide_header, traj.t, traj.phase)
-        artifacts["trajectory_wide_csv"] = "trajectory_wide.csv"
+        artifacts.update(_write_csv(out / "trajectory_wide.csv", wide_header, traj.t, traj.phase))
     return artifacts
 
 
@@ -466,13 +472,7 @@ def _cmd_verify(config: RunConfig, out: Path):
     defect = differential_form_check(traj, grid)
     checks.append(_bound_check("differential_form", "differential_form_check", defect, DIFFERENTIAL_TOL))
 
-    meta["gronwall"] = {
-        "c1_used": gron.c1_used,
-        "c1_apriori": gron.c1_apriori,
-        "c1_fitted": gron.c1_fitted,
-        "c2": gron.c2,
-        "growth_constant": gron.growth_constant,
-    }
+    meta["gronwall"] = _report(gron, "ok", "margin")  # the gronwall_envelope check reports those two
     meta["invariance_max_norm"] = inv.max_norm
     return checks, artifacts, meta
 
@@ -488,7 +488,7 @@ def _cmd_converge(config: RunConfig, out: Path):
     )
     ladder = np.array(config.n_ladder)
     header = ["n_low", "n_high", "gap", "x_gap"]
-    _write_csv(out / "gaps.csv", header, ladder[:-1], ladder[1:], report.gaps, report.x_gaps)
+    artifacts = _write_csv(out / "gaps.csv", header, ladder[:-1], ladder[1:], report.gaps, report.x_gaps)
     checks = [
         _check("gaps_decreasing", "convergence_study", bool(report.decreasing), True, report.decreasing, comparison="=="),
         _bound_check("final_gap", "convergence_study", float(report.gaps[-1]), FINAL_GAP_TOL),
@@ -498,13 +498,13 @@ def _cmd_converge(config: RunConfig, out: Path):
         "gaps": [float(g) for g in report.gaps],
         "integrator": [asdict(s) for s in report.stats],
     }
-    return checks, {"gaps_csv": "gaps.csv"}, meta
+    return checks, artifacts, meta
 
 
 def _cmd_equilibrium(config: RunConfig, out: Path):
     sys_, _ = _build_system(config)
     result = find_equilibrium(sys_, config.equilibrium_x_bracket, tol=EQUILIBRIUM_TOL)
-    _write_csv(out / "equilibrium.csv", ["i", "M_i"], np.arange(len(result.M_star)), result.M_star)
+    artifacts = _write_csv(out / "equilibrium.csv", ["i", "M_i"], np.arange(len(result.M_star)), result.M_star)
     eq_state = State(t=0.0, x=result.x_star, M=result.M_star)
     # The drift's error scales with the run's tolerances, so they are no looser than EQUILIBRIUM_TOL.
     cfg = config.integrator
@@ -515,13 +515,8 @@ def _cmd_equilibrium(config: RunConfig, out: Path):
         _bound_check("equilibrium_residual", "find_equilibrium", result.residual, EQUILIBRIUM_TOL),
         _bound_check("equilibrium_fixed_point", "integrate", drift, DRIFT_TOL),
     ]
-    meta = {
-        "x_star": result.x_star,
-        "residual": result.residual,
-        "tail_mass": result.tail_mass,
-        "n": sys_.n,
-    }
-    return checks, {"equilibrium_csv": "equilibrium.csv"}, meta
+    meta = {**_report(result, "M_star"), "n": sys_.n}  # equilibrium.csv holds M_star
+    return checks, artifacts, meta
 
 
 def _cmd_semigroup(config: RunConfig, out: Path):

@@ -287,7 +287,7 @@ class Trajectory:
         return self.state(-1)
 
     def dense_matrix(self, ts: np.ndarray) -> np.ndarray:
-        """Augmented rows at the times ``ts``, in any order, phase part clamped to the cone.
+        """Augmented rows at the times ``ts`` (a 1-D sequence), in any order, phase part clamped to the cone.
 
         Every time must lie in the run; others raise :class:`OutOfRange`, as
         they do for :meth:`dense_vector` and :meth:`dense_derivative`.
@@ -817,6 +817,7 @@ class _DenseOutput:
         return np.array([record.order for record in self.steps])
 
     def __call__(self, t: np.ndarray, derivative: bool = False) -> np.ndarray:
+        t = np.asarray(t, dtype=float)
         if t.ndim != 1:
             raise ValueError(f"times must be one-dimensional, got shape {t.shape}")
         block = self._dormand_prince if isinstance(self.steps[0], _RkStep) else self._bdf

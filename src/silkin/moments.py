@@ -62,8 +62,8 @@ def compute_moments(phase: np.ndarray, rates: RateTable) -> np.ndarray:
     Returns a ``(rows, 5)`` array whose columns are ``M_total, X_total,
     U_total, Q, P``, the trajectory CSV's moment columns in its order.
     """
-    if phase.shape[1] != rates.n + 2:
-        raise ValueError(f"rows carry cohorts 0..{phase.shape[1] - 2} but rates expect 0..{rates.n}")
+    if phase.ndim != 2 or phase.shape[1] != rates.n + 2:
+        raise ValueError(f"expected a (rows, {rates.n + 2}) block of phase rows, got shape {phase.shape}")
     x, M = phase[:, 0], phase[:, 1:]
     i = np.arange(rates.n + 1, dtype=float)
     m_total = np.sum(M, axis=1)

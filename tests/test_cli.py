@@ -12,7 +12,17 @@ import numpy as np
 import pytest
 import yaml
 
-from silkin import CoefficientFamily, InitialData, IntegratorConfig, State, analysis, cli, integrator
+from silkin import (
+    CoefficientFamily,
+    EquilibriumResult,
+    GronwallReport,
+    InitialData,
+    IntegratorConfig,
+    State,
+    analysis,
+    cli,
+    integrator,
+)
 
 from oracles import repr_lines, row_moments
 
@@ -289,6 +299,42 @@ def test_equilibrium_command_meets_its_residual_check(tmp_path):
     assert cli.main(["equilibrium", "--config", cfg, "--out", str(out)]) == 0
     checks = {c["name"]: c for c in read_summary(out)["checks"]}
     assert checks["equilibrium_residual"]["value"] <= 1e-12
+
+
+def test_summary_names_are_the_report_fields_and_the_written_file_names(tmp_path):
+    # a metadata block that reports a library result is that result's own fields;
+    # each artifact key is its file's name with "." as "_"
+    verify = coupled_doc(n=6, t_end=1.0)
+    verify["output"] = {"wide_csv": True}
+    constant = {"kind": "constant", "amplitude": 1.0}
+    equilibrium = {
+        "model": {"r": 1.0, "alpha": 1.0},
+        "rates": {"k": constant, "p": constant, "q": {"kind": "constant", "amplitude": 0.0}},
+        "initial": {"x0": 0.0, "M": [0.0]},
+        "run": {"n": 16, "t_end": 1.0},
+    }
+    converge = copy.deepcopy(equilibrium)
+    converge["model"] = {"r": 0.0, "alpha": 0.0}
+    converge["initial"] = {"x0": 1.0, "M": [1.0]}
+    converge["run"] = {"n_ladder": [8, 10], "t_end": 1.0}
+    converge["integrator"] = {"rel_tol": 1e-12, "abs_tol": 1e-15}
+    metadata, artifacts = {}, {}
+    for command, doc in (("verify", verify), ("equilibrium", equilibrium), ("converge", converge)):
+        out = tmp_path / command
+        assert cli.main([command, "--config", write_config(tmp_path / f"{command}.yaml", doc), "--out", str(out)]) == 0
+        summary = read_summary(out)
+        metadata[command], artifacts[command] = summary["metadata"], summary["artifacts"]
+        for key, name in summary["artifacts"].items():
+            stem = key.removesuffix("_csv")
+            assert key == f"{stem}_csv" and name == f"{stem}.csv" and (out / name).is_file()
+    assert artifacts == {
+        "verify": {"trajectory_csv": "trajectory.csv", "trajectory_wide_csv": "trajectory_wide.csv"},
+        "equilibrium": {"equilibrium_csv": "equilibrium.csv"},
+        "converge": {"gaps_csv": "gaps.csv"},
+    }
+    gronwall = {f.name for f in dataclasses.fields(GronwallReport)} - {"ok", "margin"}
+    assert set(metadata["verify"]["gronwall"]) == gronwall
+    assert set(metadata["equilibrium"]) == {f.name for f in dataclasses.fields(EquilibriumResult)} - {"M_star"} | {"n"}
 
 
 def test_semigroup_command(tmp_path, monkeypatch):

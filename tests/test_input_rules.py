@@ -14,8 +14,10 @@ from silkin import (
     MomentWeights,
     RateTable,
     State,
+    compute_moments,
     convergence_study,
     eval_jacobian,
+    find_equilibrium,
     gronwall_check,
     integrate,
     invariance_check,
@@ -70,6 +72,8 @@ RULES = [
         ValueError("q entries must be >= 0"),
     ),
     ("State.t", lambda: State(t=math.nan, x=0.0, M=np.ones(3)), ValueError("t must be finite")),
+    ("InitialData.decay_rho", lambda: InitialData(b=1.0), ValueError("decay data needs both b and rho")),
+    ("InitialData.decay_b", lambda: InitialData(rho=0.5), ValueError("decay data needs both b and rho")),
     ("MomentWeights.g", lambda: MomentWeights(g=np.ones(1)), ValueError("need at least two weights")),
     ("MomentWeights.power", lambda: MomentWeights.power(4, 0.5), ValueError("mu must be >= 1, got 0.5")),
     # linear(3) also has g_0 = 0 under k_0 > 0: the count is checked before the growth constant
@@ -83,6 +87,16 @@ RULES = [
         "integrate.t_end",
         lambda: integrate(power_law_system(4, gamma=0.5), decaying_state(4), math.inf),
         ValueError("t_end must be finite, got inf"),
+    ),
+    (
+        "compute_moments.ndim",
+        lambda: compute_moments(np.zeros(4), realize_coefficients(*FAMILIES, 2)),
+        ValueError("expected a (rows, 4) block of phase rows, got shape (4,)"),
+    ),
+    (
+        "find_equilibrium.x_bracket_finite",
+        lambda: find_equilibrium(power_law_system(4, gamma=0.5), (0.0, math.inf)),
+        ValueError("need 0 <= lo < hi < inf, got (0.0, inf)"),
     ),
     ("invariance_check.gamma", lambda: invariance_check(_short_run(), 1.5), ValueError("gamma must lie in [0, 1], got 1.5")),
     (

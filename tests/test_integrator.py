@@ -799,11 +799,13 @@ def test_a_failing_run_stores_nothing(monkeypatch):
 
 @pytest.mark.parametrize("method", ["rk45", "bdf"])
 def test_dense_reads_of_no_times_and_of_misshapen_times(method):
-    # no times give a (size, 0) block; times that are not one-dimensional are refused by their shape
+    # no times give a (size, 0) block; times that are not one-dimensional are refused by their shape;
+    # a list of times reads as the array of them
     traj = decay_trajectory(IntegratorConfig(method=method))
     size = traj.sys.dimension + NUM_ACC
     for reader in (traj.dense_matrix, traj.dense_derivative):
-        assert reader(np.array([])).shape == (size, 0)
+        assert reader(np.array([])).shape == reader([]).shape == (size, 0)
+        assert reader([0.5, 0.25]).tobytes() == reader(np.array([0.5, 0.25])).tobytes()
         for times, shape in ((np.array([[0.5], [0.7]]), "(2, 1)"), (np.array(0.5), "()")):
             with pytest.raises(ValueError, match=f"^times must be one-dimensional, got shape {re.escape(shape)}$") as err:
                 reader(times)
